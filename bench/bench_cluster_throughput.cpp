@@ -5,15 +5,19 @@
 // (the multi-border deployment shape: one capture per border), then measures
 // ingest throughput of cluster::ClusterRuntime at 1 / 2 / 4 / 8 shards with
 // one producer thread per shard driving its ShardFeed through the zero-copy
-// block path. Best-of-3 per shard count.
+// block path. Best-of-3 per shard count. The 1-shard lane is the inline
+// single-shard runtime (the engine on the producer's thread, no queue); from
+// 2 shards on every shard runs on its own thread behind a bounded queue.
 //
 // Three guards:
 //   - byte identity (always enforced): every shard count's final
 //     landscape_to_json document must equal the single StreamEngine's over
 //     the union feed — sharding is a throughput knob, never a result knob;
 //   - scaling floor (enforced only with >= 8 hardware threads): 8 shards
-//     must sustain at least kScalingFloor x the 1-shard throughput. On
-//     smaller hosts the producers and shard threads time-share cores, so the
+//     must sustain at least kScalingFloor x the 2-shard throughput — the
+//     smallest threaded lane, so the ratio measures thread scaling rather
+//     than the inline lane's missing queue hop (8 vs 1 is still reported).
+//     On smaller hosts the producers and shard threads time-share cores, so the
 //     measured ratio is scheduler behaviour, not cluster behaviour — the
 //     numbers are still reported;
 //   - instrumentation overhead (enforced only with >= 8 hardware threads):
@@ -74,9 +78,11 @@ constexpr std::uint32_t kBots = 256;
 constexpr std::size_t kServers = 8;
 constexpr std::int64_t kEpochs = 4;
 constexpr int kReps = 3;
-/// 8 shards must beat 1 shard by at least this factor — enforced only when
-/// the host has >= 8 hardware threads (see header comment).
-constexpr double kScalingFloor = 3.0;
+/// 8 shards must beat 2 shards by at least this factor — enforced only when
+/// the host has >= 8 hardware threads (see header comment). Four times the
+/// shards at 37.5% efficiency: the same bar the former 3x-over-one-threaded-
+/// shard floor set.
+constexpr double kScalingFloor = 1.5;
 /// The fully instrumented 4-shard lane must keep at least this fraction of
 /// the plain 4-shard throughput (< 2% overhead) — same enforcement gate.
 constexpr double kOverheadFloor = 0.98;
@@ -374,6 +380,7 @@ int main(int argc, char** argv) {
 
   json::Array results;
   double one_shard_tps = 0.0;
+  double two_shard_tps = 0.0;
   double four_shard_tps = 0.0;
   double eight_shard_tps = 0.0;
   bool all_identical = true;
@@ -381,6 +388,7 @@ int main(int argc, char** argv) {
     Measurement m = measure(shard_count, /*instrumented=*/false);
     all_identical = all_identical && m.report_identical;
     if (shard_count == 1) one_shard_tps = m.tuples_per_sec;
+    if (shard_count == 2) two_shard_tps = m.tuples_per_sec;
     if (shard_count == 4) four_shard_tps = m.tuples_per_sec;
     if (shard_count == 8) eight_shard_tps = m.tuples_per_sec;
     m.speedup_vs_one =
@@ -403,16 +411,20 @@ int main(int argc, char** argv) {
               instr.report_identical ? "same" : "DIFF");
 
   const double scaling =
+      two_shard_tps > 0.0 ? eight_shard_tps / two_shard_tps : 0.0;
+  const double scaling_vs_inline =
       one_shard_tps > 0.0 ? eight_shard_tps / one_shard_tps : 0.0;
   const bool enforced = std::thread::hardware_concurrency() >= 8;
   const bool scaling_pass = scaling >= kScalingFloor;
   std::printf(
-      "scaling: 8 shards at %.2fx the 1-shard throughput (floor %.1fx): %s\n",
+      "scaling: 8 shards at %.2fx the 2-shard throughput (floor %.1fx): %s; "
+      "%.2fx the inline 1-shard throughput (reported only)\n",
       scaling, kScalingFloor,
       scaling_pass ? "pass"
       : enforced   ? "FAIL"
                    : "below floor (not enforced: fewer than 8 hardware "
-                     "threads — producers and shards time-share cores)");
+                     "threads — producers and shards time-share cores)",
+      scaling_vs_inline);
   const bool overhead_pass = overhead_ratio >= kOverheadFloor;
   std::printf(
       "instrumentation: lag+journal+trace at %.3fx the plain %zu-shard "
@@ -443,7 +455,8 @@ int main(int argc, char** argv) {
                json::Value(static_cast<double>(
                    std::thread::hardware_concurrency())));
   root.emplace("results", json::Value(std::move(results)));
-  root.emplace("scaling_8_vs_1", json::Value(scaling));
+  root.emplace("scaling_8_vs_2", json::Value(scaling));
+  root.emplace("scaling_8_vs_1", json::Value(scaling_vs_inline));
   root.emplace("scaling_floor", json::Value(kScalingFloor));
   root.emplace("scaling_enforced", json::Value(enforced));
   root.emplace("scaling_pass", json::Value(scaling_pass));
@@ -480,7 +493,7 @@ int main(int argc, char** argv) {
   }
   if (enforced && !scaling_pass) {
     std::fprintf(stderr,
-                 "FAIL: 8 shards sustained only %.2fx the 1-shard throughput "
+                 "FAIL: 8 shards sustained only %.2fx the 2-shard throughput "
                  "(floor %.1fx)\n",
                  scaling, kScalingFloor);
     return 1;

@@ -261,8 +261,8 @@ constexpr int kGuardReps = 3;
 
 /// Instrumented ingest throughput for one scenario, with and without a live
 /// scraper. Both arms attach the metrics registry and sample the health
-/// monitor every 4096 tuples (exactly what botmeter_stream --listen does),
-/// so the measured delta is the cost of *being scraped*, not of being
+/// monitor every 4096 tuples (what a one-shard botmeter_cluster --listen
+/// does), so the measured delta is the cost of *being scraped*, not of being
 /// instrumented. Best-of-N per arm to shrink scheduler noise.
 ScrapeGuard run_scrape_guard() {
   const Scenario scenario{"Murofet", 256, 8, 4, 1};

@@ -19,6 +19,8 @@ namespace {
 constexpr const char* kCheckpointSchema = "botmeter.cluster_checkpoint.v1";
 constexpr const char* kHealthSchema = "botmeter.cluster_health.v1";
 constexpr std::uint32_t kNoRemap = 0xffffffffu;
+/// route()'s owner for cluster-level ingest: any shard may own the server.
+constexpr std::size_t kAnyShard = static_cast<std::size_t>(-1);
 
 template <typename T>
 json::Value number(T v) {
@@ -60,29 +62,22 @@ void ClusterConfig::validate() const {
 // --- ShardFeed (thin forwarding handles) ------------------------------------
 
 void ShardFeed::ingest(const dns::ForwardedLookup& lookup) {
-  runtime_->feed_ingest(shard_, lookup);
+  runtime_->route(lookup, shard_);
 }
 
 void ShardFeed::ingest(std::span<const dns::ForwardedLookup> batch) {
   for (const dns::ForwardedLookup& lookup : batch) {
-    runtime_->feed_ingest(shard_, lookup);
+    runtime_->route(lookup, shard_);
   }
 }
 
 void ShardFeed::ingest_block(const dns::LookupColumns& block,
                              std::span<const std::string_view> domains) {
-  runtime_->feed_ingest_block(shard_, block, domains);
-}
-
-void ShardFeed::ingest_block(const dns::LookupColumns& block,
-                             std::span<const std::string> domains) {
-  std::vector<std::string_view> views(domains.begin(), domains.end());
-  runtime_->feed_ingest_block(shard_, block,
-                              std::span<const std::string_view>(views));
+  runtime_->route_block(block, domains, shard_);
 }
 
 void ShardFeed::advance(TimePoint watermark) {
-  runtime_->feed_advance(shard_, watermark);
+  runtime_->route_advance(shard_, watermark);
 }
 
 void ShardFeed::flush() { runtime_->flush_shard(shard_); }
@@ -92,6 +87,7 @@ void ShardFeed::flush() { runtime_->flush_shard(shard_); }
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_((config.validate(), std::move(config))),
       merger_(config_.router, config_.first_epoch, config_.epoch_count),
+      inline_(config_.router.shard_count() == 1),
       instr_(config_.lag != nullptr || config_.journal != nullptr ||
              config_.meter.trace != nullptr),
       origin_(std::chrono::steady_clock::now()) {
@@ -106,12 +102,14 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
 
     stream::StreamEngineConfig ec;
     ec.meter = config_.meter;
-    // Shard engines publish nothing themselves: their stream.* series would
-    // collide across shards and their per-shard histories would not be the
-    // merged landscape. The runtime publishes cluster.* series and records
-    // merged rows instead.
-    ec.meter.metrics = nullptr;
-    ec.meter.trace = nullptr;
+    // Sharded engines publish nothing themselves: their stream.* series
+    // would collide across shards. A lone inline shard keeps metrics and
+    // trace. No engine records history — its rows would not be the merged
+    // landscape; the runtime records merged rows instead.
+    if (!inline_) {
+      ec.meter.metrics = nullptr;
+      ec.meter.trace = nullptr;
+    }
     ec.meter.history = nullptr;
     ec.first_epoch = config_.first_epoch;
     ec.epoch_count = config_.epoch_count;
@@ -127,7 +125,8 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
           handle_close(i, report.epoch);
         });
     shard->monitor = std::make_unique<stream::StreamHealthMonitor>(
-        config_.health.value_or(stream::StreamHealthConfig{}));
+        config_.health.value_or(stream::StreamHealthConfig{}),
+        inline_ ? config_.meter.metrics : nullptr);
     shard->next_epoch.store(config_.first_epoch, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
@@ -219,20 +218,8 @@ void ClusterRuntime::handle_merge(const MergedEpoch& merged) {
     }
   }
   if (replaying_ || config_.history == nullptr) return;
-  obs::LandscapeEpochRecord row;
-  row.epoch = merged.epoch;
-  row.family = config_.meter.dga.name;
-  row.estimator = estimator_name_;
-  row.servers.reserve(merged.cells.size());
-  for (const estimators::EpochCell& cell : merged.cells) {
-    obs::LandscapeCell snapshot;
-    snapshot.population = cell.estimate.value;
-    snapshot.interval90 = cell.estimate.interval;
-    snapshot.matched = cell.matched;
-    snapshot.approximate = cell.estimate.approximate;
-    snapshot.sketch_rse = cell.estimate.sketch_rse;
-    row.servers.push_back(std::move(snapshot));
-  }
+  obs::LandscapeEpochRecord row = core::history_row(
+      merged.epoch, config_.meter.dga.name, estimator_name_, merged.cells);
   if (config_.health) {
     row.health = std::string(stream::health_state_name(cluster_state()));
   }
@@ -459,35 +446,68 @@ void ClusterRuntime::scatter_tuple(std::size_t shard, std::int64_t t_ms,
   if (scatter.pending.t_ms.size() >= config_.flush_tuples) flush_shard(shard);
 }
 
-void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
-  const std::uint32_t server = lookup.forwarder.value();
+std::size_t ClusterRuntime::owning_shard(std::uint32_t server,
+                                         std::size_t owner) const {
   const std::size_t shard = config_.router.shard_of(server);
+  if (owner != kAnyShard && shard != owner) {
+    throw ConfigError("ShardFeed: server " + std::to_string(server) +
+                      " is not owned by shard " + std::to_string(owner));
+  }
+  return shard;
+}
+
+void ClusterRuntime::settle_inline(Shard& shard) {
+  drain_close_latencies(shard);
+  mirror_counters(shard);
+}
+
+void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
+                           std::size_t owner) {
+  const std::uint32_t server = lookup.forwarder.value();
+  const std::size_t shard = owning_shard(server, owner);
+  if (inline_) {
+    // Per-tuple calls read no clock: the shard_ingest stage is timed per
+    // block and per advance only.
+    Shard& only = *shards_.front();
+    only.engine->ingest(lookup);
+    settle_inline(only);
+    return;
+  }
   ShardScatter& scatter = shards_[shard]->scatter;
   scatter_tuple(shard, lookup.timestamp.millis(),
                 config_.router.local_index(server),
                 intern_domain(scatter, lookup.domain));
 }
 
-void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
-  for (const dns::ForwardedLookup& lookup : batch) ingest(lookup);
-}
-
-void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
-                                  std::span<const std::string> domains) {
-  std::vector<std::string_view> views(domains.begin(), domains.end());
-  ingest_block(block, std::span<const std::string_view>(views));
-}
-
-void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
-                                  std::span<const std::string_view> domains) {
+void ClusterRuntime::route_block(const dns::LookupColumns& block,
+                                 std::span<const std::string_view> domains,
+                                 std::size_t owner) {
   if (block.server.size() != block.size() ||
       block.domain.size() != block.size()) {
     throw DataError("ClusterRuntime::ingest_block: ragged columns");
   }
   const std::size_t n = block.size();
+  if (inline_) {
+    // Every routed server belongs to the lone shard, so checking the
+    // largest id checks the whole column.
+    if (n != 0) {
+      (void)owning_shard(*std::max_element(block.server.begin(),
+                                           block.server.end()),
+                         owner);
+    }
+    Shard& only = *shards_.front();
+    const double start_ms = instr_ ? obs_now_ms() : 0.0;
+    only.engine->ingest_block(block, domains);
+    if (config_.lag != nullptr) {
+      config_.lag->record(0, obs::LagStage::kShardIngest,
+                          obs_now_ms() - start_ms);
+    }
+    settle_inline(only);
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t server = block.server[i];
-    const std::size_t shard = config_.router.shard_of(server);
+    const std::size_t shard = owning_shard(server, owner);
     ShardScatter& scatter = shards_[shard]->scatter;
     const std::uint32_t pid = block.domain[i];
     if (pid >= domains.size()) {
@@ -504,6 +524,19 @@ void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
   }
 }
 
+void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
+  route(lookup, kAnyShard);
+}
+
+void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
+  for (const dns::ForwardedLookup& lookup : batch) route(lookup, kAnyShard);
+}
+
+void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
+                                  std::span<const std::string_view> domains) {
+  route_block(block, domains, kAnyShard);
+}
+
 void ClusterRuntime::flush_shard(std::size_t shard) {
   ShardScatter& scatter = shards_[shard]->scatter;
   if (scatter.pending.empty()) return;
@@ -517,7 +550,7 @@ void ClusterRuntime::flush() {
 }
 
 void ClusterRuntime::advance(TimePoint watermark) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) feed_advance(i, watermark);
+  for (std::size_t i = 0; i < shards_.size(); ++i) route_advance(i, watermark);
 }
 
 ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
@@ -529,50 +562,23 @@ ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
   return ShardFeed(this, shard);
 }
 
-void ClusterRuntime::feed_ingest(std::size_t shard,
-                                 const dns::ForwardedLookup& lookup) {
-  const std::uint32_t server = lookup.forwarder.value();
-  if (config_.router.shard_of(server) != shard) {
-    throw ConfigError("ShardFeed: server " + std::to_string(server) +
-                      " is not owned by shard " + std::to_string(shard));
-  }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  scatter_tuple(shard, lookup.timestamp.millis(),
-                config_.router.local_index(server),
-                intern_domain(scatter, lookup.domain));
-}
-
-void ClusterRuntime::feed_ingest_block(
-    std::size_t shard, const dns::LookupColumns& block,
-    std::span<const std::string_view> domains) {
-  if (block.server.size() != block.size() ||
-      block.domain.size() != block.size()) {
-    throw DataError("ShardFeed::ingest_block: ragged columns");
-  }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (scatter.remap.size() < domains.size()) {
-    scatter.remap.resize(domains.size(), kNoRemap);
-  }
-  const std::size_t n = block.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t server = block.server[i];
-    if (config_.router.shard_of(server) != shard) {
-      throw ConfigError("ShardFeed: server " + std::to_string(server) +
-                        " is not owned by shard " + std::to_string(shard));
+void ClusterRuntime::route_advance(std::size_t shard, TimePoint watermark) {
+  if (inline_) {
+    Shard& only = *shards_.front();
+    const double start_ms = instr_ ? obs_now_ms() : 0.0;
+    only.engine->advance(watermark);
+    if (config_.lag != nullptr) {
+      config_.lag->record(0, obs::LagStage::kShardIngest,
+                          obs_now_ms() - start_ms);
     }
-    const std::uint32_t pid = block.domain[i];
-    if (pid >= domains.size()) {
-      throw DataError("ShardFeed::ingest_block: domain id " +
-                      std::to_string(pid) + " outside the table");
+    if (config_.journal != nullptr) {
+      config_.journal->log(obs::EventKind::kWatermarkAdvance, 0,
+                           obs::JournalEvent::kNoEpoch,
+                           static_cast<double>(watermark.millis()));
     }
-    std::uint32_t& local = scatter.remap[pid];
-    if (local == kNoRemap) local = intern_domain(scatter, domains[pid]);
-    scatter_tuple(shard, block.t_ms[i], config_.router.local_index(server),
-                  local);
+    settle_inline(only);
+    return;
   }
-}
-
-void ClusterRuntime::feed_advance(std::size_t shard, TimePoint watermark) {
   ShardScatter& scatter = shards_[shard]->scatter;
   if (!scatter.pending.advance || watermark > *scatter.pending.advance) {
     scatter.pending.advance = watermark;

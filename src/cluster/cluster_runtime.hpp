@@ -31,6 +31,19 @@
 // fan-out bottleneck. Feed handles and the cluster-level ingest calls share
 // per-shard scatter state and must not run concurrently with each other.
 //
+// Inline single shard. A one-shard router is the single-border deployment,
+// and there the runtime is a plain engine: ingest, ingest_block, advance and
+// shard_feed(0) call the shard's StreamEngine directly on the caller's
+// thread with the producer's own string table (under a one-shard router a
+// server's local index is its id). No shard thread starts, no batch is
+// formed and nothing is re-interned; each engine close offers to the merger
+// synchronously, so merge_frontier() has advanced by the time the call that
+// crossed the close boundary returns, and flush() has nothing to do. With
+// one shard no series can collide, so the engine and its health monitor
+// keep the meter's metrics and trace sinks (stream.* series beside the
+// cluster.* ones). sample_health() then samples on the calling thread,
+// which must be the producer thread.
+//
 // Lateness caveat (same as the engine's stream≡batch equivalence): each
 // shard's watermark advances on *its* traffic only, so shards are more
 // lenient about late tuples than a single engine over the interleaved union
@@ -89,8 +102,9 @@ namespace botmeter::cluster {
 struct ClusterConfig {
   /// The analysis configuration every shard engine runs under. The obs
   /// pointers (metrics/trace/history) are *cluster-level*: shard engines get
-  /// them nulled (their series would collide across shards) and the runtime
-  /// publishes `cluster.*` series and merged history rows itself.
+  /// them nulled (their series would collide across shards; a lone inline
+  /// shard keeps metrics and trace) and the runtime publishes `cluster.*`
+  /// series and merged history rows itself.
   core::BotMeterConfig meter;
 
   /// Epoch horizon, as for StreamEngine.
@@ -117,12 +131,13 @@ struct ClusterConfig {
   estimators::CompactObservationConfig compact;
 
   /// Bounded ingest queue depth per shard, in batches. A full queue blocks
-  /// the producer (backpressure, never loss).
+  /// the producer (backpressure, never loss). Unused by an inline shard.
   std::size_t queue_capacity = 64;
 
   /// Producer-side batching: pending tuples per shard before a batch is
   /// enqueued. Purely a throughput knob — results are bit-identical for any
   /// value because the engine's block path equals its per-tuple path.
+  /// Unused by an inline shard.
   std::size_t flush_tuples = 8192;
 
   /// Per-shard health thresholds. When set, the runtime samples every shard
@@ -196,13 +211,11 @@ class ShardFeed {
   /// holds global ids owned by this shard.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string> domains);
 
   /// Advance this shard's watermark without data.
   void advance(TimePoint watermark);
 
-  /// Enqueue any pending partial batch.
+  /// Enqueue any pending partial batch (none on an inline shard).
   void flush();
 
   [[nodiscard]] std::size_t shard() const { return shard_; }
@@ -230,17 +243,16 @@ class ClusterRuntime {
 
   /// Columnar ingest of one producer-lineage block (server column holds
   /// global ids); domains re-intern per shard, one hash per distinct
-  /// producer id per shard, ever.
+  /// producer id per shard, ever (an inline shard ingests the producer's
+  /// table as is).
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string> domains);
 
   /// Advance every shard's watermark (a quiet border still makes time pass).
   /// Flushes pending batches first so closes happen in ingest order.
   void advance(TimePoint watermark);
 
-  /// Enqueue all pending partial batches.
+  /// Enqueue all pending partial batches (none on an inline shard).
   void flush();
 
   /// Per-shard direct handle (see ShardFeed). Valid for the runtime's
@@ -277,7 +289,8 @@ class ClusterRuntime {
   /// the thread that owns the engine), then fold the *previous* samples plus
   /// the current frontier lag into the cluster state. Call periodically from
   /// the control/scrape thread with monotonic wall milliseconds; also
-  /// publishes cluster.* gauges when a metrics registry is attached.
+  /// publishes cluster.* gauges when a metrics registry is attached. An
+  /// inline shard samples at once, on the calling (producer) thread.
   stream::HealthState sample_health(double now_ms);
   [[nodiscard]] stream::HealthState cluster_state() const {
     return static_cast<stream::HealthState>(
@@ -406,10 +419,20 @@ class ClusterRuntime {
                                             std::string_view domain);
   void scatter_tuple(std::size_t shard, std::int64_t t_ms,
                      std::uint32_t local_server, std::uint32_t local_domain);
-  void feed_ingest(std::size_t shard, const dns::ForwardedLookup& lookup);
-  void feed_ingest_block(std::size_t shard, const dns::LookupColumns& block,
-                         std::span<const std::string_view> domains);
-  void feed_advance(std::size_t shard, TimePoint watermark);
+  /// The shard owning `server`; when `owner` names a feed's shard, a server
+  /// another shard owns is a ConfigError (kAnyShard: cluster-level ingest).
+  [[nodiscard]] std::size_t owning_shard(std::uint32_t server,
+                                         std::size_t owner) const;
+  /// The one ingest path behind ingest/ingest_block and the feed handles;
+  /// `owner` is the only difference between the two.
+  void route(const dns::ForwardedLookup& lookup, std::size_t owner);
+  void route_block(const dns::LookupColumns& block,
+                   std::span<const std::string_view> domains,
+                   std::size_t owner);
+  void route_advance(std::size_t shard, TimePoint watermark);
+  /// Inline shard: account one direct engine call (close latencies, counter
+  /// mirrors) after it returned.
+  void settle_inline(Shard& shard);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
   void stop_threads();
@@ -427,6 +450,9 @@ class ClusterRuntime {
   std::string estimator_name_;
   LandscapeMerger merger_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  /// One-shard router: the engine runs on the caller's thread (see the
+  /// header comment); the shard thread, queue and scatter are never used.
+  bool inline_ = false;
   /// True when any of lag/journal/trace is attached — the single gate every
   /// instrumentation point tests before touching a clock.
   bool instr_ = false;

@@ -109,27 +109,8 @@ core::LandscapeReport LandscapeMerger::assemble(
                       std::to_string(merged_) + " of " +
                       std::to_string(rows_.size()) + ")");
   }
-  core::LandscapeReport report;
-  report.estimator_name = std::move(estimator_name);
-  report.servers.reserve(router_.server_count());
-  std::vector<estimators::EpochCell> column(rows_.size());
-  for (std::uint32_t s = 0; s < router_.server_count(); ++s) {
-    for (std::size_t i = 0; i < rows_.size(); ++i) column[i] = rows_[i][s];
-    core::ServerEstimate estimate;
-    estimate.server = dns::ServerId{s};
-    for (const estimators::EpochCell& cell : column) {
-      estimate.per_epoch.emplace_back(cell.epoch, cell.estimate.value);
-    }
-    const estimators::WindowAggregate aggregate =
-        estimators::aggregate_cells(column);
-    estimate.population = aggregate.population;
-    estimate.interval90 = aggregate.interval;
-    estimate.matched_lookups = aggregate.matched;
-    estimate.approximate = aggregate.approximate;
-    estimate.sketch_rse = aggregate.sketch_rse;
-    report.servers.push_back(std::move(estimate));
-  }
-  return report;
+  return core::assemble_landscape(std::move(estimator_name), rows_,
+                                 router_.server_count());
 }
 
 }  // namespace botmeter::cluster

@@ -68,6 +68,54 @@ json::Value landscape_to_json(const LandscapeReport& report) {
   return json::Value(std::move(root));
 }
 
+LandscapeReport assemble_landscape(
+    std::string estimator_name,
+    std::span<const std::vector<estimators::EpochCell>> rows,
+    std::size_t server_count) {
+  LandscapeReport report;
+  report.estimator_name = std::move(estimator_name);
+  report.servers.reserve(server_count);
+  std::vector<estimators::EpochCell> column(rows.size());
+  for (std::uint32_t s = 0; s < server_count; ++s) {
+    ServerEstimate estimate;
+    estimate.server = dns::ServerId{s};
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      column[i] = rows[i][s];
+      estimate.per_epoch.emplace_back(column[i].epoch,
+                                      column[i].estimate.value);
+    }
+    const estimators::WindowAggregate aggregate =
+        estimators::aggregate_cells(column);
+    estimate.population = aggregate.population;
+    estimate.interval90 = aggregate.interval;
+    estimate.matched_lookups = aggregate.matched;
+    estimate.approximate = aggregate.approximate;
+    estimate.sketch_rse = aggregate.sketch_rse;
+    report.servers.push_back(std::move(estimate));
+  }
+  return report;
+}
+
+obs::LandscapeEpochRecord history_row(
+    std::int64_t epoch, std::string family, std::string estimator,
+    std::span<const estimators::EpochCell> cells) {
+  obs::LandscapeEpochRecord row;
+  row.epoch = epoch;
+  row.family = std::move(family);
+  row.estimator = std::move(estimator);
+  row.servers.reserve(cells.size());
+  for (const estimators::EpochCell& cell : cells) {
+    obs::LandscapeCell snapshot;
+    snapshot.population = cell.estimate.value;
+    snapshot.interval90 = cell.estimate.interval;
+    snapshot.matched = cell.matched;
+    snapshot.approximate = cell.estimate.approximate;
+    snapshot.sketch_rse = cell.estimate.sketch_rse;
+    row.servers.push_back(std::move(snapshot));
+  }
+  return row;
+}
+
 BotMeter::BotMeter(BotMeterConfig config) : config_(std::move(config)) {
   config_.validate();
   pool_model_ = dga::make_pool_model(config_.dga);
@@ -244,10 +292,6 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
   const estimators::Estimator& estimator = active_estimator();
   obs::ScopedTimer estimate_timer(trace, "analyze.estimate");
 
-  LandscapeReport report;
-  report.estimator_name = std::string(estimator.name());
-  report.servers.reserve(server_count);
-
   // Epoch-major: each epoch's row shares one EstimationContext (tables and
   // memoized inversions are per-epoch state) and shards its servers over the
   // pool. Rows land in pre-sized slots; every cell is an independent pure
@@ -264,55 +308,26 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
     rows.push_back(estimate_epoch_row(e, std::move(buckets), &workers, trace,
                                       "analyze.estimate.server"));
     if (config_.history != nullptr) {
-      // Record the same per-epoch row the streaming engine appends at its
-      // watermark close for this epoch, so batch and stream emit identical
-      // landscape_series.v1 documents for the same trace. Batch rows carry
-      // no health annotation (there is no feed to monitor).
-      const std::vector<estimators::EpochCell>& row_cells = rows.back();
-      obs::LandscapeEpochRecord history_row;
-      history_row.epoch = e;
-      history_row.family = config_.dga.name;
-      history_row.estimator = std::string(estimator.name());
-      history_row.servers.reserve(row_cells.size());
-      for (const estimators::EpochCell& cell : row_cells) {
-        obs::LandscapeCell snapshot_cell;
-        snapshot_cell.population = cell.estimate.value;
-        snapshot_cell.interval90 = cell.estimate.interval;
-        snapshot_cell.matched = cell.matched;
-        snapshot_cell.approximate = cell.estimate.approximate;
-        snapshot_cell.sketch_rse = cell.estimate.sketch_rse;
-        history_row.servers.push_back(std::move(snapshot_cell));
-      }
-      config_.history->record(history_row);
+      // The same per-epoch row the streaming engine appends at its watermark
+      // close for this epoch. Batch rows carry no health annotation (there
+      // is no feed to monitor).
+      config_.history->record(history_row(e, config_.dga.name,
+                                          std::string(estimator.name()),
+                                          rows.back()));
     }
   }
 
-  // Serial assembly and metrics flush, in server order.
-  std::vector<estimators::EpochCell> cells(prepared_epochs_.size());
-  for (std::uint32_t s = 0; s < server_count; ++s) {
-    ServerEstimate server_estimate;
-    server_estimate.server = dns::ServerId{s};
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      cells[i] = rows[i][s];
-      server_estimate.per_epoch.emplace_back(cells[i].epoch,
-                                             cells[i].estimate.value);
-    }
-
-    const estimators::WindowAggregate aggregate =
-        estimators::aggregate_cells(cells);
-    server_estimate.population = aggregate.population;
-    server_estimate.interval90 = aggregate.interval;
-    server_estimate.matched_lookups = aggregate.matched;
-    server_estimate.approximate = aggregate.approximate;
-    server_estimate.sketch_rse = aggregate.sketch_rse;
-    if (metrics != nullptr) {
-      const std::string label = "server_" + std::to_string(s);
+  LandscapeReport report =
+      assemble_landscape(std::string(estimator.name()), rows, server_count);
+  if (metrics != nullptr) {
+    for (const ServerEstimate& server_estimate : report.servers) {
+      const std::string label =
+          "server_" + std::to_string(server_estimate.server.value());
       metrics->counter("analyze.matched_lookups.per_server", label)
           .add(server_estimate.matched_lookups);
       metrics->gauge("analyze.population.per_server", label)
           .set(server_estimate.population);
     }
-    report.servers.push_back(std::move(server_estimate));
   }
   estimate_timer.stop();
   if (metrics != nullptr) {

@@ -34,6 +34,7 @@ namespace botmeter::obs {
 class LandscapeHistory;
 class MetricsRegistry;
 class TraceSession;
+struct LandscapeEpochRecord;
 }  // namespace botmeter::obs
 
 namespace botmeter::core {
@@ -123,6 +124,22 @@ struct LandscapeReport {
 /// every double bit included — is equal, which is how the thread-count and
 /// memo-cache determinism regressions compare runs.
 [[nodiscard]] json::Value landscape_to_json(const LandscapeReport& report);
+
+/// Assemble the landscape from closed cell rows, [epoch index][server] in
+/// ascending epoch order: per server, the per-epoch series plus the shared
+/// estimators::aggregate_cells window walk. Batch analyze, the stream
+/// engine's finish() and the cluster merger all assemble through here —
+/// which is what makes their reports bit-identical for the same cells.
+[[nodiscard]] LandscapeReport assemble_landscape(
+    std::string estimator_name,
+    std::span<const std::vector<estimators::EpochCell>> rows,
+    std::size_t server_count);
+
+/// One landscape_series.v1 history row (no health stamp) from an epoch's
+/// per-server cells — the row every pipeline records for that epoch.
+[[nodiscard]] obs::LandscapeEpochRecord history_row(
+    std::int64_t epoch, std::string family, std::string estimator,
+    std::span<const estimators::EpochCell> cells);
 
 class BotMeter {
  public:

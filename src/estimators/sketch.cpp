@@ -1,7 +1,6 @@
 #include "estimators/sketch.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstddef>
 
@@ -224,88 +223,6 @@ CountMinSketch CountMinSketch::parse(const json::Value& value) {
   const std::int64_t total = value.at("total").as_int();
   require(total >= 0, "CMS negative total");
   out.total_ = static_cast<std::uint64_t>(total);
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// HllSketch
-
-HllSketch::HllSketch(std::uint32_t precision) : precision_(precision) {
-  if (precision < 4 || precision > 16) {
-    throw ConfigError("HllSketch: precision must be in [4, 16]");
-  }
-  registers_.assign(std::size_t{1} << precision, 0);
-}
-
-void HllSketch::insert(std::uint32_t value) {
-  const std::uint64_t h = item_hash(value);
-  const std::size_t index = static_cast<std::size_t>(h >> (64 - precision_));
-  const std::uint64_t rest = h << precision_;
-  const auto rank = static_cast<std::uint8_t>(
-      rest == 0 ? 64 - precision_ + 1
-                : static_cast<std::uint32_t>(std::countl_zero(rest)) + 1);
-  registers_[index] = std::max(registers_[index], rank);
-}
-
-double HllSketch::estimate() const {
-  const auto m = static_cast<double>(registers_.size());
-  double alpha = 0.7213 / (1.0 + 1.079 / m);
-  if (registers_.size() == 16) alpha = 0.673;
-  if (registers_.size() == 32) alpha = 0.697;
-  if (registers_.size() == 64) alpha = 0.709;
-  double sum = 0.0;
-  std::size_t zeros = 0;
-  for (const std::uint8_t r : registers_) {
-    sum += std::ldexp(1.0, -static_cast<int>(r));
-    if (r == 0) ++zeros;
-  }
-  const double raw = alpha * m * m / sum;
-  if (raw <= 2.5 * m && zeros > 0) {
-    return m * std::log(m / static_cast<double>(zeros));  // linear counting
-  }
-  return raw;
-}
-
-double HllSketch::relative_error() const {
-  return 1.04 / std::sqrt(static_cast<double>(registers_.size()));
-}
-
-void HllSketch::merge(const HllSketch& other) {
-  if (other.precision_ != precision_) {
-    throw ConfigError("HllSketch: merge requires equal precision");
-  }
-  for (std::size_t i = 0; i < registers_.size(); ++i) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
-}
-
-std::size_t HllSketch::memory_bytes() const {
-  return sizeof(*this) + registers_.capacity() * sizeof(std::uint8_t);
-}
-
-json::Value HllSketch::serialize() const {
-  json::Array regs;
-  regs.reserve(registers_.size());
-  for (const std::uint8_t r : registers_) {
-    regs.emplace_back(static_cast<double>(r));
-  }
-  json::Object out;
-  out["precision"] = json::Value{static_cast<double>(precision_)};
-  out["registers"] = json::Value{std::move(regs)};
-  return json::Value{std::move(out)};
-}
-
-HllSketch HllSketch::parse(const json::Value& value) {
-  const std::int64_t precision = value.at("precision").as_int();
-  require(precision >= 4 && precision <= 16, "HLL precision out of range");
-  HllSketch out{static_cast<std::uint32_t>(precision)};
-  const json::Array& regs = value.at("registers").as_array();
-  require(regs.size() == out.registers_.size(), "HLL register count");
-  for (std::size_t i = 0; i < regs.size(); ++i) {
-    const std::int64_t r = regs[i].as_int();
-    require(r >= 0 && r <= 64, "HLL register out of range");
-    out.registers_[i] = static_cast<std::uint8_t>(r);
-  }
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Bounded-memory streaming sketches backing the compact observation path.
 //
-// Three classic summaries, each chosen for a statistic the estimators need
+// Two classic summaries, each chosen for a statistic the estimators need
 // (DESIGN.md §13):
 //  - KmvSketch: k-minimum-values distinct counter over u32 item ids. Exact
 //    while the distinct count stays below k (every survivor keeps its original
@@ -9,10 +9,8 @@
 //  - CountMinSketch: conservative point-frequency tallies (per-position
 //    forwarded-count diagnostics); never underestimates, overestimates by at
 //    most (e/w)*N with probability >= 1 - e^-d.
-//  - HllSketch: HyperLogLog distinct counter, the denser alternative to KMV
-//    when only the cardinality (not the surviving ids) is needed.
 //
-// All three share the properties the streaming engine relies on: insertion
+// Both share the properties the streaming engine relies on: insertion
 // order never changes the state, merge is associative and commutative, the
 // state serializes to JSON deterministically, and every hash is the seedless
 // mix64 bijection — so shard count, thread count, and spill timing cannot
@@ -123,36 +121,6 @@ class CountMinSketch {
   std::uint32_t width_ = 0;  // power of two
   std::uint64_t total_ = 0;
   std::vector<std::uint64_t> counters_;  // depth_ * width_, row-major
-};
-
-/// HyperLogLog distinct counter with 2^precision one-byte registers.
-/// RSE ~ 1.04/sqrt(2^precision); small ranges use linear counting.
-class HllSketch {
- public:
-  /// precision in [4, 16].
-  explicit HllSketch(std::uint32_t precision);
-
-  void insert(std::uint32_t value);
-
-  [[nodiscard]] double estimate() const;
-
-  /// 1.04/sqrt(m) — the asymptotic relative standard error.
-  [[nodiscard]] double relative_error() const;
-
-  [[nodiscard]] std::uint32_t precision() const { return precision_; }
-
-  /// Register-wise max merge (same precision required; throws ConfigError).
-  void merge(const HllSketch& other);
-
-  [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// {precision, registers:[u8...]}.
-  [[nodiscard]] json::Value serialize() const;
-  [[nodiscard]] static HllSketch parse(const json::Value& value);
-
- private:
-  std::uint32_t precision_ = 0;
-  std::vector<std::uint8_t> registers_;  // 2^precision_
 };
 
 }  // namespace botmeter::estimators

@@ -182,12 +182,6 @@ void StreamEngine::ingest(std::span<const dns::ForwardedLookup> batch) {
 }
 
 void StreamEngine::ingest_block(const dns::LookupColumns& block,
-                                std::span<const std::string> domains) {
-  table_view_scratch_.assign(domains.begin(), domains.end());
-  ingest_block(block, std::span<const std::string_view>(table_view_scratch_));
-}
-
-void StreamEngine::ingest_block(const dns::LookupColumns& block,
                                 std::span<const std::string_view> domains) {
   if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
   if (block.server.size() != block.size() ||
@@ -420,21 +414,9 @@ void StreamEngine::close_next_epoch() {
   }
 
   if (config_.history != nullptr) {
-    const std::vector<Cell>& cells = closed_.back();
-    obs::LandscapeEpochRecord row;
-    row.epoch = epoch;
-    row.family = config_.meter.dga.name;
-    row.estimator = std::string(meter_.active_estimator().name());
-    row.servers.reserve(cells.size());
-    for (const Cell& cell : cells) {
-      obs::LandscapeCell snapshot_cell;
-      snapshot_cell.population = cell.estimate.value;
-      snapshot_cell.interval90 = cell.estimate.interval;
-      snapshot_cell.matched = cell.matched;
-      snapshot_cell.approximate = cell.estimate.approximate;
-      snapshot_cell.sketch_rse = cell.estimate.sketch_rse;
-      row.servers.push_back(std::move(snapshot_cell));
-    }
+    obs::LandscapeEpochRecord row =
+        core::history_row(epoch, config_.meter.dga.name,
+                          std::string(estimator.name()), closed_.back());
     if (config_.health != nullptr) {
       row.health = std::string(health_state_name(config_.health->state()));
     }
@@ -469,29 +451,11 @@ core::LandscapeReport StreamEngine::finish() {
   }
   finished_ = true;
 
-  // Assemble the final landscape from the retained cells via the shared
-  // window aggregation — the same code path, in the same epoch order, as
-  // batch analyze, hence bit-identical totals.
-  core::LandscapeReport report;
-  report.estimator_name = std::string(meter_.active_estimator().name());
-  report.servers.reserve(config_.server_count);
-  std::vector<Cell> column(static_cast<std::size_t>(config_.epoch_count));
-  for (std::uint32_t s = 0; s < config_.server_count; ++s) {
-    for (std::size_t i = 0; i < closed_.size(); ++i) column[i] = closed_[i][s];
-    core::ServerEstimate estimate;
-    estimate.server = dns::ServerId{s};
-    for (const Cell& cell : column) {
-      estimate.per_epoch.emplace_back(cell.epoch, cell.estimate.value);
-    }
-    const estimators::WindowAggregate aggregate =
-        estimators::aggregate_cells(column);
-    estimate.population = aggregate.population;
-    estimate.interval90 = aggregate.interval;
-    estimate.matched_lookups = aggregate.matched;
-    estimate.approximate = aggregate.approximate;
-    estimate.sketch_rse = aggregate.sketch_rse;
-    report.servers.push_back(std::move(estimate));
-  }
+  // The shared assembly batch analyze runs, over the same cells in the same
+  // epoch order — hence bit-identical totals.
+  core::LandscapeReport report = core::assemble_landscape(
+      std::string(meter_.active_estimator().name()), closed_,
+      config_.server_count);
 
   obs::MetricsRegistry* const metrics = config_.meter.metrics;
   if (metrics != nullptr) {

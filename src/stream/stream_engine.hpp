@@ -164,12 +164,6 @@ class StreamEngine {
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
 
-  /// Convenience for producers whose table is owned strings (a
-  /// VantagePoint's intern table); rebuilds a view table per call — O(table
-  /// size), fine for the drain path's small tables.
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string> domains);
-
   /// Advance the watermark without data (a quiet feed still makes time
   /// pass), closing epochs the new watermark matured.
   void advance(TimePoint watermark);
@@ -313,9 +307,6 @@ class StreamEngine {
 
   /// Reused landing strip for resolve_many over the table's new tail.
   std::vector<detect::DomainMatcher::Resolved> resolve_scratch_;
-
-  /// Reused view table for the owned-strings ingest_block overload.
-  std::vector<std::string_view> table_view_scratch_;
 
   /// Closed cells, [epoch index][server]. Grows one epoch row per close;
   /// this (plus `open_`) is the entire analysis state.

@@ -38,7 +38,7 @@ void write_observable(std::ostream& os,
 
 /// Streaming variant of read_observable: invoke `sink` on each parsed lookup
 /// without materialising the whole trace — the bounded-memory path
-/// botmeter_stream uses to replay arbitrarily long border feeds. Same
+/// botmeter_cluster uses to replay arbitrarily long border feeds. Same
 /// validation and error reporting as read_observable. Returns the number of
 /// lookups delivered.
 std::size_t for_each_observable(

@@ -259,6 +259,44 @@ TEST(ClusterRuntimeTest, ConcurrentProducersAndQueriesStayByteIdentical) {
   expect_cluster_matches(ref, runtime, history);
 }
 
+// A one-shard runtime is a plain engine on the caller's thread: every close
+// is merged and published before the ingest call that crossed its boundary
+// returns — no flush(), no pending batch, no shard thread to wait for. The
+// merge frontier therefore tracks a bare engine fed the same calls exactly,
+// call by call.
+TEST(ClusterRuntimeTest, SingleShardPublishesSynchronously) {
+  const auto stream = simulate_stream(77);
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 256);
+
+  stream::StreamEngineConfig ec;
+  ec.meter = meter_config();
+  ec.first_epoch = 0;
+  ec.epoch_count = kEpochs;
+  ec.server_count = kServers;
+  stream::StreamEngine engine(std::move(ec));
+
+  ClusterRuntime runtime(cluster_config(1, 1));
+  std::int64_t crossed = 0;
+  std::istringstream binary_is(binary_os.str());
+  trace::for_each_block(
+      binary_is, [&](const dns::LookupColumns& columns,
+                     std::span<const std::string_view> table) {
+        const std::int64_t before = engine.next_epoch_to_close();
+        engine.ingest_block(columns, table);
+        runtime.ingest_block(columns, table);
+        if (engine.next_epoch_to_close() > before) ++crossed;
+        ASSERT_EQ(runtime.merge_frontier(), engine.next_epoch_to_close());
+        ASSERT_EQ(runtime.shard_stats(0).ingested, engine.ingested());
+      });
+  ASSERT_GT(crossed, 0) << "the trace must cross a close boundary mid-feed";
+
+  // A watermark past the horizon closes everything on the spot, and the
+  // per-shard feed handle is the same direct path.
+  runtime.shard_feed(0).advance(TimePoint{days(365).millis()});
+  EXPECT_EQ(runtime.merge_frontier(), kEpochs);
+}
+
 TEST(ClusterRuntimeTest, FrontierLagDegradesClusterHealth) {
   // Two shards; only shard 0 receives traffic, so its closes race ahead of
   // the frontier — the merged landscape is held back and the cluster must

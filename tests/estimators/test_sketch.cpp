@@ -189,46 +189,5 @@ TEST(CountMinSketchTest, RejectsBadShape) {
   EXPECT_THROW(a.merge(b), ConfigError);
 }
 
-// --- HLL ---------------------------------------------------------------------
-
-TEST(HllSketchTest, EstimateWithinErrorBound) {
-  for (std::size_t distinct : {std::size_t{100}, std::size_t{50'000}}) {
-    HllSketch sketch(12);
-    for (std::uint32_t id : distinct_ids(distinct, 13)) sketch.insert(id);
-    EXPECT_NEAR(sketch.estimate(), static_cast<double>(distinct),
-                5.0 * sketch.relative_error() * static_cast<double>(distinct))
-        << distinct << " distinct";
-  }
-}
-
-TEST(HllSketchTest, OrderInvariantMergeEqualsUnion) {
-  const std::vector<std::uint32_t> all = distinct_ids(10'000, 31);
-  HllSketch left(10);
-  HllSketch right(10);
-  HllSketch single(10);
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    (i < all.size() / 3 ? left : right).insert(all[i]);
-    single.insert(all[all.size() - 1 - i]);  // reverse order
-  }
-  left.merge(right);
-  EXPECT_EQ(json::write(left.serialize()), json::write(single.serialize()));
-}
-
-TEST(HllSketchTest, SerializeParseRoundTrip) {
-  HllSketch sketch(8);
-  for (std::uint32_t id : distinct_ids(2'000, 37)) sketch.insert(id);
-  const HllSketch reparsed = HllSketch::parse(sketch.serialize());
-  EXPECT_EQ(json::write(sketch.serialize()), json::write(reparsed.serialize()));
-  EXPECT_EQ(sketch.estimate(), reparsed.estimate());
-}
-
-TEST(HllSketchTest, RejectsBadPrecision) {
-  EXPECT_THROW(HllSketch(3), ConfigError);
-  EXPECT_THROW(HllSketch(17), ConfigError);
-  HllSketch a(8);
-  const HllSketch b(9);
-  EXPECT_THROW(a.merge(b), ConfigError);
-}
-
 }  // namespace
 }  // namespace botmeter::estimators

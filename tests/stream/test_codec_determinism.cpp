@@ -152,7 +152,7 @@ TEST(CodecDeterminismTest, BlockIngestValidatesItsContract) {
     const auto block = reader.next();
     ASSERT_TRUE(block.has_value());
     engine.ingest_block(*block, reader.domains());
-    const std::vector<std::string> smaller_table;
+    const std::vector<std::string_view> smaller_table;
     EXPECT_THROW(engine.ingest_block(*block, smaller_table), ConfigError);
   }
 
@@ -163,7 +163,7 @@ TEST(CodecDeterminismTest, BlockIngestValidatesItsContract) {
     const std::uint32_t server[] = {0};
     const std::uint32_t domain[] = {5};
     const dns::LookupColumns block{t, server, domain};
-    const std::vector<std::string> table{"only.example"};
+    const std::vector<std::string_view> table{"only.example"};
     EXPECT_THROW(engine.ingest_block(block, table), DataError);
   }
 
@@ -174,7 +174,7 @@ TEST(CodecDeterminismTest, BlockIngestValidatesItsContract) {
     const std::uint32_t server[] = {0};
     const std::uint32_t domain[] = {0};
     const dns::LookupColumns block{t, server, domain};
-    const std::vector<std::string> table{"only.example"};
+    const std::vector<std::string_view> table{"only.example"};
     EXPECT_THROW(engine.ingest_block(block, table), DataError);
   }
 

@@ -47,6 +47,22 @@ TEST(CliArgsTest, MalformedNumbersRejected) {
   const CliArgs args = parse({"--bots", "many"});
   EXPECT_THROW((void)args.int_or("--bots", 0), ConfigError);
   EXPECT_THROW((void)args.double_or("--bots", 0.0), ConfigError);
+
+  // A numeric prefix with trailing characters is not a number.
+  const CliArgs trailing = parse({"--bots", "4x"});
+  EXPECT_THROW((void)trailing.int_or("--bots", 0), ConfigError);
+  EXPECT_THROW((void)trailing.count_or("--bots", 0), ConfigError);
+  const CliArgs two_points = parse({"--bots", "0.1.5"});
+  EXPECT_THROW((void)two_points.double_or("--bots", 0.0), ConfigError);
+  const CliArgs empty = parse({"--bots", ""});
+  EXPECT_THROW((void)empty.int_or("--bots", 0), ConfigError);
+
+  // Counts reject negatives instead of wrapping to a huge size_t.
+  const CliArgs negative = parse({"--bots", "-1"});
+  EXPECT_EQ(negative.int_or("--bots", 0), -1);
+  EXPECT_THROW((void)negative.count_or("--bots", 0), ConfigError);
+  EXPECT_EQ(parse({"--bots", "0"}).count_or("--bots", 5), 0u);
+  EXPECT_EQ(parse({}).count_or("--bots", 5), 5u);
 }
 
 TEST(CliArgsTest, UnknownArgumentRejected) {

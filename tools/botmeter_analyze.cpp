@@ -19,8 +19,6 @@
 #include "cli_util.hpp"
 #include "common/parallel.hpp"
 #include "core/botmeter.hpp"
-#include "dga/config_io.hpp"
-#include "dga/families.hpp"
 #include "estimators/library.hpp"
 #include "obs/landscape_history.hpp"
 #include "obs/metrics.hpp"
@@ -50,17 +48,9 @@ constexpr const char* kUsage =
     "(1 = serial, 0 = all cores); the landscape is bit-identical for every\n"
     "value.\n"
     "--history-out writes the per-epoch landscape series\n"
-    "(botmeter.landscape_series.v1 — the same document botmeter_stream\n"
-    "records at its epoch closes, byte-identical for the same trace);\n"
+    "(botmeter.landscape_series.v1 — the same document botmeter_cluster\n"
+    "records at its merged epoch closes, byte-identical for the same trace);\n"
     "--history-retain bounds the full-resolution ring (default 4096).\n";
-
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
 
 /// Configuration echo embedded in the run report.
 botmeter::json::Value config_echo(const botmeter::core::BotMeterConfig& c,
@@ -99,23 +89,15 @@ int main(int argc, char** argv) {
       std::fputs(kUsage, stdout);
       return 0;
     }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
-
     core::BotMeterConfig config;
-    config.dga = family ? dga::family_config(*family)
-                        : config_from_file(*config_path);
+    config.dga = tools::dga_config_from(args);
     config.estimator = args.value_or("--estimator", "");
     config.ttl.negative = minutes(args.int_or("--neg-ttl-min", 120));
     config.detection_miss_rate = args.double_or("--miss-rate", 0.0);
     if (auto assume = args.value("--assume-miss")) {
       config.assumed_miss_rate = args.double_or("--assume-miss", 0.0);
     }
-    config.analyze_threads =
-        static_cast<std::size_t>(args.int_or("--threads", 1));
+    config.analyze_threads = args.count_or("--threads", 1);
 
     std::vector<dns::ForwardedLookup> stream;
     if (auto path = args.value("--trace")) {
@@ -134,7 +116,7 @@ int main(int argc, char** argv) {
         "--first-epoch",
         config.dga.taxonomy.pool == dga::PoolModel::kSlidingWindow ? 40 : 0);
     const std::int64_t epochs = args.int_or("--epochs", 1);
-    auto server_count = static_cast<std::size_t>(args.int_or("--servers", 1));
+    const std::size_t server_count = args.count_or("--servers", 1);
 
     set_this_thread_label("main");
     const auto metrics_path = args.value("--metrics-out");
@@ -151,9 +133,8 @@ int main(int argc, char** argv) {
     std::optional<obs::LandscapeHistory> history;
     if (history_path) {
       obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent = static_cast<std::size_t>(args.int_or(
-          "--history-retain",
-          static_cast<std::int64_t>(history_config.retain_recent)));
+      history_config.retain_recent =
+          args.count_or("--history-retain", history_config.retain_recent);
       history.emplace(history_config);
       config.history = &*history;
     }

@@ -1,16 +1,19 @@
-// botmeter_cluster — chart one global DGA-botnet landscape from a multi-border
-// feed with sharded stream engines.
+// botmeter_cluster — chart one global DGA-botnet landscape, incrementally,
+// from a live or replayed border feed.
 //
-// Where botmeter_stream runs one engine on one thread, this tool runs the
-// cluster runtime (src/cluster/): servers are partitioned across --shards
-// engines, each on its own worker thread behind a bounded ingest queue, and
-// per-shard epoch closes are merged watermark-aligned into a single global
-// landscape — byte-identical to what botmeter_stream would chart on the same
-// union feed, at any shard count.
+// The feed's servers are partitioned across --shards stream engines
+// (src/cluster/), and per-shard epoch closes are merged watermark-aligned
+// into a single global landscape — byte-identical at every shard count to
+// what one engine charts on the union feed, and to what botmeter_analyze
+// prints on the same trace. Memory stays bounded by the active epoch
+// window, and a line is printed the moment each merged epoch is final.
+// One shard (the default) is the single-border deployment: the engine runs
+// inline on the ingest thread, with no shard thread or queue; with more,
+// each shard runs on its own thread behind a bounded ingest queue.
 //
 // Usage:
-//   botmeter_simulate --family newGoZ --bots 64 --servers 8 |
-//     botmeter_cluster --family newGoZ --servers 8 --shards 4
+//   botmeter_simulate --family newGoZ --bots 64 --servers 4 |
+//     botmeter_cluster --family newGoZ --servers 4
 //   botmeter_cluster --family newGoZ --simulate --bots 64 --servers 8
 //     --shards 4 --epochs 6 --listen 0 --history-out series.json
 #include <chrono>
@@ -28,8 +31,6 @@
 #include "cluster/cluster_runtime.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "dga/config_io.hpp"
-#include "dga/families.hpp"
 #include "obs/event_journal.hpp"
 #include "obs/expose.hpp"
 #include "obs/http_exporter.hpp"
@@ -37,6 +38,7 @@
 #include "obs/landscape_history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
+#include "obs/trace.hpp"
 #include "stream/health_monitor.hpp"
 #include "trace/block.hpp"
 #include "trace/io.hpp"
@@ -46,7 +48,7 @@ namespace {
 
 constexpr const char* kUsage =
     "usage: botmeter_cluster (--family <name> | --config <file.json>)\n"
-    "         --servers n [--shards n] [--shard-threads n]\n"
+    "         [--servers n] [--shards n] [--shard-threads n]\n"
     "         [--estimator timing|poisson|bernoulli|...] [--epochs n]\n"
     "         [--first-epoch e] [--neg-ttl-min m] [--miss-rate x]\n"
     "         [--assume-miss x] [--lateness-ms l]\n"
@@ -55,48 +57,60 @@ constexpr const char* kUsage =
     "         [--trace file] [--binary]\n"
     "         [--simulate --bots N [--seed s] [--granularity-ms g]]\n"
     "         [--checkpoint-in file] [--checkpoint-out file] [--no-final]\n"
-    "         [--metrics-out file] [--viz]\n"
+    "         [--metrics-out file] [--trace-timing] [--trace-out file] [--viz]\n"
     "         [--listen port] [--listen-port-file file] [--linger-ms n]\n"
-    "         [--history-out file] [--history-retain n]\n"
-    "         [--journal-out file]\n"
-    "ingests the observable (border) union feed — from --trace or stdin, or\n"
-    "generated with --simulate — scatters it across --shards stream engines\n"
-    "(contiguous server ranges, one worker thread each), and prints one line\n"
+    "         [--history-out file] [--history-retain n] [--journal-out file]\n"
+    "         [--health-degraded-lag-ms n] [--health-unhealthy-lag-ms n]\n"
+    "         [--health-degraded-late-rate x] [--health-unhealthy-late-rate x]\n"
+    "         [--health-recovery-hold-ms n]\n"
+    "ingests the observable (border) feed tuple by tuple — from --trace or\n"
+    "stdin, or generated on the fly with --simulate — scatters it across\n"
+    "--shards stream engines (contiguous server ranges), and prints one line\n"
     "per *merged* epoch plus the final global landscape, byte-identical to\n"
-    "botmeter_stream on the same feed at every shard count.\n"
-    "--trace files in the binary columnar codec (botmeter.trace_block.v1)\n"
-    "are detected automatically; --binary forces the binary codec for stdin.\n"
-    "--compact-state bounds per-shard memory: open buckets past\n"
-    "--compact-spill matched lookups fold into sketch-backed compact cells\n"
-    "(KMV size --compact-kmv-k); spilled cells' merged estimates are flagged\n"
-    "approximate with the sketch error widened into their intervals.\n"
+    "botmeter_analyze on the same feed at every shard count. One shard (the\n"
+    "default) runs its engine inline on the ingest thread; more shards run\n"
+    "one thread each behind bounded queues (--flush-tuples tuples per batch,\n"
+    "--queue-capacity batches per queue). --shard-threads sets the\n"
+    "estimation workers per shard (and the simulator's workers).\n"
+    "--trace files in the binary columnar codec (botmeter.trace_block.v1,\n"
+    "see botmeter_trace_convert) are detected automatically and ingested\n"
+    "block-at-a-time through the zero-copy path; --binary forces the binary\n"
+    "codec for stdin (pipes cannot be sniffed).\n"
+    "--compact-state bounds per-shard memory: open (server, epoch) buckets\n"
+    "past --compact-spill matched lookups (default 8192) fold into\n"
+    "sketch-backed compact cells (KMV size --compact-kmv-k, default 1024)\n"
+    "and stream on in O(1) space; spilled cells' estimates are flagged\n"
+    "approximate (a \"~\" before the interval) with the sketch error widened\n"
+    "into their intervals. Buckets below the threshold stay exact.\n"
     "--checkpoint-in resumes from a botmeter.cluster_checkpoint.v1 file\n"
     "(router + merge frontier + one stream checkpoint per shard);\n"
-    "--checkpoint-out writes one after ingest, before the final close.\n"
+    "--checkpoint-out writes one after ingest, before the final close;\n"
+    "--no-final skips the final close — use it when more of the feed is\n"
+    "still to come.\n"
+    "--metrics-out writes a botmeter.run_report.v1 JSON document; with\n"
+    "--trace-timing the phase timing table goes to stderr, and --trace-out\n"
+    "writes the span trace as Chrome trace_event JSON (open it in Perfetto,\n"
+    "ui.perfetto.dev, or chrome://tracing).\n"
     "--listen serves live telemetry: GET /metrics is the Prometheus text\n"
-    "exposition (cluster.* gauges carry per-shard label series), GET /healthz\n"
-    "the cluster health state folded from every shard plus the merge-frontier\n"
-    "lag (ok/degraded -> 200, unhealthy -> 503; ?format=json for the full\n"
-    "botmeter.cluster_health.v1 document), GET /landscape the latest *merged*\n"
-    "snapshot, GET /landscape/history?server=&from=&to= the retained epoch\n"
-    "series, and GET /landscape/summary per-family totals — all landscape\n"
-    "documents in the botmeter.landscape_series.v1 schema.\n"
+    "exposition (cluster.* gauges carry per-shard label series; a single\n"
+    "shard adds the engine's stream.* series; derived *.per_sec rate gauges\n"
+    "appear from the second scrape on), GET /healthz the cluster health\n"
+    "state folded from every shard plus the merge-frontier lag (ok/degraded\n"
+    "-> 200, unhealthy -> 503; ?format=json for the full\n"
+    "botmeter.cluster_health.v1 document; the --health-* flags set each\n"
+    "shard's thresholds), GET /landscape the latest *merged* snapshot, GET\n"
+    "/landscape/history?server=&from=&to= the retained epoch series, and GET\n"
+    "/landscape/summary per-family totals — all landscape documents in the\n"
+    "botmeter.landscape_series.v1 schema. GET /debug/lag serves the\n"
+    "per-shard lag attribution and straggler table (botmeter.lag.v1), GET\n"
+    "/events?from=&shard= the flight-recorder journal (botmeter.events.v1).\n"
+    "Port 0 binds an ephemeral port; --listen-port-file writes the bound\n"
+    "port (for scripts), --linger-ms keeps serving that long after the run.\n"
     "--history-out writes the retained merged landscape series after the\n"
-    "run; botmeter_top renders either the live endpoint or the file.\n"
-    "With --listen the pipeline-observability layer is also on: GET\n"
-    "/debug/lag serves the per-shard lag attribution and straggler table\n"
-    "(botmeter.lag.v1), GET /events?from=&shard= the flight-recorder journal\n"
-    "(botmeter.events.v1). --journal-out writes the journal after the run\n"
-    "and is the auto-dump target should any shard or the cluster turn\n"
-    "unhealthy mid-flight.\n";
-
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
+    "run; --history-retain bounds the full-resolution ring (default 4096\n"
+    "epochs). botmeter_top renders either the live endpoint or the file.\n"
+    "--journal-out writes the journal after the run and is the auto-dump\n"
+    "target should any shard or the cluster turn unhealthy mid-flight.\n";
 
 /// Configuration echo embedded in the run report.
 botmeter::json::Value config_echo(const botmeter::cluster::ClusterConfig& c,
@@ -116,6 +130,8 @@ botmeter::json::Value config_echo(const botmeter::cluster::ClusterConfig& c,
   o.emplace("flush_tuples", Value(static_cast<double>(c.flush_tuples)));
   o.emplace("queue_capacity", Value(static_cast<double>(c.queue_capacity)));
   o.emplace("detection_miss_rate", Value(c.meter.detection_miss_rate));
+  o.emplace("neg_ttl_ms",
+            Value(static_cast<double>(c.meter.ttl.negative.millis())));
   o.emplace("source", Value(std::string(simulated ? "simulate" : "trace")));
   o.emplace("ingested", Value(static_cast<double>(ingested)));
   return Value(std::move(o));
@@ -132,25 +148,21 @@ int main(int argc, char** argv) {
          "--shard-threads", "--epochs", "--first-epoch", "--neg-ttl-min",
          "--miss-rate", "--assume-miss", "--lateness-ms", "--flush-tuples",
          "--queue-capacity", "--trace", "--bots", "--seed", "--granularity-ms",
-         "--checkpoint-in", "--checkpoint-out", "--metrics-out", "--listen",
-         "--listen-port-file", "--linger-ms", "--history-out",
+         "--checkpoint-in", "--checkpoint-out", "--metrics-out", "--trace-out",
+         "--listen", "--listen-port-file", "--linger-ms", "--history-out",
          "--history-retain", "--journal-out", "--compact-spill",
-         "--compact-kmv-k"},
-        {"--help", "--simulate", "--no-final", "--viz", "--binary",
-         "--compact-state"});
+         "--compact-kmv-k", "--health-degraded-lag-ms",
+         "--health-unhealthy-lag-ms", "--health-degraded-late-rate",
+         "--health-unhealthy-late-rate", "--health-recovery-hold-ms"},
+        {"--help", "--simulate", "--no-final", "--viz", "--trace-timing",
+         "--binary", "--compact-state"});
     if (args.flag("--help")) {
       std::fputs(kUsage, stdout);
       return 0;
     }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
 
     cluster::ClusterConfig config;
-    config.meter.dga = family ? dga::family_config(*family)
-                              : config_from_file(*config_path);
+    config.meter.dga = tools::dga_config_from(args);
     config.meter.estimator = args.value_or("--estimator", "");
     config.meter.ttl.negative = minutes(args.int_or("--neg-ttl-min", 120));
     config.meter.detection_miss_rate = args.double_or("--miss-rate", 0.0);
@@ -162,32 +174,33 @@ int main(int argc, char** argv) {
         config.meter.dga.taxonomy.pool == dga::PoolModel::kSlidingWindow ? 40
                                                                          : 0);
     config.epoch_count = args.int_or("--epochs", 1);
-    const std::size_t servers =
-        static_cast<std::size_t>(args.int_or("--servers", 1));
-    const std::size_t shard_count =
-        static_cast<std::size_t>(args.int_or("--shards", 1));
+    const std::size_t servers = args.count_or("--servers", 1);
+    const std::size_t shard_count = args.count_or("--shards", 1);
     config.router = cluster::ShardRouter::by_range(servers, shard_count);
-    config.shard_worker_threads =
-        static_cast<std::size_t>(args.int_or("--shard-threads", 1));
-    config.flush_tuples =
-        static_cast<std::size_t>(args.int_or("--flush-tuples", 8192));
+    config.shard_worker_threads = args.count_or("--shard-threads", 1);
+    config.flush_tuples = args.count_or("--flush-tuples", config.flush_tuples);
     config.queue_capacity =
-        static_cast<std::size_t>(args.int_or("--queue-capacity", 64));
+        args.count_or("--queue-capacity", config.queue_capacity);
     if (args.value("--lateness-ms")) {
       config.allowed_lateness = milliseconds(args.int_or("--lateness-ms", 0));
     }
     config.compact_state = args.flag("--compact-state");
-    config.compact_spill_threshold = static_cast<std::size_t>(args.int_or(
-        "--compact-spill",
-        static_cast<std::int64_t>(config.compact_spill_threshold)));
-    config.compact.kmv_k = static_cast<std::uint32_t>(args.int_or(
-        "--compact-kmv-k", static_cast<std::int64_t>(config.compact.kmv_k)));
+    config.compact_spill_threshold =
+        args.count_or("--compact-spill", config.compact_spill_threshold);
+    config.compact.kmv_k = static_cast<std::uint32_t>(
+        args.count_or("--compact-kmv-k", config.compact.kmv_k));
 
     set_this_thread_label("main");
     const auto metrics_path = args.value("--metrics-out");
+    const auto trace_out_path = args.value("--trace-out");
     const auto listen_port = args.value("--listen");
+    const bool want_trace = args.flag("--trace-timing");
     obs::MetricsRegistry metrics;
+    obs::TraceSession trace_session;
     if (metrics_path || listen_port) config.meter.metrics = &metrics;
+    if (metrics_path || want_trace || trace_out_path) {
+      config.meter.trace = &trace_session;
+    }
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto wall_ms = [wall_start] {
@@ -203,16 +216,26 @@ int main(int argc, char** argv) {
     std::optional<obs::LandscapeHistory> history;
     if (history_path || listen_port) {
       obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent = static_cast<std::size_t>(args.int_or(
-          "--history-retain",
-          static_cast<std::int64_t>(history_config.retain_recent)));
+      history_config.retain_recent =
+          args.count_or("--history-retain", history_config.retain_recent);
       history.emplace(history_config);
       config.history = &*history;
     }
     if (listen_port) {
       // Per-shard monitors + frontier-lag fold; stamps the cluster state
       // onto merged history rows.
-      config.health = stream::StreamHealthConfig{};
+      stream::StreamHealthConfig health;
+      health.degraded_watermark_lag_ms = args.double_or(
+          "--health-degraded-lag-ms", health.degraded_watermark_lag_ms);
+      health.unhealthy_watermark_lag_ms = args.double_or(
+          "--health-unhealthy-lag-ms", health.unhealthy_watermark_lag_ms);
+      health.degraded_late_rate = args.double_or(
+          "--health-degraded-late-rate", health.degraded_late_rate);
+      health.unhealthy_late_rate = args.double_or(
+          "--health-unhealthy-late-rate", health.unhealthy_late_rate);
+      health.recovery_hold_ms =
+          args.double_or("--health-recovery-hold-ms", health.recovery_hold_ms);
+      config.health = health;
     }
 
     // Pipeline observability: the lag tracker backs /debug/lag and the lag
@@ -233,15 +256,21 @@ int main(int argc, char** argv) {
     const cluster::ClusterConfig& cfg = runtime.config();
 
     std::unique_ptr<obs::HttpExporter> exporter;
+    // Derived per-second rate gauges, advanced once per /metrics scrape.
+    // tick() runs only on the exporter thread (scrapes are serialized).
+    obs::RateTracker rates({"stream.ingested", "stream.closed_epochs"});
     if (listen_port) {
       obs::HttpExporterConfig http;
       http.port = static_cast<std::uint16_t>(args.int_or("--listen", 0));
       const std::string family_name = cfg.meter.dga.name;
       std::map<std::string, obs::HttpExporter::Handler> routes;
-      routes["/metrics"] = [&metrics](const obs::HttpRequest&) {
+      routes["/metrics"] = [&metrics, &rates,
+                            wall_ms](const obs::HttpRequest&) {
         obs::HttpResponse response;
         response.content_type = obs::kPrometheusContentType;
-        response.body = obs::expose_prometheus(metrics.snapshot());
+        obs::MetricsRegistry::Snapshot snapshot = metrics.snapshot();
+        rates.tick(snapshot, wall_ms());
+        response.body = obs::expose_prometheus(snapshot);
         return response;
       };
       routes["/healthz"] = [&runtime](const obs::HttpRequest& request) {
@@ -368,26 +397,26 @@ int main(int argc, char** argv) {
       }
     };
 
-    // Ingest: the union feed is scattered across shards by the router.
-    // Health samples ride the ingest thread periodically (they enqueue one
-    // sample item per shard); merged-epoch lines print as the frontier moves.
+    // Ingest: a replayed trace (stdin / --trace) or a simulation feeding the
+    // runtime through the vantage-point sink — either way never a
+    // materialised stream. Health samples ride the ingest thread (an inline
+    // shard's engine is not synchronized against ingest): one every 4096
+    // tuples, or one per block (<= 64k tuples) on the binary path; merged
+    // epoch lines print at the same cadence.
     const bool simulate_mode = args.flag("--simulate");
-    std::uint64_t ingest_tick = 0;
-    const auto tick = [&] {
-      if ((++ingest_tick & 0x3FFF) == 0) {
-        if (listen_port) (void)runtime.sample_health(wall_ms());
-        print_merged();
-      }
+    const auto poll = [&] {
+      if (listen_port) (void)runtime.sample_health(wall_ms());
+      print_merged();
     };
+    std::uint64_t ingest_tick = 0;
     const auto ingest_one = [&](const dns::ForwardedLookup& lookup) {
       runtime.ingest(lookup);
-      tick();
+      if ((++ingest_tick & 0xFFF) == 0) poll();
     };
     const auto ingest_block = [&](const dns::LookupColumns& block,
                                   std::span<const std::string_view> table) {
       runtime.ingest_block(block, table);
-      if (listen_port) (void)runtime.sample_health(wall_ms());
-      print_merged();
+      poll();
     };
     const auto ingest_start = std::chrono::steady_clock::now();
     if (simulate_mode) {
@@ -404,6 +433,12 @@ int main(int argc, char** argv) {
       sim.timestamp_granularity =
           milliseconds(args.int_or("--granularity-ms", 100));
       sim.record_raw = false;
+      // The generator shares the run's worker budget and telemetry sinks,
+      // so its per-chunk spans land on the worker tracks of the same
+      // Perfetto trace and its counters appear in the live /metrics page.
+      sim.worker_threads = cfg.shard_worker_threads;
+      sim.metrics = cfg.meter.metrics;
+      sim.trace = cfg.meter.trace;
       sim.observable_sink = ingest_one;
       (void)botnet::simulate(sim);
     } else if (auto path = args.value("--trace")) {
@@ -425,6 +460,9 @@ int main(int argc, char** argv) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - ingest_start)
             .count();
+    if (cfg.meter.trace != nullptr) {
+      cfg.meter.trace->record("cluster.ingest", ingest_ms);
+    }
 
     if (auto checkpoint_path = args.value("--checkpoint-out")) {
       std::ofstream file(*checkpoint_path);
@@ -446,7 +484,9 @@ int main(int argc, char** argv) {
         for (const core::ServerEstimate& s : report.servers) {
           char ci[32] = "-";
           if (s.interval90) {
-            std::snprintf(ci, sizeof(ci), "[%.1f, %.1f]", s.interval90->first,
+            // "~" marks a sketch-approximate band (compact path, saturated).
+            std::snprintf(ci, sizeof(ci), "%s[%.1f, %.1f]",
+                          s.approximate ? "~" : "", s.interval90->first,
                           s.interval90->second);
           }
           std::printf("server-%-3u %12.1f %18s %16llu\n", s.server.value(),
@@ -458,28 +498,42 @@ int main(int argc, char** argv) {
       if (listen_port) (void)runtime.sample_health(wall_ms());
     }
 
-    // Per-shard counters: exact after the final close (every queue drained);
-    // with --no-final they are the point-in-time mirrors of applied batches.
-    std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0;
+    // Per-shard counters: exact after the final close (every queue drained)
+    // and on an inline shard; with --no-final and several shards they are
+    // the point-in-time mirrors of applied batches.
+    std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0,
+                  spills = 0, peak_open = 0;
     for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
       const cluster::ShardStats stats = runtime.shard_stats(i);
       ingested += stats.ingested;
       matched += stats.matched;
       unmatched += stats.unmatched;
       late += stats.late_dropped;
+      spills += stats.compact_spills;
+      peak_open += stats.peak_open_buffer_bytes;
     }
     const double tuples_per_sec =
         ingest_ms > 0.0 ? static_cast<double>(ingested) / (ingest_ms / 1000.0)
                         : 0.0;
+    if (metrics_path) {
+      metrics.gauge("cluster.ingest_wall_ms").set(ingest_ms);
+      metrics.gauge("cluster.ingest_tuples_per_sec").set(tuples_per_sec);
+    }
     std::fprintf(stderr,
                  "%zu shards ingested %llu tuples (%.0f/s): %llu matched, "
-                 "%llu unmatched, %llu late-dropped; merge frontier %lld\n",
+                 "%llu unmatched, %llu late-dropped; merge frontier %lld; "
+                 "%llu peak open bytes\n",
                  runtime.shard_count(),
                  static_cast<unsigned long long>(ingested), tuples_per_sec,
                  static_cast<unsigned long long>(matched),
                  static_cast<unsigned long long>(unmatched),
                  static_cast<unsigned long long>(late),
-                 static_cast<long long>(runtime.merge_frontier()));
+                 static_cast<long long>(runtime.merge_frontier()),
+                 static_cast<unsigned long long>(peak_open));
+    if (cfg.compact_state) {
+      std::fprintf(stderr, "compact state: %llu bucket spills\n",
+                   static_cast<unsigned long long>(spills));
+    }
 
     if (history_path) {
       std::ofstream file(*history_path);
@@ -500,7 +554,16 @@ int main(int argc, char** argv) {
       run_report.tool = "botmeter_cluster";
       run_report.config = config_echo(cfg, simulate_mode, ingested);
       run_report.metrics = &metrics;
+      run_report.trace = &trace_session;
       obs::write_report_file(run_report, *metrics_path);
+    }
+    if (want_trace) {
+      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
+    }
+    if (trace_out_path) {
+      obs::write_chrome_trace_file(trace_session, *trace_out_path);
+      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
+                   trace_out_path->c_str());
     }
 
     // Keep the scrape endpoint up (with fresh samples) so operators and CI

@@ -23,7 +23,6 @@
 #include "common/rng.hpp"
 #include "detect/detection_window.hpp"
 #include "detect/matcher.hpp"
-#include "dga/config_io.hpp"
 #include "dga/families.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -43,14 +42,6 @@ constexpr const char* kUsage =
     "--metrics-out writes a botmeter.run_report.v1 JSON document (cache,\n"
     "vantage, and matcher counters plus per-stage wall times); --trace\n"
     "prints the phase timing table to stderr.\n";
-
-botmeter::dga::DgaConfig config_from_file(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) throw botmeter::DataError("cannot open " + path);
-  std::string text((std::istreambuf_iterator<char>(file)),
-                   std::istreambuf_iterator<char>());
-  return botmeter::dga::config_from_json_text(text);
-}
 
 /// Configuration echo embedded in the run report.
 botmeter::json::Value config_echo(const botmeter::botnet::SimulationConfig& c) {
@@ -111,21 +102,13 @@ int main(int argc, char** argv) {
       std::fputs(kUsage, stdout);
       return 0;
     }
-    const auto family = args.value("--family");
-    const auto config_path = args.value("--config");
-    if (family.has_value() == config_path.has_value()) {
-      throw ConfigError("exactly one of --family / --config is required");
-    }
+    botnet::SimulationConfig config;
+    config.dga = tools::dga_config_from(args);
     const std::int64_t bots = args.int_or("--bots", 0);
     if (bots <= 0) throw ConfigError("--bots must be a positive integer");
-
-    botnet::SimulationConfig config;
-    config.dga = family ? dga::family_config(*family)
-                        : config_from_file(*config_path);
     if (args.flag("--evasive")) config.dga = dga::evasive_variant(config.dga);
     config.bot_count = static_cast<std::uint32_t>(bots);
-    config.server_count =
-        static_cast<std::size_t>(args.int_or("--servers", 1));
+    config.server_count = args.count_or("--servers", 1);
     config.epoch_count = args.int_or("--epochs", 1);
     config.first_epoch = args.int_or(
         "--first-epoch",
@@ -139,8 +122,7 @@ int main(int argc, char** argv) {
       config.activation.sigma = args.double_or("--dynamic-sigma", 1.0);
     }
     config.record_raw = args.value("--raw-out").has_value();
-    config.worker_threads =
-        static_cast<std::size_t>(args.int_or("--threads", 1));
+    config.worker_threads = args.count_or("--threads", 1);
 
     set_this_thread_label("main");
     const auto metrics_path = args.value("--metrics-out");

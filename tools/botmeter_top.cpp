@@ -1,6 +1,6 @@
 // botmeter_top — live terminal dashboard over a landscape time-series.
 //
-// Polls a running botmeter_stream exporter (`--listen <port>`) for its
+// Polls a running botmeter_cluster exporter (`--listen <port>`) for its
 // /landscape/history document — or replays a saved
 // botmeter.landscape_series.v1 file — and redraws a sparkline dashboard in
 // place: total population on top, one heat row per local DNS server, the
@@ -38,7 +38,7 @@ constexpr const char* kUsage =
     "         [--host addr] [--interval-ms n] [--frames n] [--window n]\n"
     "         [--width n] [--once] [--no-clear]\n"
     "live terminal dashboard over a botmeter.landscape_series.v1 feed.\n"
-    "--port polls http://<host>:<port>/landscape/history (a botmeter_stream\n"
+    "--port polls http://<host>:<port>/landscape/history (a botmeter_cluster\n"
     "run started with --listen); --history replays a saved series file\n"
     "(e.g. a --history-out artifact). --window shows the last n epochs\n"
     "(default 60); --width caps the rendered columns (default: the terminal\n"
@@ -239,8 +239,8 @@ int main(int argc, char** argv) {
       frame.max_width = width;
       std::string screen = viz::render_top(frame);
 
-      // Lag pane: only clusters serve /debug/lag — a plain botmeter_stream
-      // endpoint 404s, and the pane is simply skipped.
+      // Lag pane: botmeter_cluster serves /debug/lag at every shard count;
+      // an endpoint that 404s it simply skips the pane.
       if (port_arg) {
         try {
           const json::Value lag =

@@ -3,7 +3,7 @@
 // The tab-separated text format (trace/io.hpp) is the interchange codec:
 // greppable, diffable, collector-friendly. The binary columnar format
 // (trace/block.hpp, schema botmeter.trace_block.v1) is the hot-path codec
-// botmeter_stream and botmeter_analyze ingest at block speed. This tool
+// botmeter_cluster and botmeter_analyze ingest at block speed. This tool
 // converts either direction, streaming block-by-block / line-by-line, so
 // memory stays bounded no matter how long the trace is. Converting
 // text → binary → text reproduces the input byte for byte (for traces in
