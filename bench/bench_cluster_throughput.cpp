@@ -327,9 +327,9 @@ int main(int argc, char** argv) {
         lag.emplace(shard_count);
         journal.emplace();
         trace_session.emplace();
-        config.lag = &*lag;
-        config.journal = &*journal;
-        config.meter.trace = &*trace_session;
+        config.meter.telemetry.lag = &*lag;
+        config.meter.telemetry.journal = &*journal;
+        config.meter.telemetry.trace = &*trace_session;
       }
       cluster::ClusterRuntime runtime(std::move(config));
 

@@ -137,8 +137,8 @@ void BM_EpochSimulationInstrumented(benchmark::State& state) {
   config.record_raw = false;
   obs::MetricsRegistry metrics;
   obs::TraceSession trace;
-  config.metrics = &metrics;
-  config.trace = &trace;
+  config.telemetry.metrics = &metrics;
+  config.telemetry.trace = &trace;
   auto pool_model = dga::make_pool_model(config.dga);
   std::uint64_t seed = 1;
   for (auto _ : state) {

@@ -295,7 +295,7 @@ ScrapeGuard run_scrape_guard() {
   const auto instrumented_tps = [&] {
     stream::StreamEngineConfig config;
     config.meter.dga = family;
-    config.meter.metrics = &metrics;
+    config.meter.telemetry.metrics = &metrics;
     config.first_epoch = 0;
     config.epoch_count = scenario.epochs;
     config.server_count = scenario.servers;
@@ -406,7 +406,7 @@ HistoryGuard run_history_guard() {
       stream::StreamEngineConfig lane = config;
       if (with_history) {
         history.emplace();
-        lane.history = &*history;
+        lane.meter.telemetry.history = &*history;
       }
       stream::StreamEngine engine(lane);
       for (const dns::ForwardedLookup& lookup : result.observable) {

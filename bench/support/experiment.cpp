@@ -35,8 +35,9 @@ obs::TraceSession& bench_trace() {
 }
 
 ScenarioRun::ScenarioRun(Scenario scenario) : scenario_(std::move(scenario)) {
-  if (scenario_.sim.metrics == nullptr) scenario_.sim.metrics = &bench_metrics();
-  if (scenario_.sim.trace == nullptr) scenario_.sim.trace = &bench_trace();
+  obs::Telemetry& telemetry = scenario_.sim.telemetry;
+  if (telemetry.metrics == nullptr) telemetry.metrics = &bench_metrics();
+  if (telemetry.trace == nullptr) telemetry.trace = &bench_trace();
   pool_model_ = dga::make_pool_model(scenario_.sim.dga);
   result_ = botnet::simulate(scenario_.sim, *pool_model_);
 
@@ -52,17 +53,16 @@ ScenarioRun::ScenarioRun(Scenario scenario) : scenario_(std::move(scenario)) {
     matcher.add_epoch(pool, windows_.back());
   }
 
-  obs::ScopedTimer match_timer(scenario_.sim.trace, "bench.match");
+  obs::ScopedTimer match_timer(telemetry.trace, "bench.match");
   detect::MatchStats match_stats;
   const detect::MatchedStreams matched =
       matcher.match(result_.observable, &match_stats);
   match_timer.stop();
-  if (scenario_.sim.metrics != nullptr) {
-    scenario_.sim.metrics->counter("bench.matcher.stream")
+  if (telemetry.metrics != nullptr) {
+    telemetry.metrics->counter("bench.matcher.stream")
         .add(match_stats.stream_size);
-    scenario_.sim.metrics->counter("bench.matcher.matched")
-        .add(match_stats.matched);
-    scenario_.sim.metrics->counter("bench.matcher.unmatched")
+    telemetry.metrics->counter("bench.matcher.matched").add(match_stats.matched);
+    telemetry.metrics->counter("bench.matcher.unmatched")
         .add(match_stats.unmatched);
   }
   static const std::vector<detect::MatchedLookup> kEmpty;

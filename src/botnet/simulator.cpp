@@ -213,8 +213,8 @@ SimulationResult run_simulation(const SimulationConfig& config,
   const Duration live_span{static_cast<std::int64_t>(
       static_cast<double>(epoch_len.millis()) * config.takedown_after_fraction)};
 
-  obs::MetricsRegistry* const metrics = config.metrics;
-  obs::TraceSession* const trace = config.trace;
+  obs::MetricsRegistry* const metrics = config.telemetry.metrics;
+  obs::TraceSession* const trace = config.telemetry.trace;
 
   std::size_t registered = 0;
   {

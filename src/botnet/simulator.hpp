@@ -29,11 +29,7 @@
 #include "dns/record.hpp"
 #include "dns/topology.hpp"
 #include "dns/vantage.hpp"
-
-namespace botmeter::obs {
-class MetricsRegistry;
-class TraceSession;
-}  // namespace botmeter::obs
+#include "obs/telemetry.hpp"
 
 namespace botmeter::botnet {
 
@@ -87,15 +83,15 @@ struct SimulationConfig {
   /// horizons. The raw trace and truth are unaffected.
   std::function<void(const dns::ForwardedLookup&)> observable_sink;
 
-  /// Optional observability sinks (see src/obs/). With both null the run
-  /// pays nothing — not even a clock read. Attaching them never changes the
-  /// SimulationResult: every recorded quantity is derived from values the
-  /// simulation computes anyway, flushed in bulk from the serial section of
-  /// each epoch, so counter totals are also bit-identical across
-  /// worker_threads values. Wall times in `trace` are the one
-  /// nondeterministic output, and they feed the run report only.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceSession* trace = nullptr;
+  /// Observability sinks (see obs/telemetry.hpp); the simulator reports into
+  /// `metrics` and `trace` only. With both null the run pays nothing — not
+  /// even a clock read. Attaching them never changes the SimulationResult:
+  /// every recorded quantity is derived from values the simulation computes
+  /// anyway, flushed in bulk from the serial section of each epoch, so
+  /// counter totals are also bit-identical across worker_threads values.
+  /// Wall times in `trace` are the one nondeterministic output, and they
+  /// feed the run report only.
+  obs::Telemetry telemetry;
 
   /// Fraction of each epoch after which the botmaster's registered domains
   /// are taken down (sinkholed). 1.0 = live all epoch; e.g. 0.5 takes every

@@ -6,8 +6,6 @@
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
-#include "obs/event_journal.hpp"
-#include "obs/lag_tracker.hpp"
 #include "obs/landscape_history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -51,6 +49,7 @@ void ClusterConfig::validate() const {
         "unhealthy_frontier_lag");
   }
   if (health) health->validate();
+  const obs::LagTracker* lag = meter.telemetry.lag;
   if (lag != nullptr && lag->shard_count() != router.shard_count()) {
     throw ConfigError("ClusterConfig: lag tracker was built for " +
                       std::to_string(lag->shard_count()) +
@@ -87,10 +86,7 @@ void ShardFeed::flush() { runtime_->flush_shard(shard_); }
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
     : config_((config.validate(), std::move(config))),
       merger_(config_.router, config_.first_epoch, config_.epoch_count),
-      inline_(config_.router.shard_count() == 1),
-      instr_(config_.lag != nullptr || config_.journal != nullptr ||
-             config_.meter.trace != nullptr),
-      origin_(std::chrono::steady_clock::now()) {
+      inline_(config_.router.shard_count() == 1) {
   merger_.on_merge([this](const MergedEpoch& merged) { handle_merge(merged); });
 
   const std::size_t n = config_.router.shard_count();
@@ -105,12 +101,11 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     // Sharded engines publish nothing themselves: their stream.* series
     // would collide across shards. A lone inline shard keeps metrics and
     // trace. No engine records history — its rows would not be the merged
-    // landscape; the runtime records merged rows instead.
-    if (!inline_) {
-      ec.meter.metrics = nullptr;
-      ec.meter.trace = nullptr;
-    }
-    ec.meter.history = nullptr;
+    // landscape; the runtime records merged rows (and journals, and times
+    // the lag stages) itself.
+    ec.meter.telemetry = inline_ ? obs::Telemetry{telemetry().metrics,
+                                                  telemetry().trace}
+                                 : obs::Telemetry{};
     ec.first_epoch = config_.first_epoch;
     ec.epoch_count = config_.epoch_count;
     ec.server_count = config_.router.servers_of(i).size();
@@ -126,7 +121,7 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
         });
     shard->monitor = std::make_unique<stream::StreamHealthMonitor>(
         config_.health.value_or(stream::StreamHealthConfig{}),
-        inline_ ? config_.meter.metrics : nullptr);
+        ec.meter.telemetry.metrics);
     shard->next_epoch.store(config_.first_epoch, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
@@ -138,54 +133,33 @@ ClusterRuntime::~ClusterRuntime() { stop_threads(); }
 
 // --- merge / close plumbing -------------------------------------------------
 
-double ClusterRuntime::obs_now_ms() const {
-  if (config_.meter.trace != nullptr) return config_.meter.trace->now_ms();
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - origin_)
-      .count();
-}
-
-void ClusterRuntime::drain_close_latencies(Shard& shard) {
-  if (config_.lag == nullptr) return;
-  const std::span<const double> latencies = shard.engine->close_latencies_ms();
-  while (shard.close_latency_cursor < latencies.size()) {
-    config_.lag->record(shard.index, obs::LagStage::kEpochClose,
-                        latencies[shard.close_latency_cursor++]);
-  }
-}
-
 void ClusterRuntime::handle_close(std::size_t shard, std::int64_t epoch) {
   // Runs on the shard's thread (or the control thread during finish()),
   // immediately after the engine appended the epoch's cell row.
-  const auto rows = shards_[shard]->engine->closed_rows();
-  if (instr_ && !replaying_) {
-    const double now = obs_now_ms();
-    const std::span<const double> latencies =
-        shards_[shard]->engine->close_latencies_ms();
-    const double close_ms = latencies.empty() ? 0.0 : latencies.back();
-    if (config_.journal != nullptr) {
-      config_.journal->log(obs::EventKind::kEpochClose,
-                           static_cast<std::int32_t>(shard), epoch, close_ms);
+  const stream::StreamEngine& engine = *shards_[shard]->engine;
+  const obs::Telemetry& tel = telemetry();
+  if (tel.timed()) {
+    // The close ended now and lasted the engine's own measurement of it:
+    // one reading, fanned out to the lag stage, the span and the journal.
+    const double end = tel.now_ms();
+    const double close_ms = engine.close_latencies_ms().back();
+    // Mint the close->merge flow id BEFORE offering: when this is the
+    // last-arriving close, offer() merges the epoch synchronously on this
+    // thread and handle_merge must find the id already stored. Earlier
+    // closes of the same epoch are overwritten — the triggering (last)
+    // writer is the one the merge span links from.
+    const std::uint64_t flow = obs::TraceSession::next_flow_id();
+    {
+      std::lock_guard<std::mutex> lock(flow_mu_);
+      close_flow_[epoch] = flow;
     }
-    if (config_.lag != nullptr) {
-      config_.lag->note_shard_close(epoch, shard, now);
-    }
-    if (config_.meter.trace != nullptr) {
-      // Mint the close->merge flow id BEFORE offering: when this is the
-      // last-arriving close, offer() merges the epoch synchronously on this
-      // thread and handle_merge must find the id already stored. Earlier
-      // closes of the same epoch are overwritten — the triggering (last)
-      // writer is the one the merge span links from.
-      const std::uint64_t flow = obs::TraceSession::next_flow_id();
-      {
-        std::lock_guard<std::mutex> lock(flow_mu_);
-        close_flow_[epoch] = flow;
-      }
-      config_.meter.trace->record_flow_span("cluster.epoch_close",
-                                            now - close_ms, close_ms,
-                                            this_thread_ordinal(), 0, flow);
-    }
+    tel.record_stage(shard, obs::LagStage::kEpochClose, "cluster.epoch_close",
+                     end - close_ms, end, 0, flow);
+    tel.log_at(end, obs::EventKind::kEpochClose,
+               static_cast<std::int32_t>(shard), epoch, close_ms);
+    if (tel.lag != nullptr) tel.lag->note_shard_close(epoch, shard, end);
   }
+  const auto rows = engine.closed_rows();
   merger_.offer(shard, epoch,
                 std::vector<estimators::EpochCell>(rows.back().begin(),
                                                    rows.back().end()));
@@ -194,36 +168,38 @@ void ClusterRuntime::handle_close(std::size_t shard, std::int64_t epoch) {
 void ClusterRuntime::handle_merge(const MergedEpoch& merged) {
   // Under the merger mutex, on whichever shard thread completed the epoch.
   // Keep this short and never call back into the merger.
-  if (instr_ && !replaying_) {
-    const double now = obs_now_ms();
-    if (config_.lag != nullptr) config_.lag->note_merge(merged.epoch, now);
-    if (config_.journal != nullptr) {
-      // No merger accessors here — we are under its mutex.
-      config_.journal->log(obs::EventKind::kMergePublish, -1, merged.epoch,
-                           static_cast<double>(merged.cells.size()));
+  if (replaying_) return;
+  const obs::Telemetry& tel = telemetry();
+  const bool timed = tel.timed();
+  const double start = timed ? tel.now_ms() : 0.0;
+  if (tel.history != nullptr) {
+    obs::LandscapeEpochRecord row = core::history_row(
+        merged.epoch, config_.meter.dga.name, estimator_name_, merged.cells);
+    if (config_.health) {
+      row.health = std::string(stream::health_state_name(cluster_state()));
     }
-    if (config_.meter.trace != nullptr) {
-      std::uint64_t flow = 0;
-      {
-        std::lock_guard<std::mutex> lock(flow_mu_);
-        const auto it = close_flow_.find(merged.epoch);
-        if (it != close_flow_.end()) {
-          flow = it->second;
-          close_flow_.erase(it);
-        }
-      }
-      config_.meter.trace->record_flow_span("cluster.merge_publish", now,
-                                            obs_now_ms() - now,
-                                            this_thread_ordinal(), flow, 0);
+    tel.history->record(row);
+  }
+  if (!timed) return;
+  // Published: the merged row is visible. That moment closes the span, is
+  // the journal stamp, and ends every contributing shard's merge wait.
+  const double end = tel.now_ms();
+  std::uint64_t flow = 0;
+  {
+    std::lock_guard<std::mutex> lock(flow_mu_);
+    const auto it = close_flow_.find(merged.epoch);
+    if (it != close_flow_.end()) {
+      flow = it->second;
+      close_flow_.erase(it);
     }
   }
-  if (replaying_ || config_.history == nullptr) return;
-  obs::LandscapeEpochRecord row = core::history_row(
-      merged.epoch, config_.meter.dga.name, estimator_name_, merged.cells);
-  if (config_.health) {
-    row.health = std::string(stream::health_state_name(cluster_state()));
+  if (tel.lag != nullptr) tel.lag->note_merge(merged.epoch, end);
+  tel.log_at(end, obs::EventKind::kMergePublish, -1, merged.epoch,
+             static_cast<double>(merged.cells.size()));
+  if (tel.trace != nullptr) {
+    tel.trace->record_flow_span("cluster.merge_publish", start, end - start,
+                                this_thread_ordinal(), flow, 0);
   }
-  config_.history->record(row);
 }
 
 // --- shard threads ----------------------------------------------------------
@@ -273,14 +249,12 @@ void ClusterRuntime::shard_main(std::size_t index) {
 }
 
 void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
-  const bool tracked = instr_ && !batch.t_ms.empty();
-  double dequeued_ms = 0.0;
+  const obs::Telemetry& tel = telemetry();
+  const bool tracked = !batch.t_ms.empty() && tel.timed();
+  const double dequeued_ms = tracked ? tel.now_ms() : 0.0;
   if (tracked) {
-    dequeued_ms = obs_now_ms();
-    if (config_.lag != nullptr) {
-      config_.lag->record(shard.index, obs::LagStage::kQueueWait,
-                          dequeued_ms - batch.enqueued_ms);
-    }
+    tel.record_stage(shard.index, obs::LagStage::kQueueWait, nullptr,
+                     batch.enqueued_ms, dequeued_ms);
   }
 
   // New table entries first: ids in the batch's columns were assigned
@@ -299,34 +273,19 @@ void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
   }
   if (batch.advance) {
     shard.engine->advance(*batch.advance);
-    if (config_.journal != nullptr) {
-      config_.journal->log(obs::EventKind::kWatermarkAdvance,
-                           static_cast<std::int32_t>(shard.index),
-                           obs::JournalEvent::kNoEpoch,
-                           static_cast<double>(batch.advance->millis()));
-    }
+    tel.log(obs::EventKind::kWatermarkAdvance,
+            static_cast<std::int32_t>(shard.index), obs::JournalEvent::kNoEpoch,
+            static_cast<double>(batch.advance->millis()));
   }
   if (batch.sample_now_ms) {
     shard.monitor->sample(*shard.engine, *batch.sample_now_ms);
   }
 
   if (tracked) {
-    const double done_ms = obs_now_ms();
-    if (config_.lag != nullptr) {
-      config_.lag->record(shard.index, obs::LagStage::kShardIngest,
-                          done_ms - dequeued_ms);
-    }
-    if (config_.meter.trace != nullptr) {
-      config_.meter.trace->record_flow_span("cluster.shard_ingest",
-                                            dequeued_ms, done_ms - dequeued_ms,
-                                            this_thread_ordinal(),
-                                            batch.flow_id, 0);
-    }
+    tel.record_stage(shard.index, obs::LagStage::kShardIngest,
+                     "cluster.shard_ingest", dequeued_ms, tel.now_ms(),
+                     batch.flow_id, 0);
   }
-  // Epoch closes happen inside ingest_block/advance; attribute their wall
-  // time (already measured by the engine) to the epoch_close stage.
-  drain_close_latencies(shard);
-
   mirror_counters(shard);
 }
 
@@ -348,38 +307,27 @@ void ClusterRuntime::mirror_counters(Shard& shard) {
 
 void ClusterRuntime::enqueue(std::size_t shard, ShardBatch batch) {
   ensure_started();
-  const bool tracked = instr_ && !batch.t_ms.empty();
+  const obs::Telemetry& tel = telemetry();
+  const bool tracked = !batch.t_ms.empty() && tel.timed();
   if (tracked) {
-    const double now = obs_now_ms();
-    if (config_.lag != nullptr) {
-      config_.lag->record(shard, obs::LagStage::kProducerBatch,
-                          now - batch.formed_ms);
-    }
-    if (config_.meter.trace != nullptr) {
-      batch.flow_id = obs::TraceSession::next_flow_id();
-      config_.meter.trace->record_flow_span("cluster.producer_batch",
-                                            batch.formed_ms,
-                                            now - batch.formed_ms,
-                                            this_thread_ordinal(), 0,
-                                            batch.flow_id);
-    }
+    batch.flow_id = obs::TraceSession::next_flow_id();
+    tel.record_stage(shard, obs::LagStage::kProducerBatch,
+                     "cluster.producer_batch", batch.formed_ms, tel.now_ms(),
+                     0, batch.flow_id);
   }
   Shard& s = *shards_[shard];
   std::unique_lock<std::mutex> lock(s.mu);
-  if (config_.journal != nullptr &&
-      s.queue.size() >= config_.queue_capacity) {
+  if (s.queue.size() >= config_.queue_capacity) {
     // The producer is about to block on a full queue — backpressure worth a
     // flight-recorder entry (the journal mutex is a leaf; safe under s.mu).
-    config_.journal->log(obs::EventKind::kQueueSaturation,
-                         static_cast<std::int32_t>(shard),
-                         obs::JournalEvent::kNoEpoch,
-                         static_cast<double>(s.queue.size()));
+    tel.log(obs::EventKind::kQueueSaturation, static_cast<std::int32_t>(shard),
+            obs::JournalEvent::kNoEpoch, static_cast<double>(s.queue.size()));
   }
   s.cv_push.wait(lock,
                  [&s, this] { return s.queue.size() < config_.queue_capacity; });
   // Stamp after the capacity wait: time blocked on backpressure belongs to
   // the producer, not to the batch's queue_wait stage.
-  if (tracked) batch.enqueued_ms = obs_now_ms();
+  if (tracked) batch.enqueued_ms = tel.now_ms();
   s.queue.push_back(std::move(batch));
   s.cv_pop.notify_one();
 }
@@ -435,10 +383,10 @@ void ClusterRuntime::scatter_tuple(std::size_t shard, std::int64_t t_ms,
                                    std::uint32_t local_server,
                                    std::uint32_t local_domain) {
   ShardScatter& scatter = shards_[shard]->scatter;
-  // One predictable branch per tuple when instrumentation is off; the clock
-  // is read once per *batch* (first tuple) when it is on.
-  if (instr_ && scatter.pending.t_ms.empty()) {
-    scatter.pending.formed_ms = obs_now_ms();
+  // One predictable branch per tuple; the clock is read once per *batch*
+  // (first tuple), and only when instrumentation is on.
+  if (scatter.pending.t_ms.empty() && telemetry().timed()) {
+    scatter.pending.formed_ms = telemetry().now_ms();
   }
   scatter.pending.t_ms.push_back(t_ms);
   scatter.pending.server.push_back(local_server);
@@ -456,11 +404,6 @@ std::size_t ClusterRuntime::owning_shard(std::uint32_t server,
   return shard;
 }
 
-void ClusterRuntime::settle_inline(Shard& shard) {
-  drain_close_latencies(shard);
-  mirror_counters(shard);
-}
-
 void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
                            std::size_t owner) {
   const std::uint32_t server = lookup.forwarder.value();
@@ -470,7 +413,7 @@ void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
     // block and per advance only.
     Shard& only = *shards_.front();
     only.engine->ingest(lookup);
-    settle_inline(only);
+    mirror_counters(only);
     return;
   }
   ShardScatter& scatter = shards_[shard]->scatter;
@@ -496,13 +439,15 @@ void ClusterRuntime::route_block(const dns::LookupColumns& block,
                          owner);
     }
     Shard& only = *shards_.front();
-    const double start_ms = instr_ ? obs_now_ms() : 0.0;
+    const obs::Telemetry& tel = telemetry();
+    const double start_ms = tel.timed() ? tel.now_ms() : 0.0;
     only.engine->ingest_block(block, domains);
-    if (config_.lag != nullptr) {
-      config_.lag->record(0, obs::LagStage::kShardIngest,
-                          obs_now_ms() - start_ms);
+    // No span: the engine's own stream.block.ingest span is this stage.
+    if (tel.timed()) {
+      tel.record_stage(0, obs::LagStage::kShardIngest, nullptr, start_ms,
+                       tel.now_ms());
     }
-    settle_inline(only);
+    mirror_counters(only);
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -565,18 +510,18 @@ ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
 void ClusterRuntime::route_advance(std::size_t shard, TimePoint watermark) {
   if (inline_) {
     Shard& only = *shards_.front();
-    const double start_ms = instr_ ? obs_now_ms() : 0.0;
+    const obs::Telemetry& tel = telemetry();
+    const double start_ms = tel.timed() ? tel.now_ms() : 0.0;
     only.engine->advance(watermark);
-    if (config_.lag != nullptr) {
-      config_.lag->record(0, obs::LagStage::kShardIngest,
-                          obs_now_ms() - start_ms);
+    if (tel.timed()) {
+      const double end_ms = tel.now_ms();
+      tel.record_stage(0, obs::LagStage::kShardIngest, nullptr, start_ms,
+                       end_ms);
+      tel.log_at(end_ms, obs::EventKind::kWatermarkAdvance, 0,
+                 obs::JournalEvent::kNoEpoch,
+                 static_cast<double>(watermark.millis()));
     }
-    if (config_.journal != nullptr) {
-      config_.journal->log(obs::EventKind::kWatermarkAdvance, 0,
-                           obs::JournalEvent::kNoEpoch,
-                           static_cast<double>(watermark.millis()));
-    }
-    settle_inline(only);
+    mirror_counters(only);
     return;
   }
   ShardScatter& scatter = shards_[shard]->scatter;
@@ -599,12 +544,11 @@ core::LandscapeReport ClusterRuntime::finish() {
     // through the on_epoch_close wiring. The per-shard report is the merged
     // report's restriction to the shard's servers — nothing to keep.
     (void)shard.engine->finish();
-    drain_close_latencies(shard);
     mirror_counters(shard);
   }
   core::LandscapeReport report = merger_.assemble(estimator_name_);
-  if (config_.meter.metrics != nullptr) {
-    config_.meter.metrics->gauge("cluster.population.total")
+  if (telemetry().metrics != nullptr) {
+    telemetry().metrics->gauge("cluster.population.total")
         .set(report.total_population());
   }
   return report;
@@ -662,44 +606,43 @@ stream::HealthState ClusterRuntime::sample_health(double now_ms) {
   }
   cluster_state_.store(static_cast<int>(worst), std::memory_order_relaxed);
 
-  if (config_.journal != nullptr) {
+  const obs::Telemetry& tel = telemetry();
+  if (tel.journal != nullptr) {
     // Journal every state change since the previous sample (shard-level and
     // cluster-level), and flush the black box the moment the cluster goes
     // unhealthy — by then the interesting history is already in the ring.
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const int state = static_cast<int>(shards_[i]->monitor->state());
       if (state != prev_shard_state_[i]) {
-        config_.journal->log(
-            obs::EventKind::kHealthTransition, static_cast<std::int32_t>(i),
-            obs::JournalEvent::kNoEpoch, static_cast<double>(state),
-            std::string(stream::health_state_name(
-                static_cast<stream::HealthState>(prev_shard_state_[i]))) +
-                "->" +
+        tel.log(obs::EventKind::kHealthTransition, static_cast<std::int32_t>(i),
+                obs::JournalEvent::kNoEpoch, static_cast<double>(state),
                 std::string(stream::health_state_name(
-                    static_cast<stream::HealthState>(state))));
+                    static_cast<stream::HealthState>(prev_shard_state_[i]))) +
+                    "->" +
+                    std::string(stream::health_state_name(
+                        static_cast<stream::HealthState>(state))));
         prev_shard_state_[i] = state;
         if (state == static_cast<int>(stream::HealthState::kUnhealthy)) {
-          (void)config_.journal->auto_dump();
+          (void)tel.journal->auto_dump();
         }
       }
     }
     const int cluster_now = static_cast<int>(worst);
     if (cluster_now != prev_cluster_state_) {
-      config_.journal->log(
-          obs::EventKind::kHealthTransition, -1, obs::JournalEvent::kNoEpoch,
-          static_cast<double>(cluster_now),
-          std::string(stream::health_state_name(
-              static_cast<stream::HealthState>(prev_cluster_state_))) +
-              "->" + std::string(stream::health_state_name(worst)));
+      tel.log(obs::EventKind::kHealthTransition, -1,
+              obs::JournalEvent::kNoEpoch, static_cast<double>(cluster_now),
+              std::string(stream::health_state_name(
+                  static_cast<stream::HealthState>(prev_cluster_state_))) +
+                  "->" + std::string(stream::health_state_name(worst)));
       const bool went_unhealthy =
           worst == stream::HealthState::kUnhealthy &&
           prev_cluster_state_ != static_cast<int>(stream::HealthState::kUnhealthy);
       prev_cluster_state_ = cluster_now;
-      if (went_unhealthy) (void)config_.journal->auto_dump();
+      if (went_unhealthy) (void)tel.journal->auto_dump();
     }
   }
 
-  obs::MetricsRegistry* const metrics = config_.meter.metrics;
+  obs::MetricsRegistry* const metrics = tel.metrics;
   if (metrics != nullptr) {
     metrics->gauge("cluster.health.state").set(static_cast<double>(worst));
     metrics->gauge("cluster.merge_frontier")
@@ -765,10 +708,10 @@ json::Value ClusterRuntime::health_json() const {
   root.emplace("max_shard_progress", number(progress));
   root.emplace("frontier_lag", number(progress - frontier));
   root.emplace("shards", json::Value(std::move(shards)));
-  if (config_.lag != nullptr) {
+  if (telemetry().lag != nullptr) {
     // A "degraded" verdict names its suspect: the slowest pipeline stage and
     // the shard that accumulated the most wall time.
-    root.emplace("lag", config_.lag->attribution_json());
+    root.emplace("lag", telemetry().lag->attribution_json());
   }
   return json::Value(std::move(root));
 }
@@ -795,11 +738,8 @@ json::Value ClusterRuntime::checkpoint() {
   root.emplace("shards", json::Value(std::move(shards)));
 
   if (pause) resume_threads();
-  if (config_.journal != nullptr) {
-    config_.journal->log(obs::EventKind::kCheckpoint, -1,
-                         obs::JournalEvent::kNoEpoch,
-                         static_cast<double>(merger_.merge_frontier()));
-  }
+  telemetry().log(obs::EventKind::kCheckpoint, -1, obs::JournalEvent::kNoEpoch,
+                  static_cast<double>(merger_.merge_frontier()));
   return json::Value(std::move(root));
 }
 
@@ -856,11 +796,8 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     mirror_counters(*shards_[i]);
   }
-  if (config_.journal != nullptr) {
-    config_.journal->log(obs::EventKind::kRestore, -1,
-                         obs::JournalEvent::kNoEpoch,
-                         static_cast<double>(merger_.merge_frontier()));
-  }
+  telemetry().log(obs::EventKind::kRestore, -1, obs::JournalEvent::kNoEpoch,
+                  static_cast<double>(merger_.merge_frontier()));
 }
 
 }  // namespace botmeter::cluster

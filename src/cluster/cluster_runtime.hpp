@@ -40,7 +40,7 @@
 // synchronously, so merge_frontier() has advanced by the time the call that
 // crossed the close boundary returns, and flush() has nothing to do. With
 // one shard no series can collide, so the engine and its health monitor
-// keep the meter's metrics and trace sinks (stream.* series beside the
+// keep the telemetry bundle's metrics and trace (stream.* series beside the
 // cluster.* ones). sample_health() then samples on the calling thread,
 // which must be the producer thread.
 //
@@ -68,7 +68,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -91,20 +90,22 @@
 #include "stream/health_monitor.hpp"
 #include "stream/stream_engine.hpp"
 
-namespace botmeter::obs {
-class EventJournal;
-class LagTracker;
-class LandscapeHistory;
-}  // namespace botmeter::obs
-
 namespace botmeter::cluster {
 
 struct ClusterConfig {
-  /// The analysis configuration every shard engine runs under. The obs
-  /// pointers (metrics/trace/history) are *cluster-level*: shard engines get
-  /// them nulled (their series would collide across shards; a lone inline
-  /// shard keeps metrics and trace) and the runtime publishes `cluster.*`
-  /// series and merged history rows itself.
+  /// The analysis configuration every shard engine runs under. Its
+  /// telemetry bundle is *cluster-level*: the runtime publishes `cluster.*`
+  /// series into metrics, one row per merged epoch into history
+  /// (byte-identical to a single engine's rows over the union trace when
+  /// neither stamps health), per-(shard, stage) wall times into lag (built
+  /// for exactly this shard count), flow spans into trace, and health
+  /// transitions, epoch closes, watermark advances, checkpoint/restore,
+  /// queue saturation and merge publishes into journal (shard-level events
+  /// carry the shard index, cluster-level events -1; sample_health()
+  /// auto-dumps it the moment the cluster turns unhealthy). Shard engines
+  /// get no sinks (their series would collide across shards); a lone inline
+  /// shard keeps metrics and trace. Every sink is observational only, and
+  /// with no trace, journal or lag attached the ingest path reads no clock.
   core::BotMeterConfig meter;
 
   /// Epoch horizon, as for StreamEngine.
@@ -151,25 +152,6 @@ struct ClusterConfig {
   /// the global landscape is being held back.
   std::int64_t degraded_frontier_lag = 2;
   std::int64_t unhealthy_frontier_lag = 8;
-
-  /// Optional merged-landscape time-series sink: one row per *merged* epoch,
-  /// byte-identical to the rows a single engine over the union trace would
-  /// record (when neither stamps health). Observational only.
-  obs::LandscapeHistory* history = nullptr;
-
-  /// Optional lag attribution sink (must be built for exactly this shard
-  /// count): per-(shard, stage) wall-time histograms plus the per-epoch
-  /// straggler table. Observational only — a null tracker means no clock
-  /// reads on the ingest path, and results are byte-identical either way.
-  obs::LagTracker* lag = nullptr;
-
-  /// Optional flight recorder: health transitions, epoch closes, watermark
-  /// advances, checkpoint/restore, queue saturation, and merge publishes
-  /// each append one structured event (shard-level events carry the shard
-  /// index, cluster-level events -1). sample_health() auto-dumps the journal
-  /// the moment the cluster turns unhealthy when a dump path is configured.
-  /// Observational only, same null contract as `lag`.
-  obs::EventJournal* journal = nullptr;
 
   void validate() const;
 };
@@ -332,8 +314,8 @@ class ClusterRuntime {
     std::optional<TimePoint> advance;
     std::optional<double> sample_now_ms;
 
-    // Lag/flow metadata, stamped only when instrumentation is attached
-    // (obs_now_ms is never read otherwise). Not data: empty() ignores it.
+    // Lag/flow metadata, stamped only when the telemetry is timed (its clock
+    // is never read otherwise). Not data: empty() ignores it.
     /// When the batch's first tuple entered the pending scatter state.
     double formed_ms = 0.0;
     /// When the batch landed on the shard queue.
@@ -376,11 +358,6 @@ class ClusterRuntime {
     std::unique_ptr<stream::StreamEngine> engine;
     std::unique_ptr<stream::StreamHealthMonitor> monitor;
     ShardScatter scatter;
-    /// How many of the engine's close_latencies_ms() entries were already
-    /// drained into the lag tracker's epoch_close stage. Touched only by
-    /// whichever thread currently drives the engine (shard thread, or the
-    /// control thread during finish()).
-    std::size_t close_latency_cursor = 0;
 
     std::mutex mu;
     std::condition_variable cv_push;   // producer waits: queue full
@@ -430,21 +407,14 @@ class ClusterRuntime {
                    std::span<const std::string_view> domains,
                    std::size_t owner);
   void route_advance(std::size_t shard, TimePoint watermark);
-  /// Inline shard: account one direct engine call (close latencies, counter
-  /// mirrors) after it returned.
-  void settle_inline(Shard& shard);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
   void stop_threads();
   void pause_threads();
   void resume_threads();
-  /// Instrumentation clock: the attached trace session's timeline when there
-  /// is one (so lag spans align with its spans), else milliseconds since
-  /// construction. Only called when instr_ is set.
-  [[nodiscard]] double obs_now_ms() const;
-  /// Push any engine close latencies past the shard's cursor into the lag
-  /// tracker's epoch_close stage.
-  void drain_close_latencies(Shard& shard);
+  [[nodiscard]] const obs::Telemetry& telemetry() const {
+    return config_.meter.telemetry;
+  }
 
   ClusterConfig config_;
   std::string estimator_name_;
@@ -453,10 +423,6 @@ class ClusterRuntime {
   /// One-shard router: the engine runs on the caller's thread (see the
   /// header comment); the shard thread, queue and scatter are never used.
   bool inline_ = false;
-  /// True when any of lag/journal/trace is attached — the single gate every
-  /// instrumentation point tests before touching a clock.
-  bool instr_ = false;
-  std::chrono::steady_clock::time_point origin_;
   /// Epoch -> flow id minted at the triggering close, consumed by the merge
   /// publish span (the offer that completes an epoch merges it on the same
   /// thread, so the last writer is the one handle_merge reads).

@@ -207,17 +207,14 @@ estimators::CompactCellSpec BotMeter::compact_spec_for_epoch(
 
 std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
     std::int64_t epoch, std::vector<std::vector<detect::MatchedLookup>> buckets,
-    WorkerPool* workers, obs::TraceSession* trace,
-    const char* span_name) const {
-  return estimate_epoch_row(epoch, std::move(buckets), {}, workers, trace,
-                            span_name);
+    WorkerPool* workers, const char* span_name) const {
+  return estimate_epoch_row(epoch, std::move(buckets), {}, workers, span_name);
 }
 
 std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
     std::int64_t epoch, std::vector<std::vector<detect::MatchedLookup>> buckets,
     std::vector<std::unique_ptr<estimators::CompactCell>> compact_cells,
-    WorkerPool* workers, obs::TraceSession* trace,
-    const char* span_name) const {
+    WorkerPool* workers, const char* span_name) const {
   if (!compact_cells.empty() && compact_cells.size() != buckets.size()) {
     throw ConfigError("estimate_epoch_row: compact_cells width mismatch");
   }
@@ -227,7 +224,7 @@ std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
       config_.share_estimation_context ? &context : nullptr;
   std::vector<estimators::EpochCell> cells(buckets.size());
   const auto estimate_one = [&](std::size_t s) {
-    obs::ScopedTimer server_timer(trace, span_name);
+    obs::ScopedTimer server_timer(config_.telemetry.trace, span_name);
     estimators::EpochCell& cell = cells[s];
     cell.epoch = epoch;
     if (!compact_cells.empty() && compact_cells[s] != nullptr) {
@@ -264,8 +261,8 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
     throw ConfigError("BotMeter::analyze: server_count must be > 0");
   }
 
-  obs::MetricsRegistry* const metrics = config_.metrics;
-  obs::TraceSession* const trace = config_.trace;
+  obs::MetricsRegistry* const metrics = config_.telemetry.metrics;
+  obs::TraceSession* const trace = config_.telemetry.trace;
 
   // One pool for the whole call: matcher sharding and every epoch row. With
   // analyze_threads == 1 no threads are spawned and everything below runs
@@ -305,15 +302,14 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
       const auto it = matched.find(detect::StreamKey{dns::ServerId{s}, e});
       if (it != matched.end()) buckets[s] = std::move(it->second);
     }
-    rows.push_back(estimate_epoch_row(e, std::move(buckets), &workers, trace,
+    rows.push_back(estimate_epoch_row(e, std::move(buckets), &workers,
                                       "analyze.estimate.server"));
-    if (config_.history != nullptr) {
+    if (config_.telemetry.history != nullptr) {
       // The same per-epoch row the streaming engine appends at its watermark
       // close for this epoch. Batch rows carry no health annotation (there
       // is no feed to monitor).
-      config_.history->record(history_row(e, config_.dga.name,
-                                          std::string(estimator.name()),
-                                          rows.back()));
+      config_.telemetry.history->record(history_row(
+          e, config_.dga.name, std::string(estimator.name()), rows.back()));
     }
   }
 

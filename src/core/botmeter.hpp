@@ -25,15 +25,13 @@
 #include "dns/vantage.hpp"
 #include "estimators/estimator.hpp"
 #include "estimators/library.hpp"
+#include "obs/telemetry.hpp"
 
 namespace botmeter {
 class WorkerPool;
 }
 
 namespace botmeter::obs {
-class LandscapeHistory;
-class MetricsRegistry;
-class TraceSession;
 struct LandscapeEpochRecord;
 }  // namespace botmeter::obs
 
@@ -74,17 +72,13 @@ struct BotMeterConfig {
   /// cache just recomputes everything.
   bool share_estimation_context = true;
 
-  /// Optional observability sinks (see src/obs/): matcher tallies,
-  /// estimator inputs/outputs, and per-stage wall times of analyze().
-  /// Null means no-op; attaching them never changes the LandscapeReport.
-  obs::MetricsRegistry* metrics = nullptr;
-  obs::TraceSession* trace = nullptr;
-
-  /// Optional landscape time-series sink: analyze() appends one per-server
-  /// snapshot row per prepared epoch (same rows the streaming engine records
-  /// at its closes, so the two pipelines emit identical series documents
-  /// for the same trace). Observational only — never changes the report.
-  obs::LandscapeHistory* history = nullptr;
+  /// Observability sinks (see obs/telemetry.hpp), each optional and never
+  /// changing a result. analyze() reports matcher tallies and
+  /// estimator inputs/outputs into `metrics`, per-stage wall times into
+  /// `trace`, and one per-server snapshot row per prepared epoch into
+  /// `history` — the rows the streaming engine records at its closes, so
+  /// both pipelines emit identical series documents for the same trace.
+  obs::Telemetry telemetry;
 
   void validate() const;
 };
@@ -187,12 +181,12 @@ class BotMeter {
   /// row is bit-identical for any worker count. analyze() runs this for
   /// every prepared epoch; the streaming engine runs it at each epoch close
   /// — the shared path that keeps the two pipelines equivalent. Per-server
-  /// wall time lands on `span_name` spans of `trace` (observability only).
+  /// wall time lands on `span_name` spans of the telemetry trace
+  /// (observability only).
   [[nodiscard]] std::vector<estimators::EpochCell> estimate_epoch_row(
       std::int64_t epoch,
       std::vector<std::vector<detect::MatchedLookup>> buckets,
-      WorkerPool* workers, obs::TraceSession* trace,
-      const char* span_name) const;
+      WorkerPool* workers, const char* span_name) const;
 
   /// Mixed-state variant for the compact streaming path: cell s comes from
   /// `compact_cells[s]` when non-null (a spilled sketch cell), otherwise
@@ -203,8 +197,7 @@ class BotMeter {
       std::int64_t epoch,
       std::vector<std::vector<detect::MatchedLookup>> buckets,
       std::vector<std::unique_ptr<estimators::CompactCell>> compact_cells,
-      WorkerPool* workers, obs::TraceSession* trace,
-      const char* span_name) const;
+      WorkerPool* workers, const char* span_name) const;
 
   [[nodiscard]] const dga::QueryPoolModel& pool_model() const { return *pool_model_; }
   [[nodiscard]] const estimators::ModelLibrary& library() const { return library_; }

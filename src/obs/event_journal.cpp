@@ -70,8 +70,14 @@ std::uint64_t EventJournal::append(JournalEvent event) {
 std::uint64_t EventJournal::log(EventKind kind, std::int32_t shard,
                                 std::int64_t epoch, double value,
                                 std::string message) {
+  return log_at(now_ms(), kind, shard, epoch, value, std::move(message));
+}
+
+std::uint64_t EventJournal::log_at(double t_ms, EventKind kind,
+                                   std::int32_t shard, std::int64_t epoch,
+                                   double value, std::string message) {
   JournalEvent event;
-  event.t_ms = now_ms();
+  event.t_ms = t_ms;
   event.shard = shard;
   event.kind = kind;
   event.epoch = epoch;

@@ -11,7 +11,8 @@
 // enough to leave on in production.
 //
 // Events carry a monotonic sequence number (assigned at append, never
-// reused), a wall-time offset from the journal's construction, an optional
+// reused), a wall-time stamp (the appending pipeline's obs::Telemetry clock,
+// or for log() the offset from the journal's construction), an optional
 // shard index (-1 = cluster / engine level), a kind, and small details
 // (epoch, numeric value, free-text message). `events_since(seq)` plus the
 // seq cursor give pollers (`/events?from=&shard=`) exactly-once delivery
@@ -26,8 +27,8 @@
 // Thread-safety and cost: one mutex, short critical sections (a push +
 // possible pop per append; queries copy under the lock). Appends happen per
 // *batch*/close/transition — never per tuple — so the journal is invisible
-// in the ingest profile; a null `EventJournal*` at every instrumentation
-// point means no-op and no clock read, which is what keeps landscapes
+// in the ingest profile; a journal absent from the pipeline's obs::Telemetry
+// means no-op and no clock read, which is what keeps landscapes
 // byte-identical with the recorder on or off.
 #pragma once
 
@@ -63,8 +64,8 @@ enum class EventKind : int {
 /// caller's statement about what happened.
 struct JournalEvent {
   std::uint64_t seq = 0;
-  /// Wall milliseconds since the journal was constructed (stamped by the
-  /// convenience log(); explicit appends may inject simulated time).
+  /// Wall milliseconds: since the journal was constructed when stamped by
+  /// log(), on the caller's clock for log_at() and explicit appends.
   double t_ms = 0.0;
   /// Shard index the event belongs to; -1 = cluster / engine level.
   std::int32_t shard = -1;
@@ -104,6 +105,11 @@ class EventJournal {
   std::uint64_t log(EventKind kind, std::int32_t shard,
                     std::int64_t epoch = JournalEvent::kNoEpoch,
                     double value = 0.0, std::string message = {});
+  /// Convenience append stamped `t_ms` on the caller's clock (a pipeline's
+  /// obs::Telemetry clock, so its events line up with its spans).
+  std::uint64_t log_at(double t_ms, EventKind kind, std::int32_t shard,
+                       std::int64_t epoch, double value,
+                       std::string message = {});
 
   /// Wall milliseconds since construction (the t_ms clock log() stamps).
   [[nodiscard]] double now_ms() const;

@@ -28,9 +28,9 @@
 // so a "degraded" verdict names its suspect. `to_json()` is the full
 // canonical `botmeter.lag.v1` document served at `/debug/lag`.
 //
-// Like every observability hook in this codebase, the tracker is attached
-// as a nullable pointer: null means no clock reads and no-ops, keeping the
-// landscape byte-identical with attribution on or off.
+// Like every observability sink in this codebase, the tracker is attached
+// through obs::Telemetry: absent means no clock reads and no-ops, keeping
+// the landscape byte-identical with attribution on or off.
 #pragma once
 
 #include <cstdint>

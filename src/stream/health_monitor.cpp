@@ -1,33 +1,11 @@
 #include "stream/health_monitor.hpp"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "common/error.hpp"
-#include "common/json.hpp"
 #include "stream/stream_engine.hpp"
 
 namespace botmeter::stream {
-
-namespace {
-
-/// Exponential close-latency buckets: 0.25 ms .. ~512 ms, doubling. Covers
-/// sub-millisecond closes on small horizons up to flushes that threaten a
-/// one-second epoch cadence; beyond the last bound the +Inf bucket tells
-/// the story.
-const std::vector<double>& close_latency_bounds() {
-  static const std::vector<double> bounds =
-      obs::exponential_bounds(0.25, 2.0, 12);
-  return bounds;
-}
-
-std::string format_fixed(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
-}
-
-}  // namespace
 
 std::string_view health_state_name(HealthState state) {
   switch (state) {
@@ -95,6 +73,7 @@ HealthState StreamHealthMonitor::sample(const StreamEngine& engine,
   signals.matched = engine.matched();
   signals.late_dropped = engine.late_dropped();
   signals.open_buffer_bytes = engine.open_buffer_bytes();
+  signals.epochs_closed = engine.close_latencies_ms().size();
 
   const std::uint64_t attributed = signals.matched + signals.late_dropped;
   signals.late_rate =
@@ -116,19 +95,6 @@ HealthState StreamHealthMonitor::sample(const StreamEngine& engine,
       last_advance_wall_ms_ = now_ms;
     }
     signals.watermark_lag_ms = std::max(0.0, now_ms - *last_advance_wall_ms_);
-
-    // Observe close latencies appended since the previous sample.
-    const std::span<const double> closes = engine.close_latencies_ms();
-    signals.epochs_closed = closes.size();
-    if (!closes.empty()) signals.last_close_ms = closes.back();
-    if (metrics_ != nullptr && close_latency_cursor_ < closes.size()) {
-      obs::Histogram& hist = metrics_->histogram(
-          "stream.epoch_close_latency_ms", close_latency_bounds());
-      for (std::size_t i = close_latency_cursor_; i < closes.size(); ++i) {
-        hist.observe(closes[i]);
-      }
-    }
-    close_latency_cursor_ = closes.size();
   }
 
   return evaluate(signals, now_ms);
@@ -177,50 +143,6 @@ HealthState StreamHealthMonitor::state() const {
 StreamHealthSignals StreamHealthMonitor::last_signals() const {
   std::lock_guard<std::mutex> lock(mu_);
   return signals_;
-}
-
-std::string StreamHealthMonitor::render() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::string out;
-  out += "status: ";
-  out += health_state_name(state_);
-  out += '\n';
-  out += "watermark_lag_ms: " + format_fixed(signals_.watermark_lag_ms, 1) + '\n';
-  out += "late_rate: " + format_fixed(signals_.late_rate, 6) + '\n';
-  out += "open_buffer_bytes: " +
-         std::to_string(signals_.open_buffer_bytes) + '\n';
-  out += "ingested: " + std::to_string(signals_.ingested) + '\n';
-  out += "matched: " + std::to_string(signals_.matched) + '\n';
-  out += "late_dropped: " + std::to_string(signals_.late_dropped) + '\n';
-  out += "epochs_closed: " + std::to_string(signals_.epochs_closed) + '\n';
-  if (signals_.last_close_ms.has_value()) {
-    out += "last_close_ms: " + format_fixed(*signals_.last_close_ms, 3) + '\n';
-  }
-  return out;
-}
-
-std::string StreamHealthMonitor::render_json() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  json::Object doc;
-  doc.emplace("schema", json::Value(std::string("botmeter.healthz.v1")));
-  doc.emplace("status",
-              json::Value(std::string(health_state_name(state_))));
-  doc.emplace("watermark_lag_ms", json::Value(signals_.watermark_lag_ms));
-  doc.emplace("late_rate", json::Value(signals_.late_rate));
-  doc.emplace("open_buffer_bytes",
-              json::Value(static_cast<double>(signals_.open_buffer_bytes)));
-  doc.emplace("ingested",
-              json::Value(static_cast<double>(signals_.ingested)));
-  doc.emplace("matched", json::Value(static_cast<double>(signals_.matched)));
-  doc.emplace("late_dropped",
-              json::Value(static_cast<double>(signals_.late_dropped)));
-  doc.emplace("epochs_closed",
-              json::Value(static_cast<double>(signals_.epochs_closed)));
-  doc.emplace("last_close_ms",
-              signals_.last_close_ms.has_value()
-                  ? json::Value(*signals_.last_close_ms)
-                  : json::Value(nullptr));
-  return json::write(json::Value(std::move(doc)));
 }
 
 }  // namespace botmeter::stream

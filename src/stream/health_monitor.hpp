@@ -15,27 +15,26 @@
 //   - *Open-buffer bytes*: approximate heap held by matched lookups waiting
 //     for their epoch to close — the engine's resident analysis state.
 //     Unbounded growth means epochs stopped closing.
-//   - *Epoch-close latency*: wall time of each close, observed into an
-//     exponential-bucket histogram so a scraper can spot flushes falling
-//     behind the epoch cadence.
+//
+// The epoch-close latency histogram a scraper watches for flushes falling
+// behind the epoch cadence is the engine's own (recorded once per close);
+// the monitor only reports the close count.
 //
 // Time is always injected (`now_ms`, any monotonic wall-clock milliseconds):
 // the monitor never reads a clock itself, so threshold/hysteresis behaviour
 // is testable with simulated time and no sleeps.
 //
 // Thread-safety: `sample()` must run on the ingest thread (StreamEngine's
-// accessors are unsynchronized), while `state()` / `render()` /
-// `last_signals()` may run on any thread — the HTTP exporter reads them
-// concurrently. All shared state sits behind one mutex; gauge/histogram
-// writes go through the (optional) MetricsRegistry, which is itself safe
-// for concurrent scrapes.
+// accessors are unsynchronized), while `state()` / `last_signals()` may run
+// on any thread — the HTTP exporter reads them concurrently. All shared
+// state sits behind one mutex; gauge writes go through the (optional)
+// MetricsRegistry, which is itself safe for concurrent scrapes.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "obs/metrics.hpp"
@@ -78,10 +77,8 @@ struct StreamHealthSignals {
   std::uint64_t ingested = 0;
   std::uint64_t matched = 0;
   std::uint64_t late_dropped = 0;
-  /// Watermark epoch closes so far, and the wall time the most recent one
-  /// took (nullopt before the first close).
+  /// Epoch closes so far.
   std::uint64_t epochs_closed = 0;
-  std::optional<double> last_close_ms;
 
   friend bool operator==(const StreamHealthSignals&,
                          const StreamHealthSignals&) = default;
@@ -90,17 +87,15 @@ struct StreamHealthSignals {
 class StreamHealthMonitor {
  public:
   /// `metrics` may be null (signals then live only in the monitor). With a
-  /// registry, every sample publishes the gauges
+  /// registry, every evaluation publishes the gauges
   /// `stream.health.state` (0/1/2), `stream.health.watermark_lag_ms`,
-  /// `stream.health.late_rate`, `stream.health.open_buffer_bytes`, and the
-  /// histogram `stream.epoch_close_latency_ms` (exponential buckets).
+  /// `stream.health.late_rate` and `stream.health.open_buffer_bytes`.
   explicit StreamHealthMonitor(StreamHealthConfig config,
                                obs::MetricsRegistry* metrics = nullptr);
 
   /// Derive signals from the engine at wall time `now_ms` and evaluate
   /// them. Call from the ingest thread (engine accessors are not
-  /// synchronized against ingest). Newly appended epoch-close latencies are
-  /// observed into the latency histogram exactly once.
+  /// synchronized against ingest).
   HealthState sample(const StreamEngine& engine, double now_ms);
 
   /// Evaluate an explicit signal vector (the simulated-time test path, and
@@ -109,15 +104,6 @@ class StreamHealthMonitor {
 
   [[nodiscard]] HealthState state() const;
   [[nodiscard]] StreamHealthSignals last_signals() const;
-
-  /// Plain-text body for `/healthz`: the state line first, then one
-  /// `name: value` line per signal.
-  [[nodiscard]] std::string render() const;
-
-  /// Canonical JSON body for `/healthz?format=json` (schema
-  /// `botmeter.healthz.v1`): state word plus the full signal vector, via
-  /// the byte-stable common/json writer. Same thread-safety as render().
-  [[nodiscard]] std::string render_json() const;
 
  private:
   [[nodiscard]] HealthState raw_state(const StreamHealthSignals& s) const;
@@ -139,7 +125,6 @@ class StreamHealthMonitor {
   // Watermark-advance tracking for sample().
   std::optional<std::int64_t> last_watermark_ms_;
   std::optional<double> last_advance_wall_ms_;
-  std::size_t close_latency_cursor_ = 0;
 };
 
 }  // namespace botmeter::stream

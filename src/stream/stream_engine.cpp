@@ -8,11 +8,9 @@
 
 #include "common/error.hpp"
 #include "common/prefetch.hpp"
-#include "obs/event_journal.hpp"
 #include "obs/landscape_history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "stream/health_monitor.hpp"
 
 namespace botmeter::stream {
 
@@ -193,13 +191,14 @@ void StreamEngine::ingest_block(const dns::LookupColumns& block,
         "StreamEngine::ingest_block: domain table shrank — blocks from a "
         "different interning lineage");
   }
-  obs::ScopedTimer block_span(config_.meter.trace, "stream.block.ingest");
+  obs::ScopedTimer block_span(config_.meter.telemetry.trace,
+                              "stream.block.ingest");
 
   // Resolve pool membership for the table's new tail: one hash per distinct
   // domain per engine, ever — batched so the index's cache misses overlap.
   const detect::DomainMatcher& matcher = meter_.matcher();
   if (domains.size() > resolved_.size()) {
-    obs::ScopedTimer resolve_span(config_.meter.trace,
+    obs::ScopedTimer resolve_span(config_.meter.telemetry.trace,
                                   "stream.block.resolve_many");
     const std::size_t old = resolved_.size();
     resolve_scratch_.resize(domains.size() - old);
@@ -310,11 +309,6 @@ void StreamEngine::advance(TimePoint watermark) {
   if (finished_) throw ConfigError("StreamEngine: advance after finish()");
   if (!watermark_ || watermark > *watermark_) {
     watermark_ = watermark;
-    if (config_.journal != nullptr) {
-      config_.journal->log(obs::EventKind::kWatermarkAdvance, -1,
-                           obs::JournalEvent::kNoEpoch,
-                           static_cast<double>(watermark.millis()));
-    }
     maybe_close(*watermark_);
   }
 }
@@ -375,9 +369,9 @@ void StreamEngine::close_next_epoch() {
   // per-epoch EstimationContext, canonical bucket sort), which is what keeps
   // streaming closes bit-identical to the batch pipeline.
   const estimators::Estimator& estimator = meter_.active_estimator();
-  closed_.push_back(meter_.estimate_epoch_row(
-      epoch, std::move(buckets), std::move(compact_cells), &workers_,
-      config_.meter.trace, "stream.close.server"));
+  closed_.push_back(meter_.estimate_epoch_row(epoch, std::move(buckets),
+                                              std::move(compact_cells),
+                                              &workers_, "stream.close.server"));
 
   const double wall_ms =
       std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
@@ -385,14 +379,18 @@ void StreamEngine::close_next_epoch() {
           .count();
   close_latencies_ms_.push_back(wall_ms);
 
-  obs::MetricsRegistry* const metrics = config_.meter.metrics;
+  const obs::Telemetry& telemetry = config_.meter.telemetry;
+  obs::MetricsRegistry* const metrics = telemetry.metrics;
   if (metrics != nullptr) {
     const std::string label = "epoch_" + std::to_string(epoch);
     metrics->counter("stream.closed_epochs").add(1);
     metrics->counter("stream.matched.per_epoch", label).add(epoch_matched);
-    static constexpr double kCloseBounds[] = {0.1, 0.3, 1.0,   3.0,  10.0,
-                                              30.0, 100.0, 300.0, 1000.0};
-    metrics->histogram("stream.epoch_close_ms", kCloseBounds).observe(wall_ms);
+    // 0.25 ms .. ~512 ms, doubling: sub-millisecond closes on small horizons
+    // up to flushes that threaten a one-second epoch cadence.
+    static const std::vector<double> kCloseLatencyBounds =
+        obs::exponential_bounds(0.25, 2.0, 12);
+    metrics->histogram("stream.epoch_close_latency_ms", kCloseLatencyBounds)
+        .observe(wall_ms);
     metrics->gauge("stream.resident_lookups").set(static_cast<double>(resident_));
     metrics->gauge("stream.resident_lookups.peak")
         .set(static_cast<double>(peak_resident_));
@@ -406,21 +404,13 @@ void StreamEngine::close_next_epoch() {
     }
     flush_counters(*metrics);
   }
-  if (config_.meter.trace != nullptr) {
-    config_.meter.trace->record("stream.epoch_close", wall_ms);
+  if (telemetry.trace != nullptr) {
+    telemetry.trace->record("stream.epoch_close", wall_ms);
   }
-  if (config_.journal != nullptr) {
-    config_.journal->log(obs::EventKind::kEpochClose, -1, epoch, wall_ms);
-  }
-
-  if (config_.history != nullptr) {
-    obs::LandscapeEpochRecord row =
-        core::history_row(epoch, config_.meter.dga.name,
-                          std::string(estimator.name()), closed_.back());
-    if (config_.health != nullptr) {
-      row.health = std::string(health_state_name(config_.health->state()));
-    }
-    config_.history->record(row);
+  if (telemetry.history != nullptr) {
+    telemetry.history->record(core::history_row(epoch, config_.meter.dga.name,
+                                                std::string(estimator.name()),
+                                                closed_.back()));
   }
 
   if (on_close_) {
@@ -457,7 +447,7 @@ core::LandscapeReport StreamEngine::finish() {
       std::string(meter_.active_estimator().name()), closed_,
       config_.server_count);
 
-  obs::MetricsRegistry* const metrics = config_.meter.metrics;
+  obs::MetricsRegistry* const metrics = config_.meter.telemetry.metrics;
   if (metrics != nullptr) {
     flush_counters(*metrics);
     metrics->gauge("stream.population.total").set(report.total_population());
@@ -585,11 +575,6 @@ json::Value StreamEngine::checkpoint() const {
   root.emplace("finished", json::Value(finished_));
   root.emplace("closed", json::Value(std::move(closed)));
   root.emplace("open", json::Value(std::move(open)));
-  if (config_.journal != nullptr) {
-    config_.journal->log(obs::EventKind::kCheckpoint, -1,
-                         obs::JournalEvent::kNoEpoch,
-                         static_cast<double>(closed_.size()));
-  }
   return json::Value(std::move(root));
 }
 
@@ -819,11 +804,6 @@ void StreamEngine::restore(const json::Value& checkpoint) {
     }
   }
   peak_open_bytes_ = std::max(peak_open_bytes_, open_bytes_);
-  if (config_.journal != nullptr) {
-    config_.journal->log(obs::EventKind::kRestore, -1,
-                         obs::JournalEvent::kNoEpoch,
-                         static_cast<double>(closed_.size()));
-  }
 }
 
 }  // namespace botmeter::stream

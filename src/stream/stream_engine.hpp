@@ -48,18 +48,15 @@
 #include "dns/vantage.hpp"
 #include "estimators/estimator.hpp"
 
-namespace botmeter::obs {
-class EventJournal;
-class LandscapeHistory;
-}  // namespace botmeter::obs
-
 namespace botmeter::stream {
-
-class StreamHealthMonitor;
 
 struct StreamEngineConfig {
   /// The analysis configuration (family, TTL policy, estimator choice,
-  /// detection window seed, obs sinks) — exactly what batch BotMeter takes.
+  /// detection window seed) — exactly what batch BotMeter takes. The engine
+  /// reports into `meter.telemetry`: `stream.*` series into metrics, block
+  /// and close spans into trace, and one per-server snapshot row per epoch
+  /// close into history (purely observational — attaching any of them
+  /// never changes the engine's reports or counters).
   core::BotMeterConfig meter;
 
   /// Epoch horizon [first_epoch, first_epoch + epoch_count). All pools and
@@ -75,26 +72,6 @@ struct StreamEngineConfig {
   /// bit-identical for every value: each server's estimate is an
   /// independent pure function of its bucket, written to its own slot.
   std::size_t worker_threads = 1;
-
-  /// Optional landscape time-series sink: every epoch close appends one
-  /// per-server snapshot row (estimate, CI, matched count) to the history.
-  /// Purely observational — attaching a history never changes the engine's
-  /// reports or counters. The history outlives the engine's use of it; its
-  /// own mutex makes record() safe against concurrent HTTP queries.
-  obs::LandscapeHistory* history = nullptr;
-
-  /// Optional health monitor whose coarse state is stamped onto each history
-  /// row at close time (the "what did the feed look like when this estimate
-  /// landed" annotation). Read-only; ignored when `history` is null. Leave
-  /// null when cross-pipeline byte-equality with batch analyze matters —
-  /// batch rows never carry health.
-  const StreamHealthMonitor* health = nullptr;
-
-  /// Optional flight recorder: epoch closes, explicit watermark advances,
-  /// and checkpoint/restore each append one structured event. Purely
-  /// observational (a null journal means no clock reads and no-ops), and
-  /// never consulted on the per-tuple path — events are per close/advance.
-  obs::EventJournal* journal = nullptr;
 
   /// How far the watermark must pass an epoch's end before the engine
   /// auto-closes it. Lookup trains spill past epoch boundaries and

@@ -75,7 +75,7 @@ TEST(ClusterCheckpointTest, MidRunPauseResumeAndColdRestoreAreBitIdentical) {
   // Cold restore: a fresh runtime loads the envelope and ingests the rest.
   obs::LandscapeHistory history;
   ClusterConfig resumed_config = cluster_config(2);
-  resumed_config.history = &history;
+  resumed_config.meter.telemetry.history = &history;
   ClusterRuntime resumed(std::move(resumed_config));
   resumed.restore(checkpoint);
   const std::int64_t frontier_at_restore = resumed.merge_frontier();

@@ -7,12 +7,14 @@
 // journal readers stay consistent (the TSan target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -80,7 +82,7 @@ Reference single_engine_reference(
   config.first_epoch = 0;
   config.epoch_count = kEpochs;
   config.server_count = kServers;
-  config.history = &history;
+  config.meter.telemetry.history = &history;
   stream::StreamEngine engine(std::move(config));
   engine.ingest(stream);
   Reference ref;
@@ -134,10 +136,10 @@ TEST(ClusterObservability, FullInstrumentationNeverChangesBits) {
     ClusterConfig config = cluster_config(v.shards, v.threads);
     config.flush_tuples = v.flush_tuples;
     config.queue_capacity = v.queue_capacity;
-    config.history = &history;
-    config.lag = &lag;
-    config.journal = &journal;
-    config.meter.trace = &trace_session;
+    config.meter.telemetry.history = &history;
+    config.meter.telemetry.lag = &lag;
+    config.meter.telemetry.journal = &journal;
+    config.meter.telemetry.trace = &trace_session;
     ClusterRuntime runtime(std::move(config));
 
     if (v.block_codec) {
@@ -158,54 +160,140 @@ TEST(ClusterObservability, FullInstrumentationNeverChangesBits) {
   }
 }
 
+// Every lifecycle moment lands in the journal and the lag tracker exactly
+// once — on the threaded runtime fed per tuple, and on the inline one-shard
+// runtime fed blocks, which has no producer batches and no queue.
 TEST(ClusterObservability, JournalAndLagObserveTheEpochLifecycle) {
   const auto stream = simulate_stream(82);
-  constexpr std::size_t kShards = 4;
-  obs::LagTracker lag(kShards);
-  obs::EventJournal journal;
-  ClusterConfig config = cluster_config(kShards, 1);
-  config.health = stream::StreamHealthConfig{};
-  config.lag = &lag;
-  config.journal = &journal;
-  ClusterRuntime runtime(std::move(config));
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 1 << 10);
 
-  for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
-  (void)landscape_bytes(runtime.finish());
+  for (const std::size_t shards : {std::size_t{4}, std::size_t{1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const bool inline_shard = shards == 1;
+    obs::LagTracker lag(shards);
+    obs::EventJournal journal;
+    ClusterConfig config = cluster_config(shards, 1);
+    config.health = stream::StreamHealthConfig{};
+    config.meter.telemetry.lag = &lag;
+    config.meter.telemetry.journal = &journal;
+    ClusterRuntime runtime(std::move(config));
 
-  // Every shard closed every epoch; every merged epoch published once.
-  EXPECT_EQ(count_kind(journal, obs::EventKind::kEpochClose),
-            kShards * static_cast<std::size_t>(kEpochs));
-  EXPECT_EQ(count_kind(journal, obs::EventKind::kMergePublish),
-            static_cast<std::size_t>(kEpochs));
+    if (inline_shard) {
+      std::istringstream binary_is(binary_os.str());
+      trace::for_each_block(
+          binary_is, [&runtime](const dns::LookupColumns& columns,
+                                std::span<const std::string_view> table) {
+            runtime.ingest_block(columns, table);
+          });
+    } else {
+      for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
+    }
+    (void)landscape_bytes(runtime.finish());
 
-  // The straggler table has one row per merged epoch, in merge order.
-  const auto stragglers = lag.stragglers();
-  ASSERT_EQ(stragglers.size(), static_cast<std::size_t>(kEpochs));
-  for (std::int64_t e = 0; e < kEpochs; ++e) {
-    EXPECT_EQ(stragglers[static_cast<std::size_t>(e)].epoch, e);
-    EXPECT_LT(stragglers[static_cast<std::size_t>(e)].straggler_shard,
-              kShards);
+    // Every shard closed every epoch, each close journaled once; every
+    // merged epoch published once.
+    EXPECT_EQ(count_kind(journal, obs::EventKind::kEpochClose),
+              shards * static_cast<std::size_t>(kEpochs));
+    EXPECT_EQ(count_kind(journal, obs::EventKind::kMergePublish),
+              static_cast<std::size_t>(kEpochs));
+
+    // The straggler table has one row per merged epoch, in merge order.
+    const auto stragglers = lag.stragglers();
+    ASSERT_EQ(stragglers.size(), static_cast<std::size_t>(kEpochs));
+    for (std::int64_t e = 0; e < kEpochs; ++e) {
+      EXPECT_EQ(stragglers[static_cast<std::size_t>(e)].epoch, e);
+      EXPECT_LT(stragglers[static_cast<std::size_t>(e)].straggler_shard,
+                shards);
+    }
+
+    // Per-shard stage histograms saw the batches, each close once, and the
+    // merges. An inline shard forms no producer batch and has no queue.
+    for (std::size_t shard = 0; shard < shards; ++shard) {
+      const auto count = [&lag, shard](obs::LagStage stage) {
+        return lag.stage_sample(shard, stage).count;
+      };
+      EXPECT_GT(count(obs::LagStage::kShardIngest), 0u) << "shard " << shard;
+      EXPECT_EQ(count(obs::LagStage::kEpochClose),
+                static_cast<std::uint64_t>(kEpochs))
+          << "shard " << shard;
+      EXPECT_EQ(count(obs::LagStage::kMergePublish),
+                static_cast<std::uint64_t>(kEpochs))
+          << "shard " << shard;
+      if (inline_shard) {
+        EXPECT_EQ(count(obs::LagStage::kProducerBatch), 0u);
+        EXPECT_EQ(count(obs::LagStage::kQueueWait), 0u);
+      } else {
+        EXPECT_GT(count(obs::LagStage::kProducerBatch), 0u) << "shard " << shard;
+        EXPECT_GT(count(obs::LagStage::kQueueWait), 0u) << "shard " << shard;
+      }
+    }
+
+    // The health document names the lag attribution.
+    (void)runtime.sample_health(1000.0);
+    const json::Value health = runtime.health_json();
+    EXPECT_EQ(health.at("schema").as_string(), "botmeter.cluster_health.v1");
+    EXPECT_NE(health.at("lag").find("slowest_stage"), nullptr);
+
+    // Checkpointing is a journaled lifecycle moment too.
+    (void)runtime.checkpoint();
+    EXPECT_EQ(count_kind(journal, obs::EventKind::kCheckpoint), 1u);
   }
+}
 
-  // Per-shard stage histograms saw the batches and the closes.
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    EXPECT_GT(lag.stage_sample(shard, obs::LagStage::kShardIngest).count, 0u)
-        << "shard " << shard;
-    EXPECT_GT(lag.stage_sample(shard, obs::LagStage::kEpochClose).count, 0u)
-        << "shard " << shard;
-    EXPECT_GT(lag.stage_sample(shard, obs::LagStage::kMergePublish).count, 0u)
-        << "shard " << shard;
+// One clock: a close's or merge's journal event is stamped with the very
+// reading that ends its span, so /events and the Perfetto trace agree.
+TEST(ClusterObservability, JournalStampsEndTheirSpans) {
+  const auto stream = simulate_stream(86);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    obs::EventJournal journal;
+    obs::TraceSession trace_session;
+    ClusterConfig config = cluster_config(shards, 1);
+    config.meter.telemetry.journal = &journal;
+    config.meter.telemetry.trace = &trace_session;
+    ClusterRuntime runtime(std::move(config));
+    for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
+    (void)runtime.finish();
+
+    const std::vector<obs::TraceSession::Span> spans = trace_session.spans();
+    const auto span_ends = [&spans](std::string_view phase) {
+      std::vector<double> ends;
+      for (const obs::TraceSession::Span& span : spans) {
+        if (span.phase == phase) ends.push_back(span.start_ms + span.millis);
+      }
+      std::sort(ends.begin(), ends.end());
+      return ends;
+    };
+    const auto stamps = [&journal](obs::EventKind kind) {
+      std::vector<double> t;
+      for (const obs::JournalEvent& event : journal.events_since(0)) {
+        if (event.kind == kind) t.push_back(event.t_ms);
+      }
+      std::sort(t.begin(), t.end());
+      return t;
+    };
+    const struct {
+      obs::EventKind kind;
+      std::string_view phase;
+      std::size_t expected;
+    } stages[] = {
+        {obs::EventKind::kEpochClose, "cluster.epoch_close",
+         shards * static_cast<std::size_t>(kEpochs)},
+        {obs::EventKind::kMergePublish, "cluster.merge_publish",
+         static_cast<std::size_t>(kEpochs)},
+    };
+    for (const auto& stage : stages) {
+      SCOPED_TRACE(std::string(stage.phase));
+      const std::vector<double> ends = span_ends(stage.phase);
+      const std::vector<double> t = stamps(stage.kind);
+      ASSERT_EQ(ends.size(), stage.expected);
+      ASSERT_EQ(t.size(), stage.expected);
+      for (std::size_t i = 0; i < t.size(); ++i) {
+        EXPECT_DOUBLE_EQ(t[i], ends[i]) << "event " << i;
+      }
+    }
   }
-
-  // The health document names the lag attribution.
-  (void)runtime.sample_health(1000.0);
-  const json::Value health = runtime.health_json();
-  EXPECT_EQ(health.at("schema").as_string(), "botmeter.cluster_health.v1");
-  EXPECT_NE(health.at("lag").find("slowest_stage"), nullptr);
-
-  // Checkpointing is a journaled lifecycle moment too.
-  (void)runtime.checkpoint();
-  EXPECT_EQ(count_kind(journal, obs::EventKind::kCheckpoint), 1u);
 }
 
 // Fault injection: one shard's producer is held back, so its closes reach
@@ -217,8 +305,8 @@ TEST(ClusterObservability, StragglerTableNamesTheDelayedShard) {
   obs::LagTracker lag(kShards);
   obs::EventJournal journal;
   ClusterConfig config = cluster_config(kShards, 1);
-  config.lag = &lag;
-  config.journal = &journal;
+  config.meter.telemetry.lag = &lag;
+  config.meter.telemetry.journal = &journal;
   ClusterRuntime runtime(std::move(config));
 
   std::vector<std::vector<dns::ForwardedLookup>> per_shard(kShards);
@@ -276,11 +364,11 @@ TEST(ClusterObservability, ConcurrentProducersAndObservabilityQueries) {
   obs::EventJournal journal;
   ClusterConfig config = cluster_config(kShards, 1);
   config.flush_tuples = 256;  // plenty of queue traffic
-  config.history = &history;
+  config.meter.telemetry.history = &history;
   // No health config: a health monitor stamps its state onto history rows,
   // which would (legitimately) differ from the bare single-engine reference.
-  config.lag = &lag;
-  config.journal = &journal;
+  config.meter.telemetry.lag = &lag;
+  config.meter.telemetry.journal = &journal;
   ClusterRuntime runtime(std::move(config));
 
   std::vector<std::vector<dns::ForwardedLookup>> per_shard(kShards);
@@ -339,8 +427,8 @@ TEST(ClusterObservability, JournalAutoDumpsWhenClusterTurnsUnhealthy) {
   config.health = stream::StreamHealthConfig{};
   config.degraded_frontier_lag = 1;
   config.unhealthy_frontier_lag = 2;
-  config.lag = &lag;
-  config.journal = &journal;
+  config.meter.telemetry.lag = &lag;
+  config.meter.telemetry.journal = &journal;
   ClusterRuntime runtime(std::move(config));
 
   ShardFeed feed = runtime.shard_feed(0);
@@ -371,7 +459,7 @@ TEST(ClusterObservability, JournalAutoDumpsWhenClusterTurnsUnhealthy) {
 TEST(ClusterObservability, LagTrackerShardCountMustMatchRouter) {
   obs::LagTracker lag(3);  // router below has 4 shards
   ClusterConfig config = cluster_config(4, 1);
-  config.lag = &lag;
+  config.meter.telemetry.lag = &lag;
   EXPECT_THROW(ClusterRuntime{std::move(config)}, ConfigError);
 }
 

@@ -78,7 +78,7 @@ Reference single_engine_reference(
   config.first_epoch = 0;
   config.epoch_count = kEpochs;
   config.server_count = kServers;
-  config.history = &history;
+  config.meter.telemetry.history = &history;
   stream::StreamEngine engine(std::move(config));
   engine.ingest(stream);
   Reference ref;
@@ -119,7 +119,7 @@ TEST(ClusterRuntimeTest, PerTupleShardCountsAreByteIdenticalToSingleEngine) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     obs::LandscapeHistory history;
     ClusterConfig config = cluster_config(shards, 1);
-    config.history = &history;
+    config.meter.telemetry.history = &history;
     ClusterRuntime runtime(std::move(config));
     for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
     expect_cluster_matches(ref, runtime, history);
@@ -137,7 +137,7 @@ TEST(ClusterRuntimeTest, BinaryBlockPathIsByteIdenticalToSingleEngine) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     obs::LandscapeHistory history;
     ClusterConfig config = cluster_config(shards, 1);
-    config.history = &history;
+    config.meter.telemetry.history = &history;
     ClusterRuntime runtime(std::move(config));
     std::istringstream binary_is(binary_os.str());
     trace::for_each_block(
@@ -170,7 +170,7 @@ TEST(ClusterRuntimeTest, ThreadCountsAndBatchingNeverChangeBits) {
     ClusterConfig config = cluster_config(4, v.threads);
     config.flush_tuples = v.flush_tuples;
     config.queue_capacity = v.queue_capacity;
-    config.history = &history;
+    config.meter.telemetry.history = &history;
     ClusterRuntime runtime(std::move(config));
     for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
     expect_cluster_matches(ref, runtime, history);
@@ -183,7 +183,7 @@ TEST(ClusterRuntimeTest, ShardFeedsMatchAndRejectMisroutedTraffic) {
 
   obs::LandscapeHistory history;
   ClusterConfig config = cluster_config(4, 1);
-  config.history = &history;
+  config.meter.telemetry.history = &history;
   ClusterRuntime runtime(std::move(config));
 
   // Pre-split the union trace by router, then feed per-shard handles.
@@ -220,7 +220,7 @@ TEST(ClusterRuntimeTest, ConcurrentProducersAndQueriesStayByteIdentical) {
   obs::LandscapeHistory history;
   ClusterConfig config = cluster_config(kShards, 1);
   config.flush_tuples = 256;  // plenty of queue traffic
-  config.history = &history;
+  config.meter.telemetry.history = &history;
   ClusterRuntime runtime(std::move(config));
 
   std::vector<std::vector<dns::ForwardedLookup>> per_shard(kShards);

@@ -34,8 +34,8 @@ TEST(Observability, MetricsOnOffDoesNotChangeTheSimulation) {
   botnet::SimulationConfig instrumented = small_config();
   obs::MetricsRegistry metrics;
   obs::TraceSession trace;
-  instrumented.metrics = &metrics;
-  instrumented.trace = &trace;
+  instrumented.telemetry.metrics = &metrics;
+  instrumented.telemetry.trace = &trace;
   const botnet::SimulationResult observed = botnet::simulate(instrumented);
 
   EXPECT_EQ(baseline.raw, observed.raw);
@@ -48,7 +48,7 @@ TEST(Observability, MetricsOnOffDoesNotChangeTheSimulation) {
 TEST(Observability, ResultsAndCountersIdenticalAcrossThreadCounts) {
   botnet::SimulationConfig reference_config = small_config();
   obs::MetricsRegistry reference_metrics;
-  reference_config.metrics = &reference_metrics;
+  reference_config.telemetry.metrics = &reference_metrics;
   reference_config.worker_threads = 1;
   const botnet::SimulationResult reference =
       botnet::simulate(reference_config);
@@ -57,7 +57,7 @@ TEST(Observability, ResultsAndCountersIdenticalAcrossThreadCounts) {
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     botnet::SimulationConfig config = small_config();
     obs::MetricsRegistry metrics;
-    config.metrics = &metrics;
+    config.telemetry.metrics = &metrics;
     config.worker_threads = threads;
     const botnet::SimulationResult result = botnet::simulate(config);
 
@@ -77,13 +77,13 @@ TEST(Observability, TieredSimulationRecordsBothCacheTiers) {
   config.base = small_config();
   config.regional_count = 2;
   obs::MetricsRegistry metrics;
-  config.base.metrics = &metrics;
+  config.base.telemetry.metrics = &metrics;
 
   auto pool_model = dga::make_pool_model(config.base.dga);
   const botnet::SimulationResult with =
       botnet::simulate_tiered(config, *pool_model);
 
-  config.base.metrics = nullptr;
+  config.base.telemetry.metrics = nullptr;
   auto pool_model2 = dga::make_pool_model(config.base.dga);
   const botnet::SimulationResult without =
       botnet::simulate_tiered(config, *pool_model2);
@@ -98,7 +98,7 @@ TEST(Observability, TieredSimulationRecordsBothCacheTiers) {
 TEST(Observability, SimulatorAccountingMatchesTheResult) {
   botnet::SimulationConfig config = small_config();
   obs::MetricsRegistry metrics;
-  config.metrics = &metrics;
+  config.telemetry.metrics = &metrics;
   const botnet::SimulationResult result = botnet::simulate(config);
 
   EXPECT_EQ(metrics.counter("sim.epochs").value(),
@@ -130,8 +130,8 @@ TEST(Observability, AnalyzeRecordsConsistentMatcherTallies) {
   config.dga = sim_config.dga;
   obs::MetricsRegistry metrics;
   obs::TraceSession trace;
-  config.metrics = &metrics;
-  config.trace = &trace;
+  config.telemetry.metrics = &metrics;
+  config.telemetry.trace = &trace;
 
   core::BotMeter meter(config);
   meter.prepare_epochs(0, sim_config.epoch_count);
@@ -175,8 +175,8 @@ TEST(Observability, EndToEndRunReportParsesBack) {
   botnet::SimulationConfig config = small_config();
   obs::MetricsRegistry metrics;
   obs::TraceSession trace;
-  config.metrics = &metrics;
-  config.trace = &trace;
+  config.telemetry.metrics = &metrics;
+  config.telemetry.trace = &trace;
   (void)botnet::simulate(config);
 
   obs::RunReport report;

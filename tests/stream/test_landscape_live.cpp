@@ -63,7 +63,7 @@ TEST(LandscapeLive, StreamAndBatchEmitByteEqualSeriesDocuments) {
 
   obs::LandscapeHistory batch_history;
   core::BotMeterConfig batch_config = meter_config();
-  batch_config.history = &batch_history;
+  batch_config.telemetry.history = &batch_history;
   core::BotMeter meter(batch_config);
   meter.prepare_epochs(0, kEpochs);
   (void)meter.analyze(stream, kServers);
@@ -73,7 +73,7 @@ TEST(LandscapeLive, StreamAndBatchEmitByteEqualSeriesDocuments) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     obs::LandscapeHistory stream_history;
     StreamEngineConfig config = engine_config(kServers, kEpochs, threads);
-    config.history = &stream_history;
+    config.meter.telemetry.history = &stream_history;
     StreamEngine engine(config);
     engine.ingest(stream);
     (void)engine.finish();
@@ -98,7 +98,7 @@ TEST(LandscapeLive, AttachingHistoryNeverPerturbsTheLandscape) {
 
     obs::LandscapeHistory history;
     StreamEngineConfig config = engine_config(kServers, kEpochs, threads);
-    config.history = &history;
+    config.meter.telemetry.history = &history;
     StreamEngine observed(config);
     observed.ingest(stream);
     const core::LandscapeReport with = observed.finish();

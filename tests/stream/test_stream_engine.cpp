@@ -15,6 +15,8 @@
 #include "core/botmeter.hpp"
 #include "dga/families.hpp"
 #include "estimators/library.hpp"
+#include "obs/metrics.hpp"
+#include "stream/health_monitor.hpp"
 
 namespace botmeter::stream {
 namespace {
@@ -245,6 +247,30 @@ TEST(StreamEngineTest, EpochCallbacksFireAscendingWithBatchValues) {
   }
   EXPECT_EQ(engine.close_latencies_ms().size(),
             static_cast<std::size_t>(s.epochs));
+}
+
+TEST(StreamEngineTest, CloseLatencyObservedExactlyOncePerClose) {
+  const Scenario s{dga::newgoz_config(), 8, 2, 0, 2, 3};
+  const auto stream = simulate_stream(s);
+
+  // One registry shared by the engine and a health monitor, as at a lone
+  // inline cluster shard: sampling must not observe the closes again.
+  obs::MetricsRegistry metrics;
+  StreamEngineConfig config = engine_config(s, "", 1);
+  config.meter.telemetry.metrics = &metrics;
+  StreamEngine engine(config);
+  StreamHealthMonitor monitor(StreamHealthConfig{}, &metrics);
+  engine.ingest(stream);
+  monitor.sample(engine, 0.0);
+  (void)engine.finish();
+  monitor.sample(engine, 1.0);
+  monitor.sample(engine, 2.0);
+
+  const auto snapshot = metrics.snapshot();
+  ASSERT_EQ(snapshot.histograms.size(), 1u);
+  EXPECT_EQ(snapshot.histograms[0].name, "stream.epoch_close_latency_ms");
+  EXPECT_EQ(snapshot.histograms[0].count, engine.close_latencies_ms().size());
+  EXPECT_EQ(snapshot.histograms[0].count, static_cast<std::size_t>(s.epochs));
 }
 
 TEST(StreamEngineTest, MemoryBoundedByActiveWindow) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <limits>
 
 namespace botmeter::tools {
 namespace {
@@ -63,6 +65,20 @@ TEST(CliArgsTest, MalformedNumbersRejected) {
   EXPECT_THROW((void)negative.count_or("--bots", 0), ConfigError);
   EXPECT_EQ(parse({"--bots", "0"}).count_or("--bots", 5), 0u);
   EXPECT_EQ(parse({}).count_or("--bots", 5), 5u);
+
+  // A bounded count rejects values its caller's type cannot hold instead of
+  // wrapping them: port 70000 used to bind 4464, and -1 bound 65535.
+  constexpr std::int64_t kPortMax = std::numeric_limits<std::uint16_t>::max();
+  EXPECT_THROW((void)parse({"--bots", "70000"}).count_or("--bots", 0, kPortMax),
+               ConfigError);
+  EXPECT_THROW((void)negative.count_or("--bots", 0, kPortMax), ConfigError);
+  EXPECT_EQ(parse({"--bots", "65535"}).count_or("--bots", 0, kPortMax), 65535u);
+  constexpr std::int64_t kU32Max = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_THROW(
+      (void)parse({"--bots", "4294967296"}).count_or("--bots", 0, kU32Max),
+      ConfigError);
+  EXPECT_EQ(parse({"--bots", "4294967295"}).count_or("--bots", 0, kU32Max),
+            4294967295u);
 }
 
 TEST(CliArgsTest, UnknownArgumentRejected) {

@@ -14,16 +14,11 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <optional>
 
 #include "cli_util.hpp"
 #include "common/parallel.hpp"
 #include "core/botmeter.hpp"
 #include "estimators/library.hpp"
-#include "obs/landscape_history.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "trace/block.hpp"
 #include "trace/io.hpp"
 #include "viz/landscape.hpp"
@@ -119,58 +114,18 @@ int main(int argc, char** argv) {
     const std::size_t server_count = args.count_or("--servers", 1);
 
     set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto trace_out_path = args.value("--trace-out");
-    const bool want_trace = args.flag("--trace-timing");
-    obs::MetricsRegistry metrics;
-    obs::TraceSession trace_session;
-    if (metrics_path) config.metrics = &metrics;
-    if (metrics_path || want_trace || trace_out_path) {
-      config.trace = &trace_session;
-    }
-
-    const auto history_path = args.value("--history-out");
-    std::optional<obs::LandscapeHistory> history;
-    if (history_path) {
-      obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent =
-          args.count_or("--history-retain", history_config.retain_recent);
-      history.emplace(history_config);
-      config.history = &*history;
-    }
+    tools::TelemetrySinks sinks(args, args.flag("--trace-timing"));
+    config.telemetry = sinks.bundle();
 
     core::BotMeter meter(config);
     {
-      obs::ScopedTimer prepare_timer(config.trace, "analyze.prepare");
+      obs::ScopedTimer prepare_timer(config.telemetry.trace, "analyze.prepare");
       meter.prepare_epochs(first_epoch, epochs);
     }
     const core::LandscapeReport report = meter.analyze(stream, server_count);
-
-    if (history_path) {
-      std::ofstream file(*history_path);
-      if (!file) throw DataError("cannot open " + *history_path);
-      file << json::write_pretty(history->to_json());
-      std::fprintf(stderr, "landscape history written to %s\n",
-                   history_path->c_str());
-    }
-
-    if (metrics_path) {
-      obs::RunReport run_report;
-      run_report.tool = "botmeter_analyze";
-      run_report.config =
-          config_echo(config, first_epoch, epochs, server_count, stream.size());
-      run_report.metrics = &metrics;
-      run_report.trace = &trace_session;
-      obs::write_report_file(run_report, *metrics_path);
-    }
-    if (want_trace) {
-      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
-    }
-    if (trace_out_path) {
-      obs::write_chrome_trace_file(trace_session, *trace_out_path);
-      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
-                   trace_out_path->c_str());
-    }
+    sinks.write_outputs(
+        "botmeter_analyze",
+        config_echo(config, first_epoch, epochs, server_count, stream.size()));
 
     if (args.flag("--viz")) {
       std::fputs(viz::render_landscape(report).c_str(), stdout);

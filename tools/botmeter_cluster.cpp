@@ -31,14 +31,8 @@
 #include "cluster/cluster_runtime.hpp"
 #include "common/json.hpp"
 #include "common/parallel.hpp"
-#include "obs/event_journal.hpp"
 #include "obs/expose.hpp"
 #include "obs/http_exporter.hpp"
-#include "obs/lag_tracker.hpp"
-#include "obs/landscape_history.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "stream/health_monitor.hpp"
 #include "trace/block.hpp"
 #include "trace/io.hpp"
@@ -188,19 +182,16 @@ int main(int argc, char** argv) {
     config.compact_spill_threshold =
         args.count_or("--compact-spill", config.compact_spill_threshold);
     config.compact.kmv_k = static_cast<std::uint32_t>(
-        args.count_or("--compact-kmv-k", config.compact.kmv_k));
+        args.count_or("--compact-kmv-k", config.compact.kmv_k,
+                      std::numeric_limits<std::uint32_t>::max()));
 
     set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto trace_out_path = args.value("--trace-out");
     const auto listen_port = args.value("--listen");
-    const bool want_trace = args.flag("--trace-timing");
-    obs::MetricsRegistry metrics;
-    obs::TraceSession trace_session;
-    if (metrics_path || listen_port) config.meter.metrics = &metrics;
-    if (metrics_path || want_trace || trace_out_path) {
-      config.meter.trace = &trace_session;
-    }
+    // Serving live: /metrics, /landscape*, /debug/lag and /events read the
+    // registry, the merged history, the lag tracker and the journal.
+    tools::TelemetrySinks sinks(args, args.flag("--trace-timing"),
+                                listen_port.has_value(), shard_count);
+    config.meter.telemetry = sinks.bundle();
 
     const auto wall_start = std::chrono::steady_clock::now();
     const auto wall_ms = [wall_start] {
@@ -209,18 +200,6 @@ int main(int argc, char** argv) {
           .count();
     };
 
-    // Merged landscape time-series: one row per merged epoch, recorded by
-    // the runtime, queried live through the exporter and/or written after
-    // the run.
-    const auto history_path = args.value("--history-out");
-    std::optional<obs::LandscapeHistory> history;
-    if (history_path || listen_port) {
-      obs::LandscapeHistoryConfig history_config;
-      history_config.retain_recent =
-          args.count_or("--history-retain", history_config.retain_recent);
-      history.emplace(history_config);
-      config.history = &*history;
-    }
     if (listen_port) {
       // Per-shard monitors + frontier-lag fold; stamps the cluster state
       // onto merged history rows.
@@ -238,20 +217,6 @@ int main(int argc, char** argv) {
       config.health = health;
     }
 
-    // Pipeline observability: the lag tracker backs /debug/lag and the lag
-    // fold in /healthz?format=json; the flight-recorder journal backs
-    // /events and the unhealthy auto-dump.
-    const auto journal_path = args.value("--journal-out");
-    std::optional<obs::LagTracker> lag;
-    std::optional<obs::EventJournal> journal;
-    if (listen_port || journal_path) {
-      lag.emplace(shard_count);
-      config.lag = &*lag;
-      journal.emplace();
-      if (journal_path) journal->set_dump_path(*journal_path);
-      config.journal = &*journal;
-    }
-
     cluster::ClusterRuntime runtime(std::move(config));
     const cluster::ClusterConfig& cfg = runtime.config();
 
@@ -261,14 +226,14 @@ int main(int argc, char** argv) {
     obs::RateTracker rates({"stream.ingested", "stream.closed_epochs"});
     if (listen_port) {
       obs::HttpExporterConfig http;
-      http.port = static_cast<std::uint16_t>(args.int_or("--listen", 0));
+      http.port = static_cast<std::uint16_t>(args.count_or(
+          "--listen", 0, std::numeric_limits<std::uint16_t>::max()));
       const std::string family_name = cfg.meter.dga.name;
       std::map<std::string, obs::HttpExporter::Handler> routes;
-      routes["/metrics"] = [&metrics, &rates,
-                            wall_ms](const obs::HttpRequest&) {
+      routes["/metrics"] = [&sinks, &rates, wall_ms](const obs::HttpRequest&) {
         obs::HttpResponse response;
         response.content_type = obs::kPrometheusContentType;
-        obs::MetricsRegistry::Snapshot snapshot = metrics.snapshot();
+        obs::MetricsRegistry::Snapshot snapshot = sinks.metrics.snapshot();
         rates.tick(snapshot, wall_ms());
         response.body = obs::expose_prometheus(snapshot);
         return response;
@@ -294,10 +259,10 @@ int main(int argc, char** argv) {
         response.body = std::move(body) + "\n";
         return response;
       };
-      routes["/landscape"] = [&history, json_response](const obs::HttpRequest&) {
-        return json_response(json::write(history->latest_json()));
+      routes["/landscape"] = [&sinks, json_response](const obs::HttpRequest&) {
+        return json_response(json::write(sinks.history->latest_json()));
       };
-      routes["/landscape/history"] = [&history, json_response, family_name](
+      routes["/landscape/history"] = [&sinks, json_response, family_name](
                                          const obs::HttpRequest& request) {
         try {
           if (const auto f = request.param("family");
@@ -321,7 +286,7 @@ int main(int argc, char** argv) {
             to = std::stoll(*t);
           }
           return json_response(
-              json::write(history->window_json(server, from, to)));
+              json::write(sinks.history->window_json(server, from, to)));
         } catch (const std::exception& e) {
           obs::HttpResponse response;
           response.status = 400;
@@ -330,13 +295,13 @@ int main(int argc, char** argv) {
         }
       };
       routes["/landscape/summary"] =
-          [&history, json_response](const obs::HttpRequest&) {
-            return json_response(json::write(history->summary_json()));
+          [&sinks, json_response](const obs::HttpRequest&) {
+            return json_response(json::write(sinks.history->summary_json()));
           };
-      routes["/debug/lag"] = [&lag, json_response](const obs::HttpRequest&) {
-        return json_response(json::write(lag->to_json()));
+      routes["/debug/lag"] = [&sinks, json_response](const obs::HttpRequest&) {
+        return json_response(json::write(sinks.lag->to_json()));
       };
-      routes["/events"] = [&journal,
+      routes["/events"] = [&sinks,
                            json_response](const obs::HttpRequest& request) {
         try {
           std::uint64_t from = 0;
@@ -347,7 +312,8 @@ int main(int argc, char** argv) {
           if (const auto s = request.param("shard"); s && !s->empty()) {
             shard = static_cast<std::int32_t>(std::stol(*s));
           }
-          return json_response(json::write(journal->to_json(from, shard)));
+          return json_response(
+              json::write(sinks.journal->to_json(from, shard)));
         } catch (const std::exception& e) {
           obs::HttpResponse response;
           response.status = 400;
@@ -420,8 +386,9 @@ int main(int argc, char** argv) {
     };
     const auto ingest_start = std::chrono::steady_clock::now();
     if (simulate_mode) {
-      const std::int64_t bots = args.int_or("--bots", 0);
-      if (bots <= 0) throw ConfigError("--simulate requires --bots > 0");
+      const std::size_t bots = args.count_or(
+          "--bots", 0, std::numeric_limits<std::uint32_t>::max());
+      if (bots == 0) throw ConfigError("--simulate requires --bots > 0");
       botnet::SimulationConfig sim;
       sim.dga = cfg.meter.dga;
       sim.bot_count = static_cast<std::uint32_t>(bots);
@@ -437,8 +404,7 @@ int main(int argc, char** argv) {
       // so its per-chunk spans land on the worker tracks of the same
       // Perfetto trace and its counters appear in the live /metrics page.
       sim.worker_threads = cfg.shard_worker_threads;
-      sim.metrics = cfg.meter.metrics;
-      sim.trace = cfg.meter.trace;
+      sim.telemetry = cfg.meter.telemetry;
       sim.observable_sink = ingest_one;
       (void)botnet::simulate(sim);
     } else if (auto path = args.value("--trace")) {
@@ -460,8 +426,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - ingest_start)
             .count();
-    if (cfg.meter.trace != nullptr) {
-      cfg.meter.trace->record("cluster.ingest", ingest_ms);
+    if (cfg.meter.telemetry.trace != nullptr) {
+      cfg.meter.telemetry.trace->record("cluster.ingest", ingest_ms);
     }
 
     if (auto checkpoint_path = args.value("--checkpoint-out")) {
@@ -515,9 +481,9 @@ int main(int argc, char** argv) {
     const double tuples_per_sec =
         ingest_ms > 0.0 ? static_cast<double>(ingested) / (ingest_ms / 1000.0)
                         : 0.0;
-    if (metrics_path) {
-      metrics.gauge("cluster.ingest_wall_ms").set(ingest_ms);
-      metrics.gauge("cluster.ingest_tuples_per_sec").set(tuples_per_sec);
+    if (args.value("--metrics-out")) {
+      sinks.metrics.gauge("cluster.ingest_wall_ms").set(ingest_ms);
+      sinks.metrics.gauge("cluster.ingest_tuples_per_sec").set(tuples_per_sec);
     }
     std::fprintf(stderr,
                  "%zu shards ingested %llu tuples (%.0f/s): %llu matched, "
@@ -535,36 +501,8 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(spills));
     }
 
-    if (history_path) {
-      std::ofstream file(*history_path);
-      if (!file) throw DataError("cannot open " + *history_path);
-      file << json::write_pretty(history->to_json());
-      std::fprintf(stderr, "merged landscape history written to %s\n",
-                   history_path->c_str());
-    }
-
-    if (journal_path) {
-      journal->dump(*journal_path);
-      std::fprintf(stderr, "event journal written to %s\n",
-                   journal_path->c_str());
-    }
-
-    if (metrics_path) {
-      obs::RunReport run_report;
-      run_report.tool = "botmeter_cluster";
-      run_report.config = config_echo(cfg, simulate_mode, ingested);
-      run_report.metrics = &metrics;
-      run_report.trace = &trace_session;
-      obs::write_report_file(run_report, *metrics_path);
-    }
-    if (want_trace) {
-      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
-    }
-    if (trace_out_path) {
-      obs::write_chrome_trace_file(trace_session, *trace_out_path);
-      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
-                   trace_out_path->c_str());
-    }
+    sinks.write_outputs("botmeter_cluster",
+                        config_echo(cfg, simulate_mode, ingested));
 
     // Keep the scrape endpoint up (with fresh samples) so operators and CI
     // can inspect the terminal state of a short run.

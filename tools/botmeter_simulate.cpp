@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "botnet/simulator.hpp"
 #include "cli_util.hpp"
@@ -24,9 +25,6 @@
 #include "detect/detection_window.hpp"
 #include "detect/matcher.hpp"
 #include "dga/families.hpp"
-#include "obs/metrics.hpp"
-#include "obs/report.hpp"
-#include "obs/trace.hpp"
 #include "trace/io.hpp"
 
 namespace {
@@ -104,8 +102,9 @@ int main(int argc, char** argv) {
     }
     botnet::SimulationConfig config;
     config.dga = tools::dga_config_from(args);
-    const std::int64_t bots = args.int_or("--bots", 0);
-    if (bots <= 0) throw ConfigError("--bots must be a positive integer");
+    const std::size_t bots =
+        args.count_or("--bots", 0, std::numeric_limits<std::uint32_t>::max());
+    if (bots == 0) throw ConfigError("--bots must be a positive integer");
     if (args.flag("--evasive")) config.dga = dga::evasive_variant(config.dga);
     config.bot_count = static_cast<std::uint32_t>(bots);
     config.server_count = args.count_or("--servers", 1);
@@ -125,38 +124,18 @@ int main(int argc, char** argv) {
     config.worker_threads = args.count_or("--threads", 1);
 
     set_this_thread_label("main");
-    const auto metrics_path = args.value("--metrics-out");
-    const auto trace_out_path = args.value("--trace-out");
-    const bool want_trace = args.flag("--trace");
-    obs::MetricsRegistry metrics;
-    obs::TraceSession trace_session;
-    if (metrics_path) config.metrics = &metrics;
-    if (metrics_path || want_trace || trace_out_path) {
-      config.trace = &trace_session;
-    }
+    tools::TelemetrySinks sinks(args, args.flag("--trace"));
+    config.telemetry = sinks.bundle();
 
     auto pool_model = dga::make_pool_model(config.dga);
     const botnet::SimulationResult result =
         botnet::simulate(config, *pool_model);
 
-    if (metrics_path) {
-      tally_matches(config, *pool_model, result.observable, metrics,
-                    config.trace);
-      obs::RunReport report;
-      report.tool = "botmeter_simulate";
-      report.config = config_echo(config);
-      report.metrics = &metrics;
-      report.trace = &trace_session;
-      obs::write_report_file(report, *metrics_path);
+    if (args.value("--metrics-out")) {
+      tally_matches(config, *pool_model, result.observable, sinks.metrics,
+                    config.telemetry.trace);
     }
-    if (want_trace) {
-      std::fputs(obs::format_phase_table(trace_session).c_str(), stderr);
-    }
-    if (trace_out_path) {
-      obs::write_chrome_trace_file(trace_session, *trace_out_path);
-      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
-                   trace_out_path->c_str());
-    }
+    sinks.write_outputs("botmeter_simulate", config_echo(config));
 
     if (auto raw_path = args.value("--raw-out")) {
       std::ofstream raw_file(*raw_path);

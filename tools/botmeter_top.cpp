@@ -21,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -216,16 +217,15 @@ int main(int argc, char** argv) {
     const std::string host = args.value_or("--host", "127.0.0.1");
     const auto interval =
         std::chrono::milliseconds(args.int_or("--interval-ms", 1000));
-    const auto window = static_cast<std::size_t>(args.int_or("--window", 60));
+    const std::size_t window = args.count_or("--window", 60);
     if (window == 0) throw ConfigError("--window must be > 0");
-    const auto width = static_cast<std::size_t>(args.int_or(
-        "--width", static_cast<std::int64_t>(detect_terminal_width())));
+    const std::size_t width = args.count_or("--width", detect_terminal_width());
     const bool once = args.flag("--once");
     const std::int64_t frames = once ? 1 : args.int_or("--frames", 0);
     const bool clear = !once && !args.flag("--no-clear");
 
     const auto port = static_cast<std::uint16_t>(
-        port_arg ? args.int_or("--port", 0) : 0);
+        args.count_or("--port", 0, std::numeric_limits<std::uint16_t>::max()));
 
     for (std::int64_t frame_index = 0; frames == 0 || frame_index < frames;
          ++frame_index) {

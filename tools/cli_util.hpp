@@ -1,4 +1,5 @@
-// Minimal command-line parsing shared by the BotMeter tools.
+// Minimal command-line parsing and output wiring shared by the BotMeter
+// tools.
 //
 // Flags are "--name value" pairs (plus bare "--name" booleans); anything the
 // tool did not declare is an error, so typos fail loudly instead of being
@@ -6,8 +7,10 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -15,9 +18,17 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "dga/config.hpp"
 #include "dga/config_io.hpp"
 #include "dga/families.hpp"
+#include "obs/event_journal.hpp"
+#include "obs/lag_tracker.hpp"
+#include "obs/landscape_history.hpp"
+#include "obs/metrics.hpp"
+#include "obs/report.hpp"
+#include "obs/telemetry.hpp"
+#include "obs/trace.hpp"
 
 namespace botmeter::tools {
 
@@ -75,14 +86,17 @@ class CliArgs {
                       "'");
   }
 
-  /// A count (servers, shards, threads, tuples): an integer >= 0.
-  [[nodiscard]] std::size_t count_or(const std::string& name,
-                                     std::size_t fallback) const {
+  /// A count (servers, shards, threads, tuples, a port): an integer in
+  /// [0, max]. Out-of-range values are a ConfigError, never wrapped into
+  /// the narrower type the caller stores them in.
+  [[nodiscard]] std::size_t count_or(
+      const std::string& name, std::size_t fallback,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const {
     const std::int64_t parsed =
         int_or(name, static_cast<std::int64_t>(fallback));
-    if (parsed < 0) {
-      throw ConfigError("argument " + name + " expects a count >= 0, got '" +
-                        *value(name) + "'");
+    if (parsed < 0 || parsed > max) {
+      throw ConfigError("argument " + name + " expects an integer in [0, " +
+                        std::to_string(max) + "], got '" + *value(name) + "'");
     }
     return static_cast<std::size_t>(parsed);
   }
@@ -120,5 +134,97 @@ class CliArgs {
                          std::istreambuf_iterator<char>());
   return dga::config_from_json_text(text);
 }
+
+/// The observability sinks one tool run attaches, built from the tool's
+/// output flags, and the one place their outputs are written at exit.
+/// `--metrics-out` attaches the registry and the trace session (the run
+/// report carries the phase summary); the phase-table flag and `--trace-out`
+/// attach the trace session; `--history-out` the landscape history (ring
+/// bounded by `--history-retain`); `--journal-out` the event journal (also
+/// its unhealthy auto-dump target) and the lag tracker. A `live` run — one
+/// serving the sinks over HTTP — attaches registry, history, journal and
+/// lag tracker regardless. Flags a tool does not declare read as absent.
+class TelemetrySinks {
+ public:
+  TelemetrySinks(const CliArgs& args, bool phase_table, bool live = false,
+                 std::size_t shards = 1)
+      : metrics_out_(args.value("--metrics-out")),
+        trace_out_(args.value("--trace-out")),
+        history_out_(args.value("--history-out")),
+        journal_out_(args.value("--journal-out")),
+        phase_table_(phase_table),
+        live_(live) {
+    if (history_out_ || live) {
+      obs::LandscapeHistoryConfig config;
+      config.retain_recent =
+          args.count_or("--history-retain", config.retain_recent);
+      history.emplace(config);
+    }
+    if (journal_out_ || live) {
+      journal.emplace();
+      if (journal_out_) journal->set_dump_path(*journal_out_);
+      lag.emplace(shards);
+    }
+  }
+
+  /// The bundle a pipeline config carries: the attached sinks.
+  [[nodiscard]] obs::Telemetry bundle() {
+    obs::Telemetry telemetry;
+    if (metrics_out_ || live_) telemetry.metrics = &metrics;
+    if (metrics_out_ || phase_table_ || trace_out_) telemetry.trace = &trace;
+    if (history) telemetry.history = &*history;
+    if (journal) telemetry.journal = &*journal;
+    if (lag) telemetry.lag = &*lag;
+    return telemetry;
+  }
+
+  /// Write every requested output: the history and journal documents, the
+  /// run report (schema botmeter.run_report.v1, with `config` as its echo),
+  /// the phase table on stderr, and the Chrome trace.
+  void write_outputs(const std::string& tool, json::Value config) const {
+    if (history_out_) {
+      std::ofstream file(*history_out_);
+      if (!file) throw DataError("cannot open " + *history_out_);
+      file << json::write_pretty(history->to_json());
+      std::fprintf(stderr, "landscape history written to %s\n",
+                   history_out_->c_str());
+    }
+    if (journal_out_) {
+      journal->dump(*journal_out_);
+      std::fprintf(stderr, "event journal written to %s\n",
+                   journal_out_->c_str());
+    }
+    if (metrics_out_) {
+      obs::RunReport report;
+      report.tool = tool;
+      report.config = std::move(config);
+      report.metrics = &metrics;
+      report.trace = &trace;
+      obs::write_report_file(report, *metrics_out_);
+    }
+    if (phase_table_) {
+      std::fputs(obs::format_phase_table(trace).c_str(), stderr);
+    }
+    if (trace_out_) {
+      obs::write_chrome_trace_file(trace, *trace_out_);
+      std::fprintf(stderr, "span trace written to %s (open in Perfetto)\n",
+                   trace_out_->c_str());
+    }
+  }
+
+  obs::MetricsRegistry metrics;
+  obs::TraceSession trace;
+  std::optional<obs::LandscapeHistory> history;
+  std::optional<obs::EventJournal> journal;
+  std::optional<obs::LagTracker> lag;
+
+ private:
+  std::optional<std::string> metrics_out_;
+  std::optional<std::string> trace_out_;
+  std::optional<std::string> history_out_;
+  std::optional<std::string> journal_out_;
+  bool phase_table_;
+  bool live_;
+};
 
 }  // namespace botmeter::tools
