@@ -16,9 +16,12 @@ namespace {
 
 constexpr const char* kCheckpointSchema = "botmeter.cluster_checkpoint.v1";
 constexpr const char* kHealthSchema = "botmeter.cluster_health.v1";
-constexpr std::uint32_t kNoRemap = 0xffffffffu;
 /// route()'s owner for cluster-level ingest: any shard may own the server.
 constexpr std::size_t kAnyShard = static_cast<std::size_t>(-1);
+/// Which kind of front has fed a multi-shard runtime (producer_).
+constexpr int kUnclaimed = 0;
+constexpr int kClusterFront = 1;
+constexpr int kFeedFronts = 2;
 
 template <typename T>
 json::Value number(T v) {
@@ -76,7 +79,7 @@ void ShardFeed::ingest_block(const dns::LookupColumns& block,
 }
 
 void ShardFeed::advance(TimePoint watermark) {
-  runtime_->route_advance(shard_, watermark);
+  runtime_->route_advance(watermark, shard_);
 }
 
 void ShardFeed::flush() { runtime_->flush_shard(shard_); }
@@ -89,6 +92,20 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
       inline_(config_.router.shard_count() == 1) {
   merger_.on_merge([this](const MergedEpoch& merged) { handle_merge(merged); });
 
+  if (!inline_) {
+    // One meter for the producer fronts and every shard's back, built once
+    // with no sinks (shard engines' series would collide across shards; the
+    // runtime records merged rows, journals and lag stages itself).
+    core::BotMeterConfig shared = config_.meter;
+    shared.telemetry = obs::Telemetry{};
+    auto meter = std::make_shared<core::BotMeter>(std::move(shared));
+    meter->prepare_epochs(config_.first_epoch, config_.epoch_count);
+    meter_ = std::move(meter);
+    front_ = std::make_unique<stream::MatchFront>(
+        meter_->matcher(), config_.first_epoch, config_.epoch_count,
+        config_.allowed_lateness);
+  }
+
   const std::size_t n = config_.router.shard_count();
   shards_.reserve(n);
   prev_shard_state_.assign(n, 0);
@@ -98,11 +115,9 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
 
     stream::StreamEngineConfig ec;
     ec.meter = config_.meter;
-    // Sharded engines publish nothing themselves: their stream.* series
-    // would collide across shards. A lone inline shard keeps metrics and
-    // trace. No engine records history — its rows would not be the merged
-    // landscape; the runtime records merged rows (and journals, and times
-    // the lag stages) itself.
+    // A lone inline shard keeps metrics and trace; sharded engines publish
+    // nothing themselves. No engine records history — its rows would not
+    // be the merged landscape.
     ec.meter.telemetry = inline_ ? obs::Telemetry{telemetry().metrics,
                                                   telemetry().trace}
                                  : obs::Telemetry{};
@@ -114,14 +129,19 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     ec.compact_state = config_.compact_state;
     ec.compact_spill_threshold = config_.compact_spill_threshold;
     ec.compact = config_.compact;
-    shard->engine = std::make_unique<stream::StreamEngine>(std::move(ec));
+    shard->engine = std::make_unique<stream::StreamEngine>(std::move(ec), meter_);
     shard->engine->on_epoch_close(
         [this, i](const stream::EpochReport& report) {
           handle_close(i, report.epoch);
         });
     shard->monitor = std::make_unique<stream::StreamHealthMonitor>(
         config_.health.value_or(stream::StreamHealthConfig{}),
-        ec.meter.telemetry.metrics);
+        inline_ ? telemetry().metrics : nullptr);
+    if (!inline_) {
+      shard->feed_front = std::make_unique<stream::MatchFront>(
+          meter_->matcher(), config_.first_epoch, config_.epoch_count,
+          config_.allowed_lateness);
+    }
     shard->next_epoch.store(config_.first_epoch, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
@@ -250,29 +270,15 @@ void ClusterRuntime::shard_main(std::size_t index) {
 
 void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
   const obs::Telemetry& tel = telemetry();
-  const bool tracked = !batch.t_ms.empty() && tel.timed();
+  const bool tracked = batch.evidence.counts.ingested != 0 && tel.timed();
   const double dequeued_ms = tracked ? tel.now_ms() : 0.0;
   if (tracked) {
     tel.record_stage(shard.index, obs::LagStage::kQueueWait, nullptr,
                      batch.enqueued_ms, dequeued_ms);
   }
 
-  // New table entries first: ids in the batch's columns were assigned
-  // against the table including them.
-  for (std::string& s : batch.new_strings) {
-    shard.storage.push_back(std::move(s));
-    shard.table.emplace_back(shard.storage.back());
-  }
-  if (!batch.t_ms.empty()) {
-    dns::LookupColumns columns;
-    columns.t_ms = batch.t_ms;
-    columns.server = batch.server;
-    columns.domain = batch.domain;
-    shard.engine->ingest_block(columns,
-                               std::span<const std::string_view>(shard.table));
-  }
+  shard.engine->ingest_evidence(batch.evidence);
   if (batch.advance) {
-    shard.engine->advance(*batch.advance);
     tel.log(obs::EventKind::kWatermarkAdvance,
             static_cast<std::int32_t>(shard.index), obs::JournalEvent::kNoEpoch,
             static_cast<double>(batch.advance->millis()));
@@ -308,7 +314,7 @@ void ClusterRuntime::mirror_counters(Shard& shard) {
 void ClusterRuntime::enqueue(std::size_t shard, ShardBatch batch) {
   ensure_started();
   const obs::Telemetry& tel = telemetry();
-  const bool tracked = !batch.t_ms.empty() && tel.timed();
+  const bool tracked = batch.evidence.counts.ingested != 0 && tel.timed();
   if (tracked) {
     batch.flow_id = obs::TraceSession::next_flow_id();
     tel.record_stage(shard, obs::LagStage::kProducerBatch,
@@ -367,32 +373,65 @@ void ClusterRuntime::stop_threads() {
   started_ = false;
 }
 
-// --- producer-side scatter --------------------------------------------------
+// --- producer-side fronts ---------------------------------------------------
 
-std::uint32_t ClusterRuntime::intern_domain(ShardScatter& scatter,
-                                            std::string_view domain) {
-  const auto it = scatter.intern.find(domain);
-  if (it != scatter.intern.end()) return it->second;
-  const std::uint32_t id = scatter.next_id++;
-  scatter.intern.emplace(std::string(domain), id);
-  scatter.pending.new_strings.emplace_back(domain);
-  return id;
-}
+/// The sink of a front on a multi-shard runtime. `owner` is kAnyShard for
+/// the cluster-level front (it scatters over, and closes, every shard) or
+/// the feed's shard (misrouted servers are a ConfigError; closes close only
+/// that shard).
+struct ClusterRuntime::Scatter {
+  ClusterRuntime& runtime;
+  std::size_t owner;
 
-void ClusterRuntime::scatter_tuple(std::size_t shard, std::int64_t t_ms,
-                                   std::uint32_t local_server,
-                                   std::uint32_t local_domain) {
-  ShardScatter& scatter = shards_[shard]->scatter;
-  // One predictable branch per tuple; the clock is read once per *batch*
-  // (first tuple), and only when instrumentation is on.
-  if (scatter.pending.t_ms.empty() && telemetry().timed()) {
-    scatter.pending.formed_ms = telemetry().now_ms();
+  [[nodiscard]] ShardScatter& scatter_of(std::uint32_t server) const {
+    return runtime.shards_[runtime.config_.router.shard_of(server)]->scatter;
   }
-  scatter.pending.t_ms.push_back(t_ms);
-  scatter.pending.server.push_back(local_server);
-  scatter.pending.domain.push_back(local_domain);
-  if (scatter.pending.t_ms.size() >= config_.flush_tuples) flush_shard(shard);
-}
+
+  void admit(std::uint32_t server, std::int64_t t_ms) const {
+    const std::size_t shard = runtime.owning_shard(server, owner);
+    ShardScatter& scatter = runtime.shards_[shard]->scatter;
+    stream::EvidenceBatch& evidence = scatter.pending.evidence;
+    // A full batch leaves when the shard's next tuple arrives, so its last
+    // tuple is classified and counted in it.
+    if (evidence.counts.ingested >= runtime.config_.flush_tuples) {
+      runtime.flush_shard(shard);
+    }
+    // The clock is read once per *batch* (first tuple), and only when
+    // instrumentation is on.
+    if (evidence.counts.ingested++ == 0 && runtime.telemetry().timed()) {
+      scatter.pending.formed_ms = runtime.telemetry().now_ms();
+    }
+    if (!scatter.watermark || t_ms > scatter.watermark->millis()) {
+      scatter.watermark = TimePoint{t_ms};
+    }
+  }
+
+  void late(std::uint32_t server) const {
+    ++scatter_of(server).pending.evidence.counts.late_dropped;
+  }
+
+  void append(std::uint32_t server, std::int64_t epoch,
+              const detect::MatchedLookup& lookup) const {
+    stream::EvidenceBatch& evidence = scatter_of(server).pending.evidence;
+    ++evidence.counts.matched;
+    evidence.records.push_back(stream::Evidence{
+        runtime.config_.router.local_index(server), epoch, lookup});
+  }
+
+  /// A close marker on every shard in scope, flushed at once: each back
+  /// closes the epoch right after the evidence that preceded the boundary.
+  void close(std::int64_t epoch) const {
+    const auto mark = [this, epoch](std::size_t shard) {
+      runtime.shards_[shard]->scatter.pending.evidence.close_through = epoch;
+      runtime.flush_shard(shard);
+    };
+    if (owner != kAnyShard) {
+      mark(owner);
+      return;
+    }
+    for (std::size_t i = 0; i < runtime.shards_.size(); ++i) mark(i);
+  }
+};
 
 std::size_t ClusterRuntime::owning_shard(std::uint32_t server,
                                          std::size_t owner) const {
@@ -404,11 +443,35 @@ std::size_t ClusterRuntime::owning_shard(std::uint32_t server,
   return shard;
 }
 
+stream::MatchFront& ClusterRuntime::claim_front(std::size_t owner) {
+  if (finished_.load(std::memory_order_acquire)) {
+    throw ConfigError("ClusterRuntime: ingest after finish()");
+  }
+  // Feeds of different shards may race to claim; every loser sees the
+  // winner's kind.
+  const int want = owner == kAnyShard ? kClusterFront : kFeedFronts;
+  int seen = producer_.load(std::memory_order_relaxed);
+  if (seen == kUnclaimed && producer_.compare_exchange_strong(seen, want)) {
+    seen = want;
+  }
+  if (seen != want) {
+    throw ConfigError(
+        "ClusterRuntime: a multi-shard runtime is fed either through its "
+        "cluster-level ingest calls or through shard feeds, not both");
+  }
+  if (owner != kAnyShard) return *shards_[owner]->feed_front;
+  if (catch_up_through_) {
+    Scatter scatter{*this, kAnyShard};
+    front_->close_through(*catch_up_through_, scatter);
+    catch_up_through_.reset();
+  }
+  return *front_;
+}
+
 void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
                            std::size_t owner) {
-  const std::uint32_t server = lookup.forwarder.value();
-  const std::size_t shard = owning_shard(server, owner);
   if (inline_) {
+    (void)owning_shard(lookup.forwarder.value(), owner);
     // Per-tuple calls read no clock: the shard_ingest stage is timed per
     // block and per advance only.
     Shard& only = *shards_.front();
@@ -416,24 +479,17 @@ void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
     mirror_counters(only);
     return;
   }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  scatter_tuple(shard, lookup.timestamp.millis(),
-                config_.router.local_index(server),
-                intern_domain(scatter, lookup.domain));
+  Scatter scatter{*this, owner};
+  claim_front(owner).ingest(lookup, scatter);
 }
 
 void ClusterRuntime::route_block(const dns::LookupColumns& block,
                                  std::span<const std::string_view> domains,
                                  std::size_t owner) {
-  if (block.server.size() != block.size() ||
-      block.domain.size() != block.size()) {
-    throw DataError("ClusterRuntime::ingest_block: ragged columns");
-  }
-  const std::size_t n = block.size();
   if (inline_) {
     // Every routed server belongs to the lone shard, so checking the
-    // largest id checks the whole column.
-    if (n != 0) {
+    // largest id checks the whole column (the engine checks its shape).
+    if (!block.server.empty()) {
       (void)owning_shard(*std::max_element(block.server.begin(),
                                            block.server.end()),
                          owner);
@@ -450,23 +506,8 @@ void ClusterRuntime::route_block(const dns::LookupColumns& block,
     mirror_counters(only);
     return;
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t server = block.server[i];
-    const std::size_t shard = owning_shard(server, owner);
-    ShardScatter& scatter = shards_[shard]->scatter;
-    const std::uint32_t pid = block.domain[i];
-    if (pid >= domains.size()) {
-      throw DataError("ClusterRuntime::ingest_block: domain id " +
-                      std::to_string(pid) + " outside the table");
-    }
-    if (scatter.remap.size() < domains.size()) {
-      scatter.remap.resize(domains.size(), kNoRemap);
-    }
-    std::uint32_t& local = scatter.remap[pid];
-    if (local == kNoRemap) local = intern_domain(scatter, domains[pid]);
-    scatter_tuple(shard, block.t_ms[i], config_.router.local_index(server),
-                  local);
-  }
+  Scatter scatter{*this, owner};
+  claim_front(owner).ingest_block(block, domains, scatter);
 }
 
 void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
@@ -487,6 +528,10 @@ void ClusterRuntime::flush_shard(std::size_t shard) {
   if (scatter.pending.empty()) return;
   ShardBatch batch = std::move(scatter.pending);
   scatter.pending = ShardBatch{};
+  stream::FrontCounters& counts = batch.evidence.counts;
+  counts.unmatched = counts.ingested - counts.matched - counts.late_dropped;
+  batch.evidence.watermark = scatter.watermark;
+  scatter.watermark.reset();
   enqueue(shard, std::move(batch));
 }
 
@@ -495,7 +540,7 @@ void ClusterRuntime::flush() {
 }
 
 void ClusterRuntime::advance(TimePoint watermark) {
-  for (std::size_t i = 0; i < shards_.size(); ++i) route_advance(i, watermark);
+  route_advance(watermark, kAnyShard);
 }
 
 ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
@@ -507,7 +552,7 @@ ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
   return ShardFeed(this, shard);
 }
 
-void ClusterRuntime::route_advance(std::size_t shard, TimePoint watermark) {
+void ClusterRuntime::route_advance(TimePoint watermark, std::size_t owner) {
   if (inline_) {
     Shard& only = *shards_.front();
     const obs::Telemetry& tel = telemetry();
@@ -524,11 +569,19 @@ void ClusterRuntime::route_advance(std::size_t shard, TimePoint watermark) {
     mirror_counters(only);
     return;
   }
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (!scatter.pending.advance || watermark > *scatter.pending.advance) {
+  stream::MatchFront& front = claim_front(owner);
+  const std::size_t first = owner == kAnyShard ? 0 : owner;
+  const std::size_t last = owner == kAnyShard ? shards_.size() : owner + 1;
+  for (std::size_t i = first; i < last; ++i) {
+    ShardScatter& scatter = shards_[i]->scatter;
+    if (!scatter.watermark || watermark > *scatter.watermark) {
+      scatter.watermark = watermark;
+    }
     scatter.pending.advance = watermark;
   }
-  flush_shard(shard);
+  Scatter scatter{*this, owner};
+  front.advance(watermark, scatter);
+  for (std::size_t i = first; i < last; ++i) flush_shard(i);
 }
 
 // --- finish -----------------------------------------------------------------
@@ -744,7 +797,7 @@ json::Value ClusterRuntime::checkpoint() {
 }
 
 void ClusterRuntime::restore(const json::Value& checkpoint) {
-  if (started_ || finished_) {
+  if (started_ || finished_ || producer_.load() != kUnclaimed) {
     throw ConfigError("ClusterRuntime::restore: runtime already used");
   }
   if (merger_.merged_count() != 0) {
@@ -754,7 +807,19 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
     throw DataError("ClusterRuntime::restore: unknown schema '" +
                     checkpoint.at("schema").as_string() + "'");
   }
-  const ShardRouter stored = ShardRouter::from_json(checkpoint.at("router"));
+  // Compare the stored router's shape before building it: a corrupt count
+  // must not size an allocation.
+  const json::Value& stored_router = checkpoint.at("router");
+  const json::Value configured_router = config_.router.to_json();
+  for (const char* key : {"mode", "server_count", "shard_count"}) {
+    if (json::write(stored_router.at(key)) !=
+        json::write(configured_router.at(key))) {
+      throw DataError(std::string("ClusterRuntime::restore: checkpoint was "
+                                  "taken under a different routing (router ") +
+                      key + " mismatch)");
+    }
+  }
+  const ShardRouter stored = ShardRouter::from_json(stored_router);
   if (!(stored == config_.router)) {
     throw DataError(
         "ClusterRuntime::restore: checkpoint was taken under a different "
@@ -768,6 +833,34 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
   }
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->engine->restore(shards[i]);
+  }
+  if (!inline_) {
+    // The fronts resume from the shard entries: each feed's front from its
+    // shard, the cluster-level front from their union — the maximum
+    // watermark and the summed counters, exactly a single engine's over the
+    // union trace.
+    stream::FrontCounters total;
+    std::optional<TimePoint> watermark;
+    std::int64_t closed_min = config_.first_epoch + config_.epoch_count;
+    std::int64_t closed_max = config_.first_epoch;
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      const stream::StreamEngine& engine = *shard->engine;
+      const stream::FrontCounters counters{engine.ingested(), engine.matched(),
+                                           engine.unmatched(),
+                                           engine.late_dropped()};
+      shard->feed_front->resume(counters, engine.watermark(),
+                                engine.next_epoch_to_close());
+      total += counters;
+      watermark = std::max(watermark, engine.watermark());
+      closed_min = std::min(closed_min, engine.next_epoch_to_close());
+      closed_max = std::max(closed_max, engine.next_epoch_to_close());
+    }
+    front_->resume(total, watermark, closed_min);
+    // Shards that closed different epochs (fed by feeds, or cut from a
+    // runtime whose shards closed on their own watermarks) have crossed
+    // boundaries the union watermark crossed too: should cluster-level
+    // ingest resume them, the front first closes those epochs everywhere.
+    if (closed_max > closed_min) catch_up_through_ = closed_max - 1;
   }
 
   // Rebuild the merger from the restored engines' closed rows. The replay is

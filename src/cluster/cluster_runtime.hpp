@@ -5,38 +5,49 @@
 // one collector per border resolver). One StreamEngine cannot ingest every
 // border's feed — it is single-threaded by contract — so the cluster runtime
 // owns one engine per shard, each on its own worker thread behind a bounded
-// ingest queue, routes traffic by server ownership (ShardRouter), and merges
+// ingest queue, routes evidence by server ownership (ShardRouter), and merges
 // per-shard epoch closes into the global landscape through a
 // watermark-aligned LandscapeMerger. The merged LandscapeReport, the
 // recorded landscape_series.v1 history, and the canonical landscape JSON are
 // all **byte-identical** to a single engine analyzing the union trace — for
 // every shard count, every per-shard worker count, and both codec paths —
 // because a (server, epoch) cell is a pure function of the server's matched
-// bucket and every server is owned by exactly one shard.
+// bucket, every server is owned by exactly one shard, and one front decides
+// for every tuple whether it reaches a bucket.
 //
-// Data path. Producers hand the runtime tuples (per-tuple or columnar
-// blocks); the runtime scatters them by router onto per-shard pending
-// batches, re-interning domains into each shard's own string table (shard
-// engines never share producer tables — each shard thread owns its table,
-// so no cross-thread view ever dangles). Batches flush to the shard queue
-// when full, on advance()/flush(), and at checkpoint/finish barriers; a full
-// queue blocks the producer — backpressure, never loss. Inside a shard
-// everything is columnar: the engine's ingest_block path is tuple-for-tuple
-// identical to per-tuple ingest, which is what lets the cluster batch at
-// the boundary without changing a single bit of the result.
+// Data path. Matching happens once, at the producer. An N-shard runtime
+// (N >= 2) runs one stream::MatchFront on the producer thread over one
+// prepared core::BotMeter that every shard shares read-only (pools,
+// detection windows, matcher index). The front resolves and matches each
+// tuple against the producer's own string table, tracks the global
+// watermark and decides lateness exactly as a single engine over the union
+// trace would. Each shard's engine runs only the back (buckets, spill,
+// close, estimate): it receives evidence records — (t, local server, epoch,
+// pool position, valid) for the matched, on-time tuples of its servers —
+// plus the counters and watermark the front attributed to its servers. When
+// the global watermark crosses a close boundary, the front appends a close
+// marker to every shard's pending batch and flushes them all, so every
+// shard closes at the same point of the tuple order as a single engine.
+// Benign traffic never leaves the producer; no shard keeps a string table.
+// A shard's batch flushes to its queue once flush_tuples tuples were routed
+// to the shard, at close markers, on advance()/flush(), and at
+// checkpoint/finish barriers; a full queue blocks the producer —
+// backpressure, never loss.
 //
 // Pre-split feeds. When the feed is already divided by border (one capture
 // per vantage), shard_feed(i) returns a direct handle bound to shard i with
-// its own scatter state — one producer thread per shard, no global
-// fan-out bottleneck. Feed handles and the cluster-level ingest calls share
-// per-shard scatter state and must not run concurrently with each other.
+// its own front over its own string table — one producer thread per shard,
+// no global fan-out bottleneck. That front's watermark closes only its own
+// shard. A multi-shard runtime is fed either through its cluster-level
+// ingest calls or through feeds, never both (ConfigError): the two kinds of
+// front would close the same shard at different points.
 //
 // Inline single shard. A one-shard router is the single-border deployment,
 // and there the runtime is a plain engine: ingest, ingest_block, advance and
-// shard_feed(0) call the shard's StreamEngine directly on the caller's
-// thread with the producer's own string table (under a one-shard router a
-// server's local index is its id). No shard thread starts, no batch is
-// formed and nothing is re-interned; each engine close offers to the merger
+// shard_feed(0) call the shard's StreamEngine — front and back — directly on
+// the caller's thread with the producer's own string table (under a
+// one-shard router a server's local index is its id). No shard thread
+// starts and no batch is formed; each engine close offers to the merger
 // synchronously, so merge_frontier() has advanced by the time the call that
 // crossed the close boundary returns, and flush() has nothing to do. With
 // one shard no series can collide, so the engine and its health monitor
@@ -44,16 +55,27 @@
 // cluster.* ones). sample_health() then samples on the calling thread,
 // which must be the producer thread.
 //
-// Lateness caveat (same as the engine's stream≡batch equivalence): each
-// shard's watermark advances on *its* traffic only, so shards are more
-// lenient about late tuples than a single engine over the interleaved union
-// would be. Byte-identity therefore holds whenever nothing is dropped late
-// on either side; a run that drops differs exactly by the dropped evidence.
+// Lateness caveat (feeds only): a feed's front closes its shard on that
+// feed's own watermark, so a shard fed through a feed is more lenient about
+// late tuples than a single engine over the interleaved union would be —
+// and when feeds race, which union order that would be is not defined.
+// Byte-identity through feeds therefore holds whenever nothing is dropped
+// late on either side. The cluster-level ingest calls have no such caveat:
+// their one front decides lateness against the global watermark, so the
+// landscape, history and late counts equal a single engine's even when
+// tuples are dropped.
 //
 // Checkpointing generalizes the engine envelope: botmeter.cluster_checkpoint.v1
 // = router + merge frontier + one botmeter.stream_checkpoint.v1 per shard.
-// checkpoint() drains the queues, pauses every shard thread at an item
+// Each shard entry carries the counters and watermark the front attributed
+// to that shard's servers; the producer front keeps no state of its own
+// beyond them (its resolve memo is derived). checkpoint() flushes every
+// pending batch, drains the queues, pauses every shard thread at an item
 // boundary, snapshots, and resumes; restore() loads each shard engine,
+// resumes the fronts from them (the global watermark is the maximum of the
+// shard watermarks — a single engine's watermark over the union — and
+// shards that closed fewer epochs than the furthest one are closed up to it
+// before cluster-level ingest resumes),
 // replays their closed rows into a fresh merger (silently — history only
 // records post-restore merges, mirroring StreamEngine::restore), and
 // cross-checks the stored frontier.
@@ -88,6 +110,7 @@
 #include "core/botmeter.hpp"
 #include "dns/vantage.hpp"
 #include "stream/health_monitor.hpp"
+#include "stream/match_front.hpp"
 #include "stream/stream_engine.hpp"
 
 namespace botmeter::cluster {
@@ -135,10 +158,12 @@ struct ClusterConfig {
   /// the producer (backpressure, never loss). Unused by an inline shard.
   std::size_t queue_capacity = 64;
 
-  /// Producer-side batching: pending tuples per shard before a batch is
-  /// enqueued. Purely a throughput knob — results are bit-identical for any
-  /// value because the engine's block path equals its per-tuple path.
-  /// Unused by an inline shard.
+  /// Producer-side batching: tuples routed to a shard before its pending
+  /// batch is enqueued. A batch holds only the evidence records of those
+  /// tuples (the matched, on-time ones) plus their counts and watermark;
+  /// close markers flush earlier. Purely a throughput knob — results are
+  /// bit-identical for any value because every shard applies its records
+  /// and markers in order. Unused by an inline shard.
   std::size_t flush_tuples = 8192;
 
   /// Per-shard health thresholds. When set, the runtime samples every shard
@@ -156,7 +181,9 @@ struct ClusterConfig {
   void validate() const;
 };
 
-/// Point-in-time per-shard counters, readable from any thread.
+/// Point-in-time per-shard counters, readable from any thread. The tuple
+/// counters count the tuples routed to the shard's servers (the producer
+/// front classifies them; the shard applies the counts with its evidence).
 struct ShardStats {
   std::uint64_t ingested = 0;
   std::uint64_t matched = 0;
@@ -178,8 +205,10 @@ class ClusterRuntime;
 
 /// Direct ingest handle bound to one shard, for feeds already split by
 /// border vantage. Obtain via ClusterRuntime::shard_feed(). One producer
-/// thread per feed; a feed shares its shard's scatter state with the
-/// cluster-level ingest calls, so the two must not run concurrently.
+/// thread per feed; each feed runs its own front, whose watermark closes
+/// only its shard. On a multi-shard runtime, feeds and the cluster-level
+/// ingest calls exclude each other (the first one used wins; the other
+/// throws ConfigError).
 class ShardFeed {
  public:
   /// `lookup.forwarder` must be a *global* server id owned by this feed's
@@ -224,14 +253,14 @@ class ClusterRuntime {
   void ingest(std::span<const dns::ForwardedLookup> batch);
 
   /// Columnar ingest of one producer-lineage block (server column holds
-  /// global ids); domains re-intern per shard, one hash per distinct
-  /// producer id per shard, ever (an inline shard ingests the producer's
-  /// table as is).
+  /// global ids). The producer front resolves each distinct domain of the
+  /// producer's table once, ever, and ships only the evidence.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
 
-  /// Advance every shard's watermark (a quiet border still makes time pass).
-  /// Flushes pending batches first so closes happen in ingest order.
+  /// Advance the global watermark (a quiet border still makes time pass):
+  /// closes what it matured on every shard and raises every shard's
+  /// watermark. Flushes every pending batch.
   void advance(TimePoint watermark);
 
   /// Enqueue all pending partial batches (none on an inline shard).
@@ -243,7 +272,7 @@ class ClusterRuntime {
 
   /// Drain queues, stop the shard threads, close every remaining epoch, and
   /// return the merged global landscape — byte-identical to a single
-  /// engine's finish() over the union trace (late-drop caveat above). The
+  /// engine's finish() over the union trace (feed caveat above). The
   /// runtime is sealed afterwards.
   [[nodiscard]] core::LandscapeReport finish();
 
@@ -302,21 +331,18 @@ class ClusterRuntime {
  private:
   friend class ShardFeed;
 
-  /// One unit of shard-thread work. Columns are shard-local: `server` holds
-  /// local dense indices, `domain` holds shard-table ids, `new_strings` are
-  /// the table entries this batch introduces (appended by the shard thread
-  /// before ingesting, preserving id order).
+  /// One unit of shard-thread work: the front's delivery to the shard's
+  /// engine (evidence records with engine-local servers, counter deltas,
+  /// watermark, close marker), plus control items.
   struct ShardBatch {
-    std::vector<std::int64_t> t_ms;
-    std::vector<std::uint32_t> server;
-    std::vector<std::uint32_t> domain;
-    std::vector<std::string> new_strings;
+    stream::EvidenceBatch evidence;
+    /// An explicit watermark advance reached the shard (journaled).
     std::optional<TimePoint> advance;
     std::optional<double> sample_now_ms;
 
     // Lag/flow metadata, stamped only when the telemetry is timed (its clock
     // is never read otherwise). Not data: empty() ignores it.
-    /// When the batch's first tuple entered the pending scatter state.
+    /// When the batch's first tuple reached the shard's pending batch.
     double formed_ms = 0.0;
     /// When the batch landed on the shard queue.
     double enqueued_ms = 0.0;
@@ -324,39 +350,26 @@ class ClusterRuntime {
     std::uint64_t flow_id = 0;
 
     [[nodiscard]] bool empty() const {
-      return t_ms.empty() && new_strings.empty() && !advance && !sample_now_ms;
+      return evidence.counts.ingested == 0 && evidence.records.empty() &&
+             !evidence.close_through && !advance && !sample_now_ms;
     }
   };
 
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
-  /// Producer-side scatter state for one shard: the pending batch plus the
-  /// interning maps that translate producer domains to shard-table ids.
-  /// Owned by whichever single producer currently feeds the shard.
+  /// Producer-side state for one shard: the batch being formed. Owned by
+  /// whichever single producer currently feeds the shard.
   struct ShardScatter {
     ShardBatch pending;
-    /// domain string -> shard-table id (covers both ingest paths).
-    std::unordered_map<std::string, std::uint32_t, StringHash,
-                       std::equal_to<>>
-        intern;
-    /// producer block-table id -> shard-table id (kNoRemap = not yet seen).
-    std::vector<std::uint32_t> remap;
-    /// Shard-table size after every enqueued batch + pending.new_strings.
-    std::uint32_t next_id = 0;
+    /// Max timestamp routed to the shard since the last flush.
+    std::optional<TimePoint> watermark;
   };
 
-  /// Shard-thread-side state: the bounded queue and the engine's string
-  /// table. `storage` is a deque so the string_view table never dangles on
-  /// growth; both are touched only by the shard thread once started.
+  /// Shard-thread-side state: the bounded queue and the back-only engine
+  /// (plus, for feeds, the feed's own front on the producer side).
   struct Shard {
     std::size_t index = 0;
     std::unique_ptr<stream::StreamEngine> engine;
     std::unique_ptr<stream::StreamHealthMonitor> monitor;
+    std::unique_ptr<stream::MatchFront> feed_front;
     ShardScatter scatter;
 
     std::mutex mu;
@@ -367,9 +380,6 @@ class ClusterRuntime {
     bool stop = false;
     bool pause = false;
     bool idle = false;
-
-    std::deque<std::string> storage;
-    std::vector<std::string_view> table;
 
     // Point-in-time counters mirrored by the shard thread after each batch.
     std::atomic<std::uint64_t> ingested{0};
@@ -384,6 +394,10 @@ class ClusterRuntime {
     std::thread thread;
   };
 
+  /// A front's sink on a multi-shard runtime: routes each tuple's outcome to
+  /// the shard owning its server (defined in the .cpp).
+  struct Scatter;
+
   void ensure_started();
   void shard_main(std::size_t index);
   void apply_batch(Shard& shard, ShardBatch& batch);
@@ -392,21 +406,21 @@ class ClusterRuntime {
   static void mirror_counters(Shard& shard);
   void enqueue(std::size_t shard, ShardBatch batch);
   void flush_shard(std::size_t shard);
-  [[nodiscard]] std::uint32_t intern_domain(ShardScatter& scatter,
-                                            std::string_view domain);
-  void scatter_tuple(std::size_t shard, std::int64_t t_ms,
-                     std::uint32_t local_server, std::uint32_t local_domain);
   /// The shard owning `server`; when `owner` names a feed's shard, a server
   /// another shard owns is a ConfigError (kAnyShard: cluster-level ingest).
   [[nodiscard]] std::size_t owning_shard(std::uint32_t server,
                                          std::size_t owner) const;
-  /// The one ingest path behind ingest/ingest_block and the feed handles;
-  /// `owner` is the only difference between the two.
+  /// The front serving `owner` (the cluster-level front for kAnyShard, else
+  /// the feed's), after checking the runtime is unsealed and not already
+  /// fed the other way.
+  [[nodiscard]] stream::MatchFront& claim_front(std::size_t owner);
+  /// The one ingest path behind ingest/ingest_block/advance and the feed
+  /// handles; `owner` is the only difference between the two.
   void route(const dns::ForwardedLookup& lookup, std::size_t owner);
   void route_block(const dns::LookupColumns& block,
                    std::span<const std::string_view> domains,
                    std::size_t owner);
-  void route_advance(std::size_t shard, TimePoint watermark);
+  void route_advance(TimePoint watermark, std::size_t owner);
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
   void stop_threads();
@@ -419,10 +433,23 @@ class ClusterRuntime {
   ClusterConfig config_;
   std::string estimator_name_;
   LandscapeMerger merger_;
-  std::vector<std::unique_ptr<Shard>> shards_;
   /// One-shard router: the engine runs on the caller's thread (see the
-  /// header comment); the shard thread, queue and scatter are never used.
+  /// header comment); the shard thread, queue, fronts and scatter are never
+  /// used.
   bool inline_ = false;
+  /// The prepared meter every front and shard engine shares (N >= 2; an
+  /// inline engine prepares its own). Read-only once built.
+  std::shared_ptr<const core::BotMeter> meter_;
+  /// The cluster-level producer front (N >= 2).
+  std::unique_ptr<stream::MatchFront> front_;
+  std::vector<std::unique_ptr<Shard>> shards_;
+  /// Which kind of front has fed a multi-shard runtime (kUnclaimed until
+  /// the first ingest; see claim_front).
+  std::atomic<int> producer_{0};
+  /// Set by restore() when the shards closed different epochs: the
+  /// cluster-level front closes every shard through this epoch before its
+  /// first tuple (producer thread only).
+  std::optional<std::int64_t> catch_up_through_;
   /// Epoch -> flow id minted at the triggering close, consumed by the merge
   /// publish span (the offer that completes an epoch merges it on the same
   /// thread, so the last writer is the one handle_merge reads).

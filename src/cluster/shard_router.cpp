@@ -1,5 +1,6 @@
 #include "cluster/shard_router.hpp"
 
+#include <limits>
 #include <string>
 
 #include "common/error.hpp"
@@ -124,32 +125,45 @@ json::Value ShardRouter::to_json() const {
 
 ShardRouter ShardRouter::from_json(const json::Value& value) {
   const std::string mode = value.at("mode").as_string();
-  const auto server_count =
-      static_cast<std::size_t>(value.at("server_count").as_int());
-  const auto shard_count =
-      static_cast<std::size_t>(value.at("shard_count").as_int());
-  if (mode == kModeRange) {
-    return by_range(server_count, shard_count);
-  }
-  if (mode != kModeExplicit) {
+  if (mode != kModeRange && mode != kModeExplicit) {
     throw DataError("ShardRouter: unknown router mode '" + mode + "'");
   }
-  const json::Array& assignment = value.at("assignment").as_array();
-  if (assignment.size() != server_count) {
-    throw DataError("ShardRouter: assignment length " +
-                    std::to_string(assignment.size()) +
-                    " does not match server_count " +
-                    std::to_string(server_count));
-  }
+  // Counts outside the u32 id range are corrupt data, and must be rejected
+  // before either factory sizes a table by them.
+  const auto stored_count = [&value](const char* key) {
+    const std::int64_t count = value.at(key).as_int();
+    if (count < 1 || count > std::numeric_limits<std::uint32_t>::max()) {
+      throw DataError(std::string("ShardRouter: stored ") + key + " " +
+                      std::to_string(count) + " outside [1, 2^32-1]");
+    }
+    return static_cast<std::size_t>(count);
+  };
+  const std::size_t server_count = stored_count("server_count");
+  const std::size_t shard_count = stored_count("shard_count");
   std::vector<std::uint32_t> shard_of_server;
-  shard_of_server.reserve(assignment.size());
-  for (const json::Value& entry : assignment) {
-    const std::int64_t shard = entry.as_int();
-    if (shard < 0) throw DataError("ShardRouter: negative shard id");
-    shard_of_server.push_back(static_cast<std::uint32_t>(shard));
+  if (mode == kModeExplicit) {
+    const json::Array& assignment = value.at("assignment").as_array();
+    if (assignment.size() != server_count) {
+      throw DataError("ShardRouter: assignment length " +
+                      std::to_string(assignment.size()) +
+                      " does not match server_count " +
+                      std::to_string(server_count));
+    }
+    shard_of_server.reserve(assignment.size());
+    for (const json::Value& entry : assignment) {
+      const std::int64_t shard = entry.as_int();
+      if (shard < 0 || static_cast<std::uint64_t>(shard) >= shard_count) {
+        throw DataError("ShardRouter: stored shard id " +
+                        std::to_string(shard) + " outside the shard count " +
+                        std::to_string(shard_count));
+      }
+      shard_of_server.push_back(static_cast<std::uint32_t>(shard));
+    }
   }
   try {
-    return explicit_assignment(std::move(shard_of_server), shard_count);
+    return mode == kModeRange
+               ? by_range(server_count, shard_count)
+               : explicit_assignment(std::move(shard_of_server), shard_count);
   } catch (const ConfigError& e) {
     // A structurally invalid stored router is corrupt data, not a caller
     // configuration mistake.

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <limits>
 #include <string>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/prefetch.hpp"
 #include "obs/landscape_history.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -58,18 +56,47 @@ core::LandscapeReport EpochReport::as_landscape() const {
   return report;
 }
 
-StreamEngine::StreamEngine(StreamEngineConfig config)
+namespace {
+
+std::shared_ptr<const core::BotMeter> prepared_meter(
+    const StreamEngineConfig& config,
+    std::shared_ptr<const core::BotMeter> shared) {
+  if (shared != nullptr) return shared;
+  auto own = std::make_shared<core::BotMeter>(config.meter);
+  own->prepare_epochs(config.first_epoch, config.epoch_count);
+  return own;
+}
+
+}  // namespace
+
+/// The engine's own back as its front's sink: evidence lands in the open
+/// buckets, closes close here. Nothing to admit or count per tuple.
+struct StreamEngine::Back {
+  StreamEngine& engine;
+
+  void admit(std::uint32_t /*server*/, std::int64_t /*t_ms*/) {}
+  void late(std::uint32_t /*server*/) {}
+  void append(std::uint32_t server, std::int64_t epoch,
+              const detect::MatchedLookup& lookup) {
+    engine.append_evidence(server, epoch, lookup);
+  }
+  void close(std::int64_t /*epoch*/) { engine.close_next_epoch(); }
+};
+
+StreamEngine::StreamEngine(StreamEngineConfig config,
+                           std::shared_ptr<const core::BotMeter> meter)
     : config_((config.validate(), std::move(config))),
-      meter_(config_.meter),
+      meter_(prepared_meter(config_, std::move(meter))),
       // kAllow: close-time estimation is bit-identical for any worker count,
       // and determinism tests pin counts above small CI machines' cores.
-      workers_(config_.worker_threads, WorkerPool::Oversubscribe::kAllow) {
-  meter_.prepare_epochs(config_.first_epoch, config_.epoch_count);
+      workers_(config_.worker_threads, WorkerPool::Oversubscribe::kAllow),
+      front_(meter_->matcher(), config_.first_epoch, config_.epoch_count,
+             config_.allowed_lateness, config_.meter.telemetry.trace) {
   if (config_.compact_state &&
-      !meter_.active_estimator().compact_support().supported) {
+      !meter_->active_estimator().compact_support().supported) {
     throw ConfigError(
         "StreamEngine: estimator '" +
-        std::string(meter_.active_estimator().name()) +
+        std::string(meter_->active_estimator().name()) +
         "' has no compact observation path; compact_state requires one");
   }
 }
@@ -78,28 +105,8 @@ void StreamEngine::on_epoch_close(EpochCallback callback) {
   on_close_ = std::move(callback);
 }
 
-Duration StreamEngine::lateness() const {
-  return config_.allowed_lateness.value_or(config_.meter.dga.epoch);
-}
-
-TimePoint StreamEngine::epoch_close_boundary(std::int64_t epoch) const {
-  return TimePoint{(epoch + 1) * config_.meter.dga.epoch.millis()} + lateness();
-}
-
 std::int64_t StreamEngine::next_epoch_to_close() const {
   return config_.first_epoch + static_cast<std::int64_t>(closed_.size());
-}
-
-void StreamEngine::ingest_matched(
-    const detect::DomainMatcher::MatchOutcome& outcome) {
-  if (outcome.key.epoch < next_epoch_to_close()) {
-    ++late_dropped_;
-    return;
-  }
-  ++matched_;
-  append_matched(*bucket_for(outcome.key), outcome.key.epoch, outcome.lookup);
-  ++resident_;
-  peak_resident_ = std::max(peak_resident_, resident_);
 }
 
 void StreamEngine::note_open_bytes_grew(std::size_t delta) {
@@ -109,7 +116,7 @@ void StreamEngine::note_open_bytes_grew(std::size_t delta) {
 
 void StreamEngine::spill_bucket(OpenBucket& bucket, std::int64_t epoch) {
   bucket.compact = std::make_unique<estimators::CompactCell>(
-      meter_.compact_spec_for_epoch(epoch, config_.compact));
+      meter_->compact_spec_for_epoch(epoch, config_.compact));
   bucket.compact->add_all(bucket.exact);
   open_bytes_ -= bucket.exact.capacity() * sizeof(detect::MatchedLookup);
   // Free, not clear — the buffer is what the spill sheds. (`= {}` would take
@@ -134,6 +141,14 @@ void StreamEngine::append_matched(OpenBucket& bucket, std::int64_t epoch,
       bucket.exact.size() >= config_.compact_spill_threshold) {
     spill_bucket(bucket, epoch);
   }
+}
+
+void StreamEngine::append_evidence(std::uint32_t server, std::int64_t epoch,
+                                   const detect::MatchedLookup& lookup) {
+  append_matched(*bucket_for(detect::StreamKey{dns::ServerId{server}, epoch}),
+                 epoch, lookup);
+  ++resident_;
+  peak_resident_ = std::max(peak_resident_, resident_);
 }
 
 StreamEngine::OpenBucket* StreamEngine::bucket_for(
@@ -161,18 +176,8 @@ StreamEngine::OpenBucket* StreamEngine::bucket_for(
 
 void StreamEngine::ingest(const dns::ForwardedLookup& lookup) {
   if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
-  ++ingested_;
-  const std::optional<detect::DomainMatcher::MatchOutcome> outcome =
-      meter_.matcher().match_one(lookup);
-  if (outcome) {
-    ingest_matched(*outcome);
-  } else {
-    ++unmatched_;
-  }
-  if (!watermark_ || lookup.timestamp > *watermark_) {
-    watermark_ = lookup.timestamp;
-    maybe_close(*watermark_);
-  }
+  Back back{*this};
+  front_.ingest(lookup, back);
 }
 
 void StreamEngine::ingest(std::span<const dns::ForwardedLookup> batch) {
@@ -182,150 +187,34 @@ void StreamEngine::ingest(std::span<const dns::ForwardedLookup> batch) {
 void StreamEngine::ingest_block(const dns::LookupColumns& block,
                                 std::span<const std::string_view> domains) {
   if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
-  if (block.server.size() != block.size() ||
-      block.domain.size() != block.size()) {
-    throw DataError("StreamEngine::ingest_block: ragged columns");
-  }
-  if (domains.size() < resolved_.size()) {
-    throw ConfigError(
-        "StreamEngine::ingest_block: domain table shrank — blocks from a "
-        "different interning lineage");
-  }
   obs::ScopedTimer block_span(config_.meter.telemetry.trace,
                               "stream.block.ingest");
+  Back back{*this};
+  front_.ingest_block(block, domains, back);
+}
 
-  // Resolve pool membership for the table's new tail: one hash per distinct
-  // domain per engine, ever — batched so the index's cache misses overlap.
-  const detect::DomainMatcher& matcher = meter_.matcher();
-  if (domains.size() > resolved_.size()) {
-    obs::ScopedTimer resolve_span(config_.meter.telemetry.trace,
-                                  "stream.block.resolve_many");
-    const std::size_t old = resolved_.size();
-    resolve_scratch_.resize(domains.size() - old);
-    matcher.resolve_many(domains.subspan(old), resolve_scratch_);
-    resolved_.resize(domains.size());
-    for (std::size_t i = 0; i < resolve_scratch_.size(); ++i) {
-      resolved_[old + i].resolved = resolve_scratch_[i];
-    }
+void StreamEngine::ingest_evidence(const EvidenceBatch& batch) {
+  if (finished_) throw ConfigError("StreamEngine: ingest after finish()");
+  front_.absorb(batch.counts, batch.watermark);
+  for (const Evidence& evidence : batch.records) {
+    append_evidence(evidence.server, evidence.epoch, evidence.lookup);
   }
-
-  // The per-tuple loop keeps its bookkeeping in locals and commits on exit
-  // (including the throw paths), so the compiler needn't reload members
-  // around every push_back. Committed state is identical to the per-tuple
-  // ingest() path's at every observable point: before each epoch close and
-  // whenever control leaves this function.
-  const std::int64_t epoch_ms = matcher.epoch_length().millis();
-  std::int64_t nominal = 0;
-  std::int64_t nominal_start = 1;  // empty range: first tuple recomputes
-  std::int64_t nominal_end = 0;
-  bool have_wm = watermark_.has_value();
-  std::int64_t wm = have_wm ? watermark_->millis()
-                            : std::numeric_limits<std::int64_t>::min();
-  std::int64_t open_floor = next_epoch_to_close();
-  auto close_boundary_ms = [this] {
-    return closed_.size() < static_cast<std::size_t>(config_.epoch_count)
-               ? epoch_close_boundary(next_epoch_to_close()).millis()
-               : std::numeric_limits<std::int64_t>::max();
-  };
-  std::int64_t next_boundary = close_boundary_ms();
-  std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0;
-  std::size_t resident = resident_;
-  const auto commit = [&] {
-    ingested_ += ingested;
-    matched_ += matched;
-    unmatched_ += unmatched;
-    late_dropped_ += late;
-    ingested = matched = unmatched = late = 0;
-    resident_ = resident;
-    peak_resident_ = std::max(peak_resident_, resident);
-    if (have_wm) watermark_ = TimePoint{wm};
-  };
-
-  const std::size_t n = block.size();
-  try {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (const std::size_t ahead = i + 16; ahead < n) {
-        const std::uint32_t pid = block.domain[ahead];
-        if (pid < resolved_.size()) prefetch_ro(resolved_.data() + pid);
-      }
-      ++ingested;
-      const std::uint32_t id = block.domain[i];
-      if (id >= resolved_.size()) {
-        throw DataError("StreamEngine::ingest_block: domain id " +
-                        std::to_string(id) + " outside the table");
-      }
-      const std::int64_t t_ms = block.t_ms[i];
-      BlockDomain& entry = resolved_[id];
-      if (entry.resolved) {
-        if (t_ms < nominal_start || t_ms >= nominal_end) {
-          nominal = matcher.nominal_epoch(TimePoint{t_ms});
-          nominal_start = nominal * epoch_ms;
-          nominal_end = nominal_start + epoch_ms;
-        }
-        if (entry.memo_nominal != nominal) {
-          const detect::DomainMatcher::MatchOutcome outcome =
-              matcher.match_resolved(entry.resolved, TimePoint{t_ms},
-                                     dns::ServerId{block.server[i]}, nominal);
-          entry.memo_nominal = nominal;
-          entry.memo_epoch = outcome.key.epoch;
-          entry.memo_position = outcome.lookup.pool_position;
-          entry.memo_valid = outcome.lookup.is_valid_domain;
-        }
-        if (entry.memo_epoch < open_floor) {
-          ++late;
-        } else {
-          ++matched;
-          append_matched(
-              *bucket_for(detect::StreamKey{dns::ServerId{block.server[i]},
-                                            entry.memo_epoch}),
-              entry.memo_epoch,
-              detect::MatchedLookup{TimePoint{t_ms}, entry.memo_position,
-                                    entry.memo_valid});
-          ++resident;
-        }
-      } else {
-        ++unmatched;
-      }
-      if (!have_wm || t_ms > wm) {
-        wm = t_ms;
-        have_wm = true;
-        if (wm >= next_boundary) {
-          commit();
-          maybe_close(TimePoint{wm});
-          resident = resident_;  // closes freed their buckets
-          open_floor = next_epoch_to_close();
-          next_boundary = close_boundary_ms();
-        }
-      }
-    }
-  } catch (...) {
-    commit();
-    throw;
+  if (batch.close_through) {
+    Back back{*this};
+    front_.close_through(*batch.close_through, back);
   }
-  commit();
 }
 
 void StreamEngine::advance(TimePoint watermark) {
   if (finished_) throw ConfigError("StreamEngine: advance after finish()");
-  if (!watermark_ || watermark > *watermark_) {
-    watermark_ = watermark;
-    maybe_close(*watermark_);
-  }
-}
-
-void StreamEngine::maybe_close(TimePoint watermark) {
-  while (closed_.size() < static_cast<std::size_t>(config_.epoch_count) &&
-         watermark >= epoch_close_boundary(next_epoch_to_close())) {
-    close_next_epoch();
-  }
+  Back back{*this};
+  front_.advance(watermark, back);
 }
 
 void StreamEngine::close_through(std::int64_t epoch) {
   if (finished_) throw ConfigError("StreamEngine: close_through after finish()");
-  while (closed_.size() < static_cast<std::size_t>(config_.epoch_count) &&
-         next_epoch_to_close() <= epoch) {
-    close_next_epoch();
-  }
+  Back back{*this};
+  front_.close_through(epoch, back);
 }
 
 void StreamEngine::close_next_epoch() {
@@ -368,8 +257,8 @@ void StreamEngine::close_next_epoch() {
   // code batch analyze runs per prepared epoch (worker sharding, shared
   // per-epoch EstimationContext, canonical bucket sort), which is what keeps
   // streaming closes bit-identical to the batch pipeline.
-  const estimators::Estimator& estimator = meter_.active_estimator();
-  closed_.push_back(meter_.estimate_epoch_row(epoch, std::move(buckets),
+  const estimators::Estimator& estimator = meter_->active_estimator();
+  closed_.push_back(meter_->estimate_epoch_row(epoch, std::move(buckets),
                                               std::move(compact_cells),
                                               &workers_, "stream.close.server"));
 
@@ -436,15 +325,13 @@ void StreamEngine::close_next_epoch() {
 
 core::LandscapeReport StreamEngine::finish() {
   if (finished_) throw ConfigError("StreamEngine: finish() called twice");
-  while (closed_.size() < static_cast<std::size_t>(config_.epoch_count)) {
-    close_next_epoch();
-  }
+  close_through(config_.first_epoch + config_.epoch_count - 1);
   finished_ = true;
 
   // The shared assembly batch analyze runs, over the same cells in the same
   // epoch order — hence bit-identical totals.
   core::LandscapeReport report = core::assemble_landscape(
-      std::string(meter_.active_estimator().name()), closed_,
+      std::string(meter_->active_estimator().name()), closed_,
       config_.server_count);
 
   obs::MetricsRegistry* const metrics = config_.meter.telemetry.metrics;
@@ -456,15 +343,13 @@ core::LandscapeReport StreamEngine::finish() {
 }
 
 void StreamEngine::flush_counters(obs::MetricsRegistry& metrics) {
-  metrics.counter("stream.ingested").add(ingested_ - flushed_ingested_);
-  metrics.counter("stream.matched").add(matched_ - flushed_matched_);
-  metrics.counter("stream.unmatched").add(unmatched_ - flushed_unmatched_);
+  const FrontCounters& now = front_.counters();
+  metrics.counter("stream.ingested").add(now.ingested - flushed_.ingested);
+  metrics.counter("stream.matched").add(now.matched - flushed_.matched);
+  metrics.counter("stream.unmatched").add(now.unmatched - flushed_.unmatched);
   metrics.counter("stream.late_dropped")
-      .add(late_dropped_ - flushed_late_dropped_);
-  flushed_ingested_ = ingested_;
-  flushed_matched_ = matched_;
-  flushed_unmatched_ = unmatched_;
-  flushed_late_dropped_ = late_dropped_;
+      .add(now.late_dropped - flushed_.late_dropped);
+  flushed_ = now;
 }
 
 // --- checkpointing ---------------------------------------------------------
@@ -560,12 +445,13 @@ json::Value StreamEngine::checkpoint() const {
   json::Object root;
   root.emplace("schema", json::Value(std::string(kCheckpointSchema)));
   root.emplace("config", json::Value(std::move(fingerprint)));
-  root.emplace("watermark_ms", watermark_ ? number(watermark_->millis())
-                                          : json::Value(nullptr));
-  root.emplace("ingested", number(ingested_));
-  root.emplace("matched", number(matched_));
-  root.emplace("unmatched", number(unmatched_));
-  root.emplace("late_dropped", number(late_dropped_));
+  const std::optional<TimePoint> watermark = front_.watermark();
+  root.emplace("watermark_ms", watermark ? number(watermark->millis())
+                                         : json::Value(nullptr));
+  root.emplace("ingested", number(ingested()));
+  root.emplace("matched", number(matched()));
+  root.emplace("unmatched", number(unmatched()));
+  root.emplace("late_dropped", number(late_dropped()));
   root.emplace("peak_resident", number(peak_resident_));
   // Only compact engines carry a spill counter, keeping exact checkpoints
   // byte-identical to their pre-compact form.
@@ -579,7 +465,7 @@ json::Value StreamEngine::checkpoint() const {
 }
 
 void StreamEngine::restore(const json::Value& checkpoint) {
-  if (ingested_ != 0 || !closed_.empty() || !open_.empty() || finished_) {
+  if (ingested() != 0 || !closed_.empty() || !open_.empty() || finished_) {
     throw ConfigError("StreamEngine::restore: engine already used");
   }
   if (checkpoint.at("schema").as_string() != kCheckpointSchema) {
@@ -648,13 +534,14 @@ void StreamEngine::restore(const json::Value& checkpoint) {
   std::optional<TimePoint> new_watermark;
   const json::Value& watermark = checkpoint.at("watermark_ms");
   if (!watermark.is_null()) new_watermark = TimePoint{watermark.as_int()};
-  const auto new_ingested =
+  FrontCounters new_counters;
+  new_counters.ingested =
       static_cast<std::uint64_t>(checkpoint.at("ingested").as_int());
-  const auto new_matched =
+  new_counters.matched =
       static_cast<std::uint64_t>(checkpoint.at("matched").as_int());
-  const auto new_unmatched =
+  new_counters.unmatched =
       static_cast<std::uint64_t>(checkpoint.at("unmatched").as_int());
-  const auto new_late_dropped =
+  new_counters.late_dropped =
       static_cast<std::uint64_t>(checkpoint.at("late_dropped").as_int());
   auto new_peak_resident =
       static_cast<std::size_t>(checkpoint.at("peak_resident").as_int());
@@ -752,7 +639,7 @@ void StreamEngine::restore(const json::Value& checkpoint) {
           std::make_unique<estimators::CompactCell>(
               estimators::CompactCell::parse(*compact));
       if (!(cell->spec() ==
-            meter_.compact_spec_for_epoch(epoch, config_.compact))) {
+            meter_->compact_spec_for_epoch(epoch, config_.compact))) {
         throw DataError(
             "StreamEngine::restore: compact cell spec disagrees with the "
             "engine's configuration");
@@ -774,11 +661,7 @@ void StreamEngine::restore(const json::Value& checkpoint) {
 
   // Commit — nothing below throws (spill_bucket only allocates fixed-size
   // cells whose specs this configuration already produced above).
-  watermark_ = new_watermark;
-  ingested_ = new_ingested;
-  matched_ = new_matched;
-  unmatched_ = new_unmatched;
-  late_dropped_ = new_late_dropped;
+  front_.resume(new_counters, new_watermark, open_floor);
   finished_ = new_finished;
   closed_ = std::move(new_closed);
   open_ = std::move(new_open);

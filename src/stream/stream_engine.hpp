@@ -8,11 +8,15 @@
 // the horizon. StreamEngine is that path:
 //
 //   - Tuples arrive one at a time or in batches (ingest), in any order the
-//     collector's quantised timestamps produce. Each is matched immediately
+//     collector's quantised timestamps produce. The engine's *front* (a
+//     MatchFront, see match_front.hpp) matches each immediately
 //     (DomainMatcher::match_one — the same attribution the batch matcher
-//     applies) and the matched residue is bucketed per (server, epoch).
-//     Unmatched traffic — the overwhelming majority at a real border — is
-//     dropped on arrival, never buffered.
+//     applies), tracks the watermark and decides lateness; its *back*
+//     buckets the matched residue per (server, epoch). Unmatched traffic —
+//     the overwhelming majority at a real border — is dropped on arrival,
+//     never buffered. Both halves run on the calling thread. A back-only
+//     engine (a cluster shard) skips its own front: a producer-side front
+//     delivers evidence, counters and close markers (ingest_evidence).
 //   - An epoch closes when the ingest watermark (max timestamp seen) passes
 //     the epoch's end plus `allowed_lateness`, or when the producer closes
 //     it explicitly (close_through / finish). At close, the engine sorts
@@ -33,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -47,6 +50,7 @@
 #include "detect/matcher.hpp"
 #include "dns/vantage.hpp"
 #include "estimators/estimator.hpp"
+#include "stream/match_front.hpp"
 
 namespace botmeter::stream {
 
@@ -96,6 +100,28 @@ struct StreamEngineConfig {
   void validate() const;
 };
 
+/// One matched, on-time tuple as a front attributes it: the engine-local
+/// server, the pool epoch, and the lookup — the only per-tuple state an
+/// engine's back ever needs.
+struct Evidence {
+  std::uint32_t server = 0;
+  std::int64_t epoch = 0;
+  detect::MatchedLookup lookup;
+};
+
+/// One delivery from a producer-side front to a back-only engine, applied in
+/// this order: the counters and watermark the front attributed to the
+/// engine's servers since its previous delivery, the evidence records, then
+/// the close marker.
+struct EvidenceBatch {
+  FrontCounters counts;
+  std::optional<TimePoint> watermark;
+  std::vector<Evidence> records;
+  /// Close every epoch through this one (the front's watermark crossed its
+  /// close boundary, or the producer closed it explicitly).
+  std::optional<std::int64_t> close_through;
+};
+
 /// What one epoch close produced: per-server single-epoch estimates. The
 /// values are final — late tuples can no longer change them.
 struct EpochReport {
@@ -112,7 +138,13 @@ class StreamEngine {
  public:
   using EpochCallback = std::function<void(const EpochReport&)>;
 
-  explicit StreamEngine(StreamEngineConfig config);
+  /// Builds and prepares its own meter for the horizon — or, when `meter`
+  /// is set, shares that one, which must already hold every epoch of the
+  /// horizon (a cluster prepares one meter for all its shards). A shared
+  /// meter is only read: the front matches against its index and closes
+  /// estimate through its const row path.
+  explicit StreamEngine(StreamEngineConfig config,
+                        std::shared_ptr<const core::BotMeter> meter = nullptr);
 
   StreamEngine(const StreamEngine&) = delete;
   StreamEngine& operator=(const StreamEngine&) = delete;
@@ -141,6 +173,12 @@ class StreamEngine {
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
 
+  /// Back-only ingest: apply one producer-side front's delivery (see
+  /// EvidenceBatch). The engine neither matches nor closes on its own
+  /// watermark here; its counters, watermark and closes are the front's.
+  /// Every record must be of an epoch this engine has not closed.
+  void ingest_evidence(const EvidenceBatch& batch);
+
   /// Advance the watermark without data (a quiet feed still makes time
   /// pass), closing epochs the new watermark matured.
   void advance(TimePoint watermark);
@@ -157,10 +195,16 @@ class StreamEngine {
   [[nodiscard]] core::LandscapeReport finish();
 
   // --- introspection -------------------------------------------------------
-  [[nodiscard]] std::uint64_t ingested() const { return ingested_; }
-  [[nodiscard]] std::uint64_t matched() const { return matched_; }
-  [[nodiscard]] std::uint64_t unmatched() const { return unmatched_; }
-  [[nodiscard]] std::uint64_t late_dropped() const { return late_dropped_; }
+  [[nodiscard]] std::uint64_t ingested() const {
+    return front_.counters().ingested;
+  }
+  [[nodiscard]] std::uint64_t matched() const { return front_.counters().matched; }
+  [[nodiscard]] std::uint64_t unmatched() const {
+    return front_.counters().unmatched;
+  }
+  [[nodiscard]] std::uint64_t late_dropped() const {
+    return front_.counters().late_dropped;
+  }
   /// Matched lookups attributed to open epochs (buffered exactly or
   /// absorbed into compact cells) — the engine's resident analysis state.
   /// Bounded by the active window, not the horizon.
@@ -182,13 +226,15 @@ class StreamEngine {
   /// Next epoch that will close (first_epoch + epochs_closed); one past the
   /// horizon once everything closed.
   [[nodiscard]] std::int64_t next_epoch_to_close() const;
-  [[nodiscard]] std::optional<TimePoint> watermark() const { return watermark_; }
+  [[nodiscard]] std::optional<TimePoint> watermark() const {
+    return front_.watermark();
+  }
   [[nodiscard]] bool finished() const { return finished_; }
   /// Wall milliseconds of each epoch close so far (flush latency).
   [[nodiscard]] std::span<const double> close_latencies_ms() const {
     return close_latencies_ms_;
   }
-  [[nodiscard]] const core::BotMeter& meter() const { return meter_; }
+  [[nodiscard]] const core::BotMeter& meter() const { return *meter_; }
   [[nodiscard]] const StreamEngineConfig& config() const { return config_; }
   /// Closed per-epoch cell rows so far, [epoch index][server] — the final
   /// per-cell estimates a cluster merger scatters into the global grid.
@@ -228,30 +274,36 @@ class StreamEngine {
     std::unique_ptr<estimators::CompactCell> compact;
   };
 
-  void ingest_matched(const detect::DomainMatcher::MatchOutcome& outcome);
+  /// The front's sink: the engine's own back, on the front's thread.
+  struct Back;
+
   /// Flush counter deltas accumulated since the previous flush into the
   /// registry, so `stream.ingested`/`stream.matched`/... advance at every
   /// epoch close (live rate gauges need moving counters) while the final
   /// totals stay exactly what finish() always published.
   void flush_counters(obs::MetricsRegistry& metrics);
   [[nodiscard]] OpenBucket* bucket_for(const detect::StreamKey& key);
-  /// Append one matched lookup to its bucket, maintaining the byte
-  /// accounting and spilling the exact buffer into a compact cell when the
-  /// threshold is crossed.
+  /// Append one matched lookup to its (server, epoch) bucket, maintaining
+  /// the residency and byte accounting.
+  void append_evidence(std::uint32_t server, std::int64_t epoch,
+                       const detect::MatchedLookup& lookup);
+  /// Append one matched lookup to `bucket`, spilling the exact buffer into
+  /// a compact cell when the threshold is crossed.
   void append_matched(OpenBucket& bucket, std::int64_t epoch,
                       const detect::MatchedLookup& lookup);
   /// Fold `bucket.exact` into a freshly specced compact cell and free it.
   void spill_bucket(OpenBucket& bucket, std::int64_t epoch);
   void note_open_bytes_grew(std::size_t delta);
-  void maybe_close(TimePoint watermark);
   void close_next_epoch();
-  [[nodiscard]] Duration lateness() const;
-  [[nodiscard]] TimePoint epoch_close_boundary(std::int64_t epoch) const;
 
   StreamEngineConfig config_;
-  core::BotMeter meter_;
+  std::shared_ptr<const core::BotMeter> meter_;
   WorkerPool workers_;
   EpochCallback on_close_;
+
+  /// The match half: resolve memo, watermark, close boundaries, lateness,
+  /// counters. Passive (fed by ingest_evidence) on a back-only engine.
+  MatchFront front_;
 
   /// Open buckets: matched lookups awaiting their epoch's close, keyed by
   /// (server, epoch). Append order; sorted at close.
@@ -263,37 +315,10 @@ class StreamEngine {
   /// row is nulled there). Lazily sized; derived state, never checkpointed.
   std::vector<OpenBucket*> bucket_cache_;
 
-  /// Per-interned-domain-id cache entry of the block path: pool membership,
-  /// resolved once per id, plus a one-slot memo of the last attribution.
-  /// The matcher's (epoch, pool_position, is_valid) answer depends only on
-  /// (domain, nominal epoch), and lookup trains repeat a domain many times
-  /// within one epoch, so the memo turns most tuples into a single indexed
-  /// load with no occurrence scan.
-  struct BlockDomain {
-    detect::DomainMatcher::Resolved resolved;
-    std::int64_t memo_nominal = std::numeric_limits<std::int64_t>::min();
-    std::int64_t memo_epoch = 0;
-    std::uint32_t memo_position = 0;
-    bool memo_valid = false;
-  };
-
-  /// Indexed by the producer's table ids. Derived state (a pure function of
-  /// the matcher and the table) — never checkpointed, rebuilt as blocks
-  /// arrive.
-  std::vector<BlockDomain> resolved_;
-
-  /// Reused landing strip for resolve_many over the table's new tail.
-  std::vector<detect::DomainMatcher::Resolved> resolve_scratch_;
-
   /// Closed cells, [epoch index][server]. Grows one epoch row per close;
   /// this (plus `open_`) is the entire analysis state.
   std::vector<std::vector<Cell>> closed_;
 
-  std::optional<TimePoint> watermark_;
-  std::uint64_t ingested_ = 0;
-  std::uint64_t matched_ = 0;
-  std::uint64_t unmatched_ = 0;
-  std::uint64_t late_dropped_ = 0;
   std::size_t resident_ = 0;
   std::size_t peak_resident_ = 0;
   /// Open-bucket heap bytes (exact capacities + compact cell footprints),
@@ -304,12 +329,9 @@ class StreamEngine {
   bool finished_ = false;
   std::vector<double> close_latencies_ms_;
 
-  // Counter-flush cursors: how much of each total has already been added to
-  // the registry (incrementally at closes, remainder at finish()).
-  std::uint64_t flushed_ingested_ = 0;
-  std::uint64_t flushed_matched_ = 0;
-  std::uint64_t flushed_unmatched_ = 0;
-  std::uint64_t flushed_late_dropped_ = 0;
+  /// Counter-flush cursor: how much of each total has already been added to
+  /// the registry (incrementally at closes, remainder at finish()).
+  FrontCounters flushed_;
 };
 
 }  // namespace botmeter::stream

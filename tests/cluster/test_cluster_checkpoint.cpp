@@ -2,7 +2,7 @@
 // serializing it, and resuming — in place or in a freshly constructed
 // runtime — must not change a single bit of the merged landscape. The
 // envelope must be byte-stable, and every mismatch (schema, routing, shard
-// count, tampered frontier) must be loud.
+// count, tampered router counts, tampered frontier) must be loud.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -128,6 +128,30 @@ TEST(ClusterCheckpointTest, RestoreRejectsMismatchedEnvelopes) {
     json::Object broken = checkpoint.as_object();
     broken["merge_frontier"] =
         json::Value(static_cast<double>(kEpochs + 1));
+    ClusterRuntime other(cluster_config(2));
+    EXPECT_THROW(other.restore(json::Value(std::move(broken))), DataError);
+  }
+  {
+    // A tampered router count fails as data before it sizes anything: a
+    // negative count would wrap to a huge size, a huge one would allocate.
+    for (const double count : {-1.0, 0.0, 1e12}) {
+      for (const char* key : {"server_count", "shard_count"}) {
+        SCOPED_TRACE(std::string(key) + "=" + std::to_string(count));
+        json::Object router = checkpoint.at("router").as_object();
+        router[key] = json::Value(count);
+        json::Object broken = checkpoint.as_object();
+        broken["router"] = json::Value(std::move(router));
+        ClusterRuntime other(cluster_config(2));
+        EXPECT_THROW(other.restore(json::Value(std::move(broken))), DataError);
+      }
+    }
+  }
+  {
+    // Same counts, explicit mode: a different routing too.
+    json::Object router = checkpoint.at("router").as_object();
+    router["mode"] = json::Value(std::string("explicit"));
+    json::Object broken = checkpoint.as_object();
+    broken["router"] = json::Value(std::move(router));
     ClusterRuntime other(cluster_config(2));
     EXPECT_THROW(other.restore(json::Value(std::move(broken))), DataError);
   }

@@ -2,11 +2,16 @@
 // the landscape a single StreamEngine charts over the union trace — for
 // shard counts {1, 2, 4, 8}, for the per-tuple and binary-block ingest
 // paths, for per-shard feed handles, across estimation thread counts, and
-// under aggressive batching/backpressure settings. The recorded
-// landscape_series.v1 history must be byte-equal too. A final test drives
-// concurrent per-shard producers against live queries (the TSan target).
+// under aggressive batching/backpressure settings — and drop exactly the
+// tuples the single engine drops as late. The recorded landscape_series.v1
+// history must be byte-equal too. Two tests drive producers against live
+// queries (the TSan targets): per-shard feeds, and one cluster-level front
+// sharing its prepared meter with every shard.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -68,6 +73,7 @@ struct Reference {
   std::uint64_t ingested = 0;
   std::uint64_t matched = 0;
   std::uint64_t unmatched = 0;
+  std::uint64_t late_dropped = 0;
 };
 
 Reference single_engine_reference(
@@ -87,6 +93,7 @@ Reference single_engine_reference(
   ref.ingested = engine.ingested();
   ref.matched = engine.matched();
   ref.unmatched = engine.unmatched();
+  ref.late_dropped = engine.late_dropped();
   return ref;
 }
 
@@ -106,7 +113,7 @@ void expect_cluster_matches(const Reference& ref, ClusterRuntime& runtime,
   EXPECT_EQ(ingested, ref.ingested);
   EXPECT_EQ(matched, ref.matched);
   EXPECT_EQ(unmatched, ref.unmatched);
-  EXPECT_EQ(late, 0u);
+  EXPECT_EQ(late, ref.late_dropped);
   EXPECT_EQ(runtime.merge_frontier(), kEpochs);
 }
 
@@ -257,6 +264,195 @@ TEST(ClusterRuntimeTest, ConcurrentProducersAndQueriesStayByteIdentical) {
   query.join();
 
   expect_cluster_matches(ref, runtime, history);
+}
+
+/// A union trace with one straggler: an epoch-0 DGA lookup of the last
+/// server (owned by the last shard at 2, 4 and 8 shards), inserted right
+/// after a first-shard server's tuple crossed epoch 0's close boundary —
+/// late to the union, yet on time to its own shard's traffic, which has not
+/// crossed yet. `crossing` is the index of that boundary-crossing tuple.
+std::vector<dns::ForwardedLookup> stream_with_union_straggler(
+    std::uint64_t seed, std::size_t* crossing = nullptr) {
+  std::vector<dns::ForwardedLookup> stream = simulate_stream(seed);
+  // Epoch 0 closes once the watermark reaches its end plus the default
+  // lateness (one epoch).
+  const TimePoint boundary{2 * meter_config().dga.epoch.millis()};
+
+  core::BotMeter meter(meter_config());
+  meter.prepare_epochs(0, kEpochs);
+  const auto dga_lookup = std::find_if(
+      stream.begin(), stream.end(), [&meter](const dns::ForwardedLookup& l) {
+        const auto outcome = meter.matcher().match_one(l);
+        return outcome && outcome->key.epoch == 0 &&
+               l.forwarder.value() == kServers - 1;
+      });
+  if (dga_lookup == stream.end()) {
+    ADD_FAILURE() << "no epoch-0 DGA lookup of the last server";
+    return stream;
+  }
+  const dns::ForwardedLookup straggler = *dga_lookup;
+
+  // Before the first tuple at or past the boundary, no server's traffic
+  // has crossed it.
+  const auto first_past = std::find_if(
+      stream.begin(), stream.end(),
+      [boundary](const dns::ForwardedLookup& l) { return l.timestamp >= boundary; });
+  EXPECT_NE(first_past, stream.end());
+  const auto at = static_cast<std::size_t>(first_past - stream.begin());
+  const std::array<dns::ForwardedLookup, 2> inserted = {
+      dns::ForwardedLookup{boundary, dns::ServerId{0}, "benign.example.com"},
+      straggler};
+  stream.insert(first_past, inserted.begin(), inserted.end());
+  if (crossing != nullptr) *crossing = at;
+  return stream;
+}
+
+// Matching once at the producer closes the cluster's lateness caveat: one
+// front decides lateness against the global watermark, so a tuple that is
+// late to the union but on time to its own shard's traffic is dropped
+// exactly as the single engine drops it — same landscape, same history,
+// same late count — at every shard count and on both ingest paths.
+TEST(ClusterRuntimeTest, TupleLateToTheUnionIsDroppedAsTheSingleEngineDropsIt) {
+  const std::vector<dns::ForwardedLookup> stream =
+      stream_with_union_straggler(78);
+  const Reference ref = single_engine_reference(stream);
+  ASSERT_EQ(ref.late_dropped, 1u) << "the straggler is late to the union";
+
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 1 << 10);
+
+  for (const std::size_t shards : {2u, 4u, 8u}) {
+    for (const bool blocks : {false, true}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " blocks=" + std::to_string(blocks));
+      obs::LandscapeHistory history;
+      ClusterConfig config = cluster_config(shards, 1);
+      config.meter.telemetry.history = &history;
+      ClusterRuntime runtime(std::move(config));
+      ASSERT_EQ(runtime.router().shard_of(kServers - 1), shards - 1);
+      ASSERT_NE(runtime.router().shard_of(0), shards - 1);
+      if (blocks) {
+        std::istringstream binary_is(binary_os.str());
+        trace::for_each_block(
+            binary_is, [&runtime](const dns::LookupColumns& columns,
+                                  std::span<const std::string_view> table) {
+              runtime.ingest_block(columns, table);
+            });
+      } else {
+        for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
+      }
+      expect_cluster_matches(ref, runtime, history);
+    }
+  }
+}
+
+// A checkpoint whose shards closed different epochs — cut from per-shard
+// feeds, each closing on its own watermark — resumes under cluster-level
+// ingest at the union watermark: the lagging shards first close what the
+// furthest one closed, so the straggler after the cut is dropped exactly as
+// the single engine over the whole trace drops it.
+TEST(ClusterRuntimeTest, RestoreOfDivergedShardsResumesAtTheUnionWatermark) {
+  std::size_t crossing = 0;
+  const std::vector<dns::ForwardedLookup> stream =
+      stream_with_union_straggler(78, &crossing);
+  const Reference ref = single_engine_reference(stream);
+  ASSERT_EQ(ref.late_dropped, 1u);
+  const auto before_straggler =
+      std::span<const dns::ForwardedLookup>(stream).first(crossing + 1);
+
+  json::Value checkpoint;
+  {
+    ClusterRuntime fed(cluster_config(2, 1));
+    for (const dns::ForwardedLookup& lookup : before_straggler) {
+      fed.shard_feed(fed.router().shard_of(lookup.forwarder.value()))
+          .ingest(lookup);
+    }
+    fed.flush();
+    checkpoint = fed.checkpoint();
+    ASSERT_EQ(fed.shard_stats(0).next_epoch_to_close, 1);
+    ASSERT_EQ(fed.shard_stats(1).next_epoch_to_close, 0);
+  }
+
+  obs::LandscapeHistory history;
+  ClusterConfig config = cluster_config(2, 1);
+  config.meter.telemetry.history = &history;
+  ClusterRuntime resumed(std::move(config));
+  resumed.restore(checkpoint);
+  resumed.ingest(
+      std::span<const dns::ForwardedLookup>(stream).subspan(crossing + 1));
+  expect_cluster_matches(ref, resumed, history);
+}
+
+// The TSan target for matching at the producer: one cluster-level front
+// feeds four back-only shards through small evidence batches and a tiny
+// queue, every shard estimating through the front's shared, read-only
+// meter on two workers, while a query thread polls the merged view, health
+// and stats. Concurrency may change timing, never bits.
+TEST(ClusterRuntimeTest, ClusterLevelBlocksAndQueriesStayByteIdentical) {
+  const auto stream = simulate_stream(79);
+  const Reference ref = single_engine_reference(stream);
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 1 << 10);
+
+  constexpr std::size_t kShards = 4;
+  obs::LandscapeHistory history;
+  ClusterConfig config = cluster_config(kShards, 2);
+  config.flush_tuples = 16;
+  config.queue_capacity = 4;
+  config.meter.telemetry.history = &history;
+  ClusterRuntime runtime(std::move(config));
+
+  std::atomic<bool> done{false};
+  std::thread query([&runtime, &history, &done] {
+    while (!done.load(std::memory_order_relaxed)) {
+      (void)runtime.merge_frontier();
+      (void)json::write(runtime.health_json());
+      for (std::size_t i = 0; i < kShards; ++i) (void)runtime.shard_stats(i);
+      (void)history.latest();
+      std::this_thread::yield();
+    }
+  });
+  std::istringstream binary_is(binary_os.str());
+  trace::for_each_block(
+      binary_is, [&runtime](const dns::LookupColumns& columns,
+                            std::span<const std::string_view> table) {
+        runtime.ingest_block(columns, table);
+      });
+  done.store(true, std::memory_order_relaxed);
+  query.join();
+
+  expect_cluster_matches(ref, runtime, history);
+}
+
+// A multi-shard runtime has one kind of front: the cluster-level one, or
+// one per feed. Whichever feeds it first excludes the other, since the two
+// would close the same shard at different points.
+TEST(ClusterRuntimeTest, FeedsAndClusterLevelIngestDoNotMix) {
+  const dns::ForwardedLookup lookup{TimePoint{0}, dns::ServerId{0}, "x"};
+  {
+    ClusterRuntime runtime(cluster_config(2, 1));
+    runtime.ingest(lookup);
+    EXPECT_THROW(runtime.shard_feed(0).ingest(lookup), ConfigError);
+    EXPECT_THROW(runtime.shard_feed(1).advance(TimePoint{1}), ConfigError);
+    runtime.advance(TimePoint{1});  // the cluster-level calls still work
+  }
+  {
+    ClusterRuntime runtime(cluster_config(2, 1));
+    runtime.shard_feed(1).advance(TimePoint{1});
+    runtime.shard_feed(0).ingest(lookup);  // any feed may join
+    EXPECT_THROW(runtime.ingest(lookup), ConfigError);
+    EXPECT_THROW(runtime.advance(TimePoint{2}), ConfigError);
+    EXPECT_THROW(
+        runtime.ingest_block(dns::LookupColumns{}, std::span<const std::string_view>{}),
+        ConfigError);
+  }
+  {
+    // One shard: the feed and the runtime drive the same inline engine.
+    ClusterRuntime runtime(cluster_config(1, 1));
+    runtime.ingest(lookup);
+    runtime.shard_feed(0).ingest(lookup);
+    EXPECT_EQ(runtime.shard_stats(0).ingested, 2u);
+  }
 }
 
 // A one-shard runtime is a plain engine on the caller's thread: every close

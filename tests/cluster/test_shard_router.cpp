@@ -103,6 +103,14 @@ TEST(ShardRouterTest, FromJsonRejectsCorruptDocuments) {
                  DataError);
   }
   {
+    // A stored shard id outside the shard count.
+    json::Object broken = router.to_json().as_object();
+    broken["assignment"] =
+        json::Value(json::Array{json::Value(0.0), json::Value(4294967297.0)});
+    EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
+                 DataError);
+  }
+  {
     // Structurally invalid stored assignment (shard 1 empty) is DataError,
     // not ConfigError: the document is corrupt, the caller did nothing wrong.
     json::Object broken = router.to_json().as_object();
@@ -111,6 +119,31 @@ TEST(ShardRouterTest, FromJsonRejectsCorruptDocuments) {
     EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
                  DataError);
   }
+}
+
+TEST(ShardRouterTest, FromJsonRejectsCountsOutsideTheIdRange) {
+  // Both modes: a count below 1 or past the u32 id range is corrupt data,
+  // rejected before any table is sized by it.
+  for (const ShardRouter& router : {ShardRouter::by_range(4, 2),
+                                    ShardRouter::explicit_assignment(
+                                        {0, 1, 0, 1}, 2)}) {
+    for (const char* key : {"server_count", "shard_count"}) {
+      for (const double count : {-1.0, 0.0, 4294967296.0, 1e12}) {
+        SCOPED_TRACE(json::write(router.to_json()) + " " + key + "=" +
+                     std::to_string(count));
+        json::Object broken = router.to_json().as_object();
+        broken[key] = json::Value(count);
+        EXPECT_THROW(
+            (void)ShardRouter::from_json(json::Value(std::move(broken))),
+            DataError);
+      }
+    }
+  }
+  // A range router with more shards than servers is corrupt data too.
+  json::Object broken = ShardRouter::by_range(4, 2).to_json().as_object();
+  broken["shard_count"] = json::Value(5.0);
+  EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
+               DataError);
 }
 
 }  // namespace

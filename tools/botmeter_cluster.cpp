@@ -58,14 +58,16 @@ constexpr const char* kUsage =
     "         [--health-degraded-late-rate x] [--health-unhealthy-late-rate x]\n"
     "         [--health-recovery-hold-ms n]\n"
     "ingests the observable (border) feed tuple by tuple — from --trace or\n"
-    "stdin, or generated on the fly with --simulate — scatters it across\n"
-    "--shards stream engines (contiguous server ranges), and prints one line\n"
-    "per *merged* epoch plus the final global landscape, byte-identical to\n"
+    "stdin, or generated on the fly with --simulate — matches it on the\n"
+    "ingest thread, scatters the matched evidence across --shards stream\n"
+    "engines (contiguous server ranges), and prints one line per *merged*\n"
+    "epoch plus the final global landscape, byte-identical to\n"
     "botmeter_analyze on the same feed at every shard count. One shard (the\n"
     "default) runs its engine inline on the ingest thread; more shards run\n"
-    "one thread each behind bounded queues (--flush-tuples tuples per batch,\n"
-    "--queue-capacity batches per queue). --shard-threads sets the\n"
-    "estimation workers per shard (and the simulator's workers).\n"
+    "one thread each behind bounded queues (a batch carries the evidence of\n"
+    "--flush-tuples routed tuples, --queue-capacity batches per queue).\n"
+    "--shard-threads sets the estimation workers per shard (and the\n"
+    "simulator's workers).\n"
     "--trace files in the binary columnar codec (botmeter.trace_block.v1,\n"
     "see botmeter_trace_convert) are detected automatically and ingested\n"
     "block-at-a-time through the zero-copy path; --binary forces the binary\n"
