@@ -1,6 +1,7 @@
 #include "detect/matcher.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -156,20 +157,32 @@ std::optional<DomainMatcher::MatchOutcome> DomainMatcher::match_one(
 
 void DomainMatcher::match_range(std::span<const dns::ForwardedLookup> stream,
                                 MatchedStreams& out, MatchStats& stats) const {
-  for (const dns::ForwardedLookup& lookup : stream) {
-    ++stats.stream_size;
-    const std::optional<MatchOutcome> outcome = match_one(lookup);
-    if (!outcome) {
-      ++stats.unmatched;
-      continue;
+  // Resolve fixed chunks through resolve_many's prefetch pipeline, then
+  // attribute each hit exactly as match_one does: resolve_many and resolve
+  // return the same occurrence list for every domain.
+  std::array<std::string_view, kMatchChunk> domains;
+  std::array<Resolved, kMatchChunk> resolved;
+  for (std::size_t base = 0; base < stream.size(); base += kMatchChunk) {
+    const std::size_t m = std::min(kMatchChunk, stream.size() - base);
+    for (std::size_t j = 0; j < m; ++j) domains[j] = stream[base + j].domain;
+    resolve_many(std::span(domains).first(m), std::span(resolved).first(m));
+    stats.stream_size += m;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (!resolved[j]) {
+        ++stats.unmatched;
+        continue;
+      }
+      const dns::ForwardedLookup& lookup = stream[base + j];
+      const MatchOutcome outcome =
+          match_resolved(resolved[j], lookup.timestamp, lookup.forwarder);
+      ++stats.matched;
+      if (outcome.lookup.is_valid_domain) {
+        ++stats.valid_domain;
+      } else {
+        ++stats.nxd;
+      }
+      out[outcome.key].push_back(outcome.lookup);
     }
-    ++stats.matched;
-    if (outcome->lookup.is_valid_domain) {
-      ++stats.valid_domain;
-    } else {
-      ++stats.nxd;
-    }
-    out[outcome->key].push_back(outcome->lookup);
   }
 }
 
@@ -179,7 +192,7 @@ MatchedStreams DomainMatcher::match(
   MatchedStreams out;
   MatchStats tally;
   if (workers != nullptr && workers->thread_count() > 1 && stream.size() > 1) {
-    // Contiguous shards; match_one only reads the immutable index, so shards
+    // Contiguous shards; matching only reads the immutable index, so shards
     // are independent. The shard partition depends on the thread count but
     // the merged output does not: appending each key's shard-local lookups
     // in shard order reproduces the exact stream order for that key.

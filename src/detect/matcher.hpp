@@ -120,11 +120,18 @@ class DomainMatcher {
   };
 
   /// Match a single lookup — the incremental entry point the streaming
-  /// engine uses. Attribution is identical to match(): the batch path is a
-  /// loop over this function, so a tuple matches the same way whether it
-  /// arrives in a replayed vector or one at a time off a live feed.
+  /// engine uses. Attribution is identical to match(): the batch path
+  /// resolves chunks of kMatchChunk tuples through resolve_many and
+  /// attributes each hit with match_resolved, and resolve_many returns what
+  /// resolve does for every domain. So a tuple matches the same way whether
+  /// it arrives in a replayed vector or one at a time off a live feed.
   [[nodiscard]] std::optional<MatchOutcome> match_one(
       const dns::ForwardedLookup& lookup) const;
+
+  /// Tuples per resolve_many call in match(): enough to keep the prefetch
+  /// pipeline full, small enough for the chunk's views and handles to live
+  /// on the stack.
+  static constexpr std::size_t kMatchChunk = 256;
 
   /// Pre-resolved pool membership of one domain string — the per-interned-id
   /// cache entry of the batched block path. Falsy means the domain is not in

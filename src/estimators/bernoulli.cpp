@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.hpp"
@@ -58,15 +57,6 @@ std::map<std::uint32_t, std::uint32_t> coverage_weight_histogram(
   return histogram;
 }
 
-/// Count of distinct observed NXD positions.
-double observed_distinct_nxds(const EpochObservation& obs) {
-  std::unordered_set<std::uint32_t> distinct;
-  for (const detect::MatchedLookup& lookup : obs.lookups) {
-    if (!lookup.is_valid_domain) distinct.insert(lookup.pool_position);
-  }
-  return static_cast<double>(distinct.size());
-}
-
 /// Count of observed (forwarded) NXD lookups, duplicates included.
 double observed_nxd_lookups(const EpochObservation& obs) {
   std::uint64_t count = 0;
@@ -76,11 +66,17 @@ double observed_nxd_lookups(const EpochObservation& obs) {
   return static_cast<double>(count);
 }
 
+/// Cap of every inversion. A statistic the model cannot reach at any
+/// population — a forwarded count past the renewal ceiling (an analyst TTL
+/// longer than the network's), or a coverage count past its detected
+/// ceiling (an assumed miss rate the data contradicts) — inverts to this
+/// instead of diverging; the cell is then *saturated*.
+constexpr double kMaxPopulation = 1e8;
+
 /// Generic increasing-function inversion by doubling + bisection, capped.
 template <typename F>
 double invert_increasing(F&& expectation, double observed) {
   if (observed <= 0.0) return 0.0;
-  constexpr double kMaxPopulation = 1e8;
   double lo = 0.0;
   double hi = 1.0;
   while (expectation(hi) < observed) {
@@ -287,7 +283,7 @@ struct BernoulliStats {
 
 BernoulliStats stats_of(const EpochObservation& obs) {
   BernoulliStats stats;
-  stats.distinct = observed_distinct_nxds(obs);
+  stats.distinct = static_cast<double>(count_distinct_nxds(obs));
   stats.nxd_lookups = observed_nxd_lookups(obs);
   stats.total_lookups = obs.lookups.size();
   return stats;
@@ -372,7 +368,11 @@ IntervalEstimate interval_core(const BernoulliProblem& p,
   result.level = level;
   result.approximate = stats.approximate;
   result.sketch_rse = stats.distinct_rse;
-  if (result.value <= 0.0) return result;
+  // A saturated cell's point only says "more than any population the model
+  // resolves", and a bootstrap at the cap would re-simulate millions of bots
+  // (the forward branch alone would hold ~2.5e9 arrival times). Publish the
+  // point with no band.
+  if (result.value <= 0.0 || result.value >= kMaxPopulation) return result;
 
   const dga::EpochPool& pool = *p.pool;
   const dga::DgaConfig& config = *p.config;
@@ -399,21 +399,60 @@ IntervalEstimate interval_core(const BernoulliProblem& p,
   if (!use_forward_statistic) {
     // Re-simulate the distinct-coverage statistic: N bots, random starts,
     // runs to the boundary or theta_q, thinned by the detection keep rate.
-    std::vector<bool> covered(pool.size());
+    // A run is one interval of the pool circle, from its start to the first
+    // valid position at or after it (wrapping), capped at theta_q. Each
+    // resample sorts the runs and sweeps their union, so it costs per bot
+    // and, when keep < 1, per covered position — not per pool slot. The
+    // keep trials are drawn in ascending position order over the union;
+    // that order is part of the pinned bootstrap bits. Runs are stored
+    // unrolled (end may pass the pool size); each is shorter than the pool,
+    // so every wrapped tail starts at 0 and their union is [0, wrapped_end).
+    struct Run {
+      std::uint32_t begin;
+      std::uint32_t end;
+    };
+    const std::uint32_t size = pool.size();
+    const std::vector<std::uint32_t>& valid = pool.valid_positions;
+    std::vector<Run> runs;
+    runs.reserve(n_hat);
     for (int r = 0; r < kResamples; ++r) {
-      std::fill(covered.begin(), covered.end(), false);
+      runs.clear();
+      std::uint32_t wrapped_end = 0;
       for (std::uint32_t b = 0; b < n_hat; ++b) {
-        auto pos = static_cast<std::uint32_t>(rng.uniform(pool.size()));
-        for (std::uint32_t step = 0; step < config.barrel_size; ++step) {
-          if (pool.is_valid_position(pos)) break;
-          covered[pos] = true;
-          pos = (pos + 1) % pool.size();
-        }
+        const auto start = static_cast<std::uint32_t>(rng.uniform(size));
+        const auto next = std::lower_bound(valid.begin(), valid.end(), start);
+        const std::uint32_t boundary =
+            next != valid.end() ? *next : valid.front() + size;
+        const std::uint32_t end =
+            start + std::min(boundary - start, config.barrel_size);
+        if (end == start) continue;  // started on a valid position
+        runs.push_back({start, end});
+        if (end > size) wrapped_end = std::max(wrapped_end, end - size);
       }
+      std::sort(runs.begin(), runs.end(),
+                [](const Run& a, const Run& b) { return a.begin < b.begin; });
+
       double count = 0.0;
-      for (std::uint32_t d = 0; d < pool.size(); ++d) {
-        if (covered[d] && (keep >= 1.0 || rng.bernoulli(keep))) count += 1.0;
+      const auto take = [&](std::uint32_t begin, std::uint32_t end) {
+        if (keep >= 1.0) {
+          count += static_cast<double>(end - begin);
+          return;
+        }
+        for (std::uint32_t d = begin; d < end; ++d) {
+          if (rng.bernoulli(keep)) count += 1.0;
+        }
+      };
+      std::uint32_t open_begin = 0;
+      std::uint32_t open_end = wrapped_end;
+      for (const Run& run : runs) {
+        const std::uint32_t end = std::min(run.end, size);
+        if (run.begin > open_end) {
+          take(open_begin, open_end);
+          open_begin = run.begin;
+        }
+        open_end = std::max(open_end, end);
       }
+      take(open_begin, open_end);
       statistic.add(count);
     }
   } else {

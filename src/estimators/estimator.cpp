@@ -1,6 +1,7 @@
 #include "estimators/estimator.hpp"
 
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
@@ -12,6 +13,22 @@ IntervalEstimate Estimator::estimate_with_interval(const CompactObservation&,
   throw ConfigError(std::string(name()) +
                     ": no compact observation path (compact_support() is "
                     "false for this model)");
+}
+
+std::size_t count_distinct_nxds(const EpochObservation& obs) {
+  std::vector<std::uint64_t> seen((std::size_t{obs.pool->size()} + 63) / 64);
+  std::size_t distinct = 0;
+  for (const detect::MatchedLookup& lookup : obs.lookups) {
+    if (lookup.is_valid_domain) continue;
+    const std::size_t word = lookup.pool_position / 64;
+    // Positions come from this epoch's pool; a hand-built observation may
+    // still name one past it, which grows the bitmap instead of overrunning.
+    if (word >= seen.size()) seen.resize(word + 1);
+    const std::uint64_t bit = std::uint64_t{1} << (lookup.pool_position % 64);
+    if ((seen[word] & bit) == 0) ++distinct;
+    seen[word] |= bit;
+  }
+  return distinct;
 }
 
 void EpochObservation::validate() const {

@@ -8,6 +8,7 @@
 // identities, actual bot count) is deliberately absent.
 #pragma once
 
+#include <cstddef>
 #include <optional>
 #include <vector>
 
@@ -57,5 +58,12 @@ struct EpochObservation {
   /// Throws ConfigError if a required field is missing/inconsistent.
   void validate() const;
 };
+
+/// Number of distinct NXD pool positions among `obs.lookups` — the coverage
+/// statistic of the Bernoulli and sampling-coverage models. Counted over a
+/// bitmap of one bit per pool position, so the cost is one pass over the
+/// lookups plus P/8 bytes, never a heap node per distinct position.
+/// Requires `obs.pool`.
+[[nodiscard]] std::size_t count_distinct_nxds(const EpochObservation& obs);
 
 }  // namespace botmeter::estimators

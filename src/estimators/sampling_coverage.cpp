@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/logmath.hpp"
@@ -54,11 +53,7 @@ double SamplingCoverageEstimator::estimate(const EpochObservation& obs) const {
   if (!applicable(*obs.config)) {
     throw ConfigError("SamplingCoverageEstimator: requires the sampling barrel");
   }
-  std::unordered_set<std::uint32_t> distinct;
-  for (const detect::MatchedLookup& lookup : obs.lookups) {
-    if (!lookup.is_valid_domain) distinct.insert(lookup.pool_position);
-  }
-  const double observed = static_cast<double>(distinct.size());
+  const double observed = static_cast<double>(count_distinct_nxds(obs));
   if (observed <= 0.0) return 0.0;
 
   const double q = per_bot_nxd_probability(*obs.config);

@@ -351,15 +351,27 @@ void write_blocks(std::ostream& os,
 }
 
 std::vector<dns::ForwardedLookup> read_blocks(std::istream& is) {
+  // Copy the columns first (16 B per tuple) so the tuple vector — 48 B per
+  // tuple plus its strings — is allocated once at its exact size instead of
+  // regrowing through the trace. The table's views live as long as the
+  // reader, so the strings are built after the last block.
+  BlockReader reader(is);
+  std::vector<std::int64_t> t_ms;
+  std::vector<std::uint32_t> server;
+  std::vector<std::uint32_t> domain;
+  while (const std::optional<dns::LookupColumns> block = reader.next()) {
+    t_ms.insert(t_ms.end(), block->t_ms.begin(), block->t_ms.end());
+    server.insert(server.end(), block->server.begin(), block->server.end());
+    domain.insert(domain.end(), block->domain.begin(), block->domain.end());
+  }
+  const std::span<const std::string_view> table = reader.domains();
   std::vector<dns::ForwardedLookup> lookups;
-  for_each_block(is, [&lookups](const dns::LookupColumns& block,
-                                std::span<const std::string_view> table) {
-    for (std::size_t i = 0; i < block.size(); ++i) {
-      lookups.push_back(dns::ForwardedLookup{
-          TimePoint{block.t_ms[i]}, dns::ServerId{block.server[i]},
-          std::string(table[block.domain[i]])});
-    }
-  });
+  lookups.reserve(t_ms.size());
+  for (std::size_t i = 0; i < t_ms.size(); ++i) {
+    lookups.push_back(dns::ForwardedLookup{TimePoint{t_ms[i]},
+                                           dns::ServerId{server[i]},
+                                           std::string(table[domain[i]])});
+  }
   return lookups;
 }
 

@@ -297,7 +297,10 @@ TEST(ClusterObservability, JournalStampsEndTheirSpans) {
 }
 
 // Fault injection: one shard's producer is held back, so its closes reach
-// the merger last — the straggler table must name it, every epoch.
+// the merger last — the straggler table must name it, every epoch. The
+// delayed producer starts only once every other shard has closed every
+// epoch, then waits past the 20 ms straggle floor, so the order does not
+// depend on how fast the other producers happen to run.
 TEST(ClusterObservability, StragglerTableNamesTheDelayedShard) {
   const auto stream = simulate_stream(83);
   constexpr std::size_t kShards = 4;
@@ -320,7 +323,20 @@ TEST(ClusterObservability, StragglerTableNamesTheDelayedShard) {
   for (std::size_t i = 0; i < kShards; ++i) {
     producers.emplace_back([&runtime, &per_shard, i] {
       if (i == kDelayed) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(60));
+        const auto others_closed = [&runtime] {
+          for (std::size_t j = 0; j < kShards; ++j) {
+            if (j != kDelayed &&
+                runtime.shard_stats(j).next_epoch_to_close < kEpochs) {
+              return false;
+            }
+          }
+          return true;
+        };
+        // Bounded: a shard that never closes fails the assertions below.
+        for (int poll = 0; poll < 30000 && !others_closed(); ++poll) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(30));
       }
       ShardFeed feed = runtime.shard_feed(i);
       for (const dns::ForwardedLookup& lookup : per_shard[i]) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/error.hpp"
+#include "common/parallel.hpp"
+#include "common/rng.hpp"
 #include "dga/families.hpp"
 
 namespace botmeter::detect {
@@ -208,6 +213,110 @@ TEST_F(MatcherTest, ResolveManyAgreesWithResolve) {
 
   std::vector<DomainMatcher::Resolved> wrong_size(domains.size() + 1);
   EXPECT_THROW(matcher_.resolve_many(domains, wrong_size), ConfigError);
+}
+
+/// The per-tuple reference of match(): one match_one per lookup, tallied
+/// and grouped in stream order, each stream then put in canonical order.
+std::pair<MatchedStreams, MatchStats> match_per_tuple(
+    const DomainMatcher& matcher, std::span<const dns::ForwardedLookup> stream) {
+  MatchedStreams out;
+  MatchStats stats;
+  for (const dns::ForwardedLookup& lookup : stream) {
+    ++stats.stream_size;
+    const auto outcome = matcher.match_one(lookup);
+    if (!outcome) {
+      ++stats.unmatched;
+      continue;
+    }
+    ++stats.matched;
+    ++(outcome->lookup.is_valid_domain ? stats.valid_domain : stats.nxd);
+    out[outcome->key].push_back(outcome->lookup);
+  }
+  for (auto& [key, lookups] : out) {
+    std::sort(lookups.begin(), lookups.end(), matched_lookup_less);
+  }
+  return {std::move(out), stats};
+}
+
+TEST_F(MatcherTest, ChunkedMatchEqualsPerTupleMatchOne) {
+  // Stream lengths around the resolve chunk: empty, one tuple, one short of
+  // a chunk, exactly one, one past, and several chunks plus a ragged tail.
+  // Members of both epochs, boundary spills and benign misses interleave.
+  constexpr std::size_t k = DomainMatcher::kMatchChunk;
+  std::vector<dns::ForwardedLookup> full;
+  for (std::uint32_t i = 0; full.size() < 3 * k + 7; ++i) {
+    const std::int64_t epoch = (i / 5) % 2;
+    const std::uint32_t pos = i % model_->epoch_pool(epoch).size();
+    const dns::ServerId server{i % 3};
+    switch (i % 4) {
+      case 0:
+        full.push_back(lookup_for(epoch, pos, seconds(i), server));
+        break;
+      case 1:
+        full.push_back(lookup_for(epoch, pos, days(1) + minutes(i), server));
+        break;
+      default:
+        full.push_back({TimePoint{seconds(i).millis()}, server,
+                        "benign" + std::to_string(i % 50) + ".example"});
+    }
+  }
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, k - 1, k, k + 1,
+                              3 * k + 7}) {
+    const std::span<const dns::ForwardedLookup> stream(full.data(), n);
+    const auto [expected, expected_stats] = match_per_tuple(matcher_, stream);
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " threads=" + std::to_string(threads));
+      WorkerPool workers(threads, WorkerPool::Oversubscribe::kAllow);
+      MatchStats stats;
+      const MatchedStreams matched = matcher_.match(stream, &stats, &workers);
+      EXPECT_EQ(matched, expected);
+      EXPECT_EQ(stats, expected_stats);
+    }
+  }
+}
+
+TEST(MatcherDetectionTest, WindowsThatDetectNothingMatchNothing) {
+  // A window with every position undetected leaves the index empty, and
+  // the batched resolve must answer every tuple with a miss. At miss rate
+  // 1.0 only the confirmed C2 positions stay matchable.
+  const auto model = dga::make_pool_model(tiny_config());
+  std::vector<dns::ForwardedLookup> stream;
+  for (std::int64_t epoch = 0; epoch < 2; ++epoch) {
+    for (const std::string& domain : model->epoch_pool(epoch).domains) {
+      stream.push_back({TimePoint{epoch * days(1).millis() + 1000},
+                        dns::ServerId{0}, domain});
+    }
+  }
+  stream.push_back({TimePoint{5}, dns::ServerId{1}, "benign.example"});
+
+  DomainMatcher blind(days(1));
+  DomainMatcher missing(days(1));
+  Rng rng{3};
+  for (std::int64_t epoch = 0; epoch < 2; ++epoch) {
+    const dga::EpochPool& pool = model->epoch_pool(epoch);
+    DetectionWindow none = perfect_detection(pool);
+    none.detected.assign(pool.size(), false);
+    blind.add_epoch(pool, none);
+    missing.add_epoch(pool, make_detection_window(pool, 1.0, rng));
+  }
+  EXPECT_EQ(blind.matchable_domain_count(), 0u);
+
+  WorkerPool workers(2, WorkerPool::Oversubscribe::kAllow);
+  for (WorkerPool* pool : {static_cast<WorkerPool*>(nullptr), &workers}) {
+    MatchStats stats;
+    EXPECT_TRUE(blind.match(stream, &stats, pool).empty());
+    EXPECT_EQ(stats.stream_size, stream.size());
+    EXPECT_EQ(stats.unmatched, stream.size());
+    EXPECT_EQ(stats.matched, 0u);
+
+    const MatchedStreams matched = missing.match(stream, &stats, pool);
+    EXPECT_EQ(stats.nxd, 0u);
+    EXPECT_EQ(stats.valid_domain, stats.matched);
+    EXPECT_EQ(stats.matched, 2u);  // one confirmed C2 per epoch
+    EXPECT_EQ(matched, match_per_tuple(missing, stream).first);
+  }
 }
 
 TEST(AlgorithmicPatternTest, MatchesGeneratedDomains) {

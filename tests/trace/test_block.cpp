@@ -53,6 +53,15 @@ TEST(TraceBlockTest, RoundTripPreservesEveryTuple) {
   EXPECT_EQ(decoded, lookups);
 }
 
+TEST(TraceBlockTest, ReadBlocksAllocatesTheTuplesOnce) {
+  // Many tiny blocks: read_blocks still sizes its result exactly once.
+  const auto lookups = sample_trace(100);
+  std::istringstream is(encode(lookups, 3));
+  const auto decoded = read_blocks(is);
+  EXPECT_EQ(decoded, lookups);
+  EXPECT_EQ(decoded.capacity(), decoded.size());
+}
+
 TEST(TraceBlockTest, EmptyTraceRoundTrips) {
   std::istringstream is(encode({}));
   EXPECT_FALSE(is.str().empty());  // a file header is always present
