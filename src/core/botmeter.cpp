@@ -275,6 +275,13 @@ LandscapeReport BotMeter::analyze(std::span<const dns::ForwardedLookup> stream,
   detect::MatchStats match_stats;  // tallied always; flushed when a registry is attached
   detect::MatchedStreams matched = matcher_->match(stream, &match_stats, &workers);
   match_timer.stop();
+  // A server past the report width would fall out of the landscape unseen.
+  if (match_stats.server_width > server_count) {
+    throw ConfigError("BotMeter::analyze: server id " +
+                      std::to_string(match_stats.server_width - 1) +
+                      " outside the configured width " +
+                      std::to_string(server_count));
+  }
   if (metrics != nullptr) {
     metrics->counter("analyze.matcher.stream").add(match_stats.stream_size);
     metrics->counter("analyze.matcher.matched").add(match_stats.matched);

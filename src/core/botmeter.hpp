@@ -149,7 +149,8 @@ class BotMeter {
 
   /// Chart the landscape from a vantage-point stream. `server_count` fixes
   /// the report size so that servers with zero matched lookups still appear
-  /// (population 0 is a statement, not an omission).
+  /// (population 0 is a statement, not an omission); a tuple whose server
+  /// id is not below it is a ConfigError.
   [[nodiscard]] LandscapeReport analyze(
       std::span<const dns::ForwardedLookup> stream,
       std::size_t server_count) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "common/error.hpp"
 #include "common/parallel.hpp"
@@ -10,10 +11,21 @@
 namespace botmeter::detect {
 
 DomainMatcher::DomainMatcher(Duration epoch_length)
-    : epoch_length_(epoch_length) {
+    : epoch_length_(epoch_length), slots_(1024) {
   if (epoch_length.millis() <= 0) {
     throw ConfigError("DomainMatcher: epoch length must be positive");
   }
+}
+
+std::size_t DomainMatcher::slot_of(std::uint64_t hash,
+                                   std::string_view domain) const {
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = hash & mask;
+  while (slots_[i].entry != nullptr &&
+         (slots_[i].hash != hash || slots_[i].entry->domain != domain)) {
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
 void DomainMatcher::add_epoch(const dga::EpochPool& pool,
@@ -26,51 +38,32 @@ void DomainMatcher::add_epoch(const dga::EpochPool& pool,
   }
   for (std::uint32_t pos = 0; pos < pool.size(); ++pos) {
     if (!window.detected[pos]) continue;
-    const auto [it, inserted] = index_.try_emplace(pool.domains[pos]);
-    it->second.push_back(Occurrence{pool.epoch, pos, pool.is_valid_position(pos)});
-    if (inserted) fast_insert(*it);
-    ++index_size_;
-  }
-}
-
-void DomainMatcher::fast_insert(const IndexEntry& entry) {
-  if (fast_.empty() || (fast_count_ + 1) * 2 > fast_.size()) {
-    std::vector<FastSlot> grown(fast_.empty() ? 1024 : fast_.size() * 2);
-    const std::size_t mask = grown.size() - 1;
-    for (const FastSlot& slot : fast_) {
-      if (slot.entry == nullptr) continue;
-      std::size_t i = slot.hash & mask;
-      while (grown[i].entry != nullptr) i = (i + 1) & mask;
-      grown[i] = slot;
+    const std::string& domain = pool.domains[pos];
+    const std::uint64_t hash = std::hash<std::string_view>{}(domain);
+    std::size_t i = slot_of(hash, domain);
+    if (slots_[i].entry == nullptr) {
+      if ((entries_.size() + 1) * 2 > slots_.size()) {
+        // Double and re-seat the slots; the entries stay where they are.
+        const std::vector<Slot> old =
+            std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+        for (const Slot& slot : old) {
+          if (slot.entry == nullptr) continue;
+          slots_[slot_of(slot.hash, slot.entry->domain)] = slot;
+        }
+        i = slot_of(hash, domain);
+      }
+      slots_[i] = Slot{hash, &entries_.emplace_back(Entry{domain, {}})};
     }
-    fast_ = std::move(grown);
-  }
-  const std::uint64_t hash = StringHash{}(entry.first);
-  const std::size_t mask = fast_.size() - 1;
-  std::size_t i = hash & mask;
-  while (fast_[i].entry != nullptr) i = (i + 1) & mask;
-  fast_[i] = FastSlot{hash, &entry};
-  ++fast_count_;
-}
-
-DomainMatcher::Resolved DomainMatcher::fast_find(
-    std::uint64_t hash, std::string_view domain) const {
-  const std::size_t mask = fast_.size() - 1;
-  Resolved resolved;
-  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
-    const FastSlot& slot = fast_[i];
-    if (slot.entry == nullptr) return resolved;
-    if (slot.hash == hash && slot.entry->first == domain) {
-      resolved.occurrences_ = &slot.entry->second;
-      return resolved;
-    }
+    slots_[i].entry->occurrences.push_back(
+        Occurrence{pool.epoch, pos, pool.is_valid_position(pos)});
+    ++occurrence_count_;
   }
 }
 
 DomainMatcher::Resolved DomainMatcher::resolve(std::string_view domain) const {
-  const auto it = index_.find(domain);
   Resolved resolved;
-  if (it != index_.end()) resolved.occurrences_ = &it->second;
+  resolved.entry_ =
+      slots_[slot_of(std::hash<std::string_view>{}(domain), domain)].entry;
   return resolved;
 }
 
@@ -79,36 +72,33 @@ void DomainMatcher::resolve_many(std::span<const std::string_view> domains,
   if (domains.size() != out.size()) {
     throw ConfigError("DomainMatcher::resolve_many: output span size mismatch");
   }
-  if (fast_count_ == 0) {
-    std::fill(out.begin(), out.end(), Resolved{});
-    return;
-  }
   // Staged pipeline over fixed chunks: hash everything first, then walk the
-  // miss chain in prefetch waves — first the probe slots, then the map nodes
-  // they name, then the key bytes — so by the time fast_find compares keys,
+  // miss chain in prefetch waves — first the probe slots, then the entries
+  // they name, then the key bytes — so by the time slot_of compares keys,
   // each lookup's three dependent lines are already in flight.
-  const std::size_t mask = fast_.size() - 1;
+  const std::size_t mask = slots_.size() - 1;
   constexpr std::size_t kChunk = 64;
   std::uint64_t hash[kChunk];
-  const FastSlot* slot[kChunk];
+  const Slot* slot[kChunk];
   for (std::size_t base = 0; base < domains.size(); base += kChunk) {
     const std::size_t m = std::min(kChunk, domains.size() - base);
     for (std::size_t j = 0; j < m; ++j) {
-      hash[j] = StringHash{}(domains[base + j]);
-      slot[j] = &fast_[hash[j] & mask];
+      hash[j] = std::hash<std::string_view>{}(domains[base + j]);
+      slot[j] = &slots_[hash[j] & mask];
       prefetch_ro(slot[j]);
     }
     for (std::size_t j = 0; j < m; ++j) {
       if (slot[j]->entry != nullptr) prefetch_ro(slot[j]->entry);
     }
     for (std::size_t j = 0; j < m; ++j) {
-      const IndexEntry* entry = slot[j]->entry;
+      const Entry* entry = slot[j]->entry;
       if (entry != nullptr && slot[j]->hash == hash[j]) {
-        prefetch_ro(entry->first.data());
+        prefetch_ro(entry->domain.data());
       }
     }
     for (std::size_t j = 0; j < m; ++j) {
-      out[base + j] = fast_find(hash[j], domains[base + j]);
+      out[base + j].entry_ =
+          slots_[slot_of(hash[j], domains[base + j])].entry;
     }
   }
 }
@@ -129,7 +119,7 @@ DomainMatcher::MatchOutcome DomainMatcher::match_resolved(
     Resolved resolved, TimePoint t, dns::ServerId forwarder,
     std::int64_t nominal) const {
   const auto& occurrences =
-      *static_cast<const std::vector<Occurrence>*>(resolved.occurrences_);
+      static_cast<const Entry*>(resolved.entry_)->occurrences;
 
   // Attribute the lookup to the pool epoch containing its timestamp when
   // possible; otherwise to the closest registered epoch (a lookup train
@@ -162,9 +152,14 @@ void DomainMatcher::match_range(std::span<const dns::ForwardedLookup> stream,
   // return the same occurrence list for every domain.
   std::array<std::string_view, kMatchChunk> domains;
   std::array<Resolved, kMatchChunk> resolved;
+  std::uint64_t width = 0;  // tallied where each tuple's domain is read
   for (std::size_t base = 0; base < stream.size(); base += kMatchChunk) {
     const std::size_t m = std::min(kMatchChunk, stream.size() - base);
-    for (std::size_t j = 0; j < m; ++j) domains[j] = stream[base + j].domain;
+    for (std::size_t j = 0; j < m; ++j) {
+      domains[j] = stream[base + j].domain;
+      width = std::max<std::uint64_t>(
+          width, stream[base + j].forwarder.value() + 1ull);
+    }
     resolve_many(std::span(domains).first(m), std::span(resolved).first(m));
     stats.stream_size += m;
     for (std::size_t j = 0; j < m; ++j) {
@@ -184,6 +179,7 @@ void DomainMatcher::match_range(std::span<const dns::ForwardedLookup> stream,
       out[outcome.key].push_back(outcome.lookup);
     }
   }
+  stats.server_width = std::max(stats.server_width, width);
 }
 
 MatchedStreams DomainMatcher::match(

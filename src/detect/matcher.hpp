@@ -9,12 +9,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -62,13 +62,14 @@ using MatchedStreams = std::map<StreamKey, std::vector<MatchedLookup>>;
 
 /// Tallies of one match() pass (observability): how much of the vantage
 /// stream the detection window recognised, split by registered C2 vs
-/// detected-NXD hits.
+/// detected-NXD hits, and how many servers the stream names.
 struct MatchStats {
   std::uint64_t stream_size = 0;  // lookups examined
   std::uint64_t matched = 0;      // fell inside a detection window
   std::uint64_t unmatched = 0;    // benign traffic / missed NXDs
   std::uint64_t valid_domain = 0; // matched, registered C2 position
   std::uint64_t nxd = 0;          // matched, detected NXD position
+  std::uint64_t server_width = 0; // largest forwarder id + 1 (0: no lookups)
 
   MatchStats& operator+=(const MatchStats& other) {
     stream_size += other.stream_size;
@@ -76,6 +77,7 @@ struct MatchStats {
     unmatched += other.unmatched;
     valid_domain += other.valid_domain;
     nxd += other.nxd;
+    if (other.server_width > server_width) server_width = other.server_width;
     return *this;
   }
 
@@ -140,11 +142,11 @@ class DomainMatcher {
   class Resolved {
    public:
     Resolved() = default;
-    [[nodiscard]] explicit operator bool() const { return occurrences_ != nullptr; }
+    [[nodiscard]] explicit operator bool() const { return entry_ != nullptr; }
 
    private:
     friend class DomainMatcher;
-    const void* occurrences_ = nullptr;
+    const void* entry_ = nullptr;
   };
 
   /// One string hash per *distinct* domain: resolve the membership once
@@ -153,11 +155,11 @@ class DomainMatcher {
   [[nodiscard]] Resolved resolve(std::string_view domain) const;
 
   /// Batched resolve: `out[i] == resolve(domains[i])` for every i
-  /// (`out.size() == domains.size()`). Probes a flat open-addressed mirror
-  /// of the index with a software-prefetch pipeline, so the dependent cache
-  /// misses of tens of thousands of lookups against a large table overlap
-  /// instead of serialising — the block path resolves a whole freshly
-  /// interned table tail per call.
+  /// (`out.size() == domains.size()`). Probes the same table as resolve
+  /// with a software-prefetch pipeline, so the dependent cache misses of
+  /// tens of thousands of lookups against a large table overlap instead of
+  /// serialising — the block path resolves a whole freshly interned table
+  /// tail per call.
   void resolve_many(std::span<const std::string_view> domains,
                     std::span<Resolved> out) const;
 
@@ -185,8 +187,9 @@ class DomainMatcher {
 
   [[nodiscard]] Duration epoch_length() const { return epoch_length_; }
 
+  /// Registered occurrences: one per detected position of every added pool.
   [[nodiscard]] std::uint64_t matchable_domain_count() const {
-    return index_size_;
+    return occurrence_count_;
   }
 
  private:
@@ -196,41 +199,35 @@ class DomainMatcher {
     bool is_valid;
   };
 
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
+  /// One registered domain and its occurrences in registration order
+  /// (attribution ties go to the first).
+  struct Entry {
+    std::string domain;
+    std::vector<Occurrence> occurrences;
   };
+
+  /// One probe slot: the domain's hash and its entry (null = empty slot).
+  struct Slot {
+    std::uint64_t hash = 0;
+    Entry* entry = nullptr;
+  };
+
+  /// Index of the slot holding `domain`, or of the empty slot that ends its
+  /// probe chain.
+  [[nodiscard]] std::size_t slot_of(std::uint64_t hash,
+                                    std::string_view domain) const;
 
   void match_range(std::span<const dns::ForwardedLookup> stream,
                    MatchedStreams& out, MatchStats& stats) const;
 
-  using IndexEntry = std::pair<const std::string, std::vector<Occurrence>>;
-
-  /// One slot of the flat probe table: the key's hash plus the address of
-  /// the owning map node (node addresses are stable across map rehashes).
-  struct FastSlot {
-    std::uint64_t hash = 0;
-    const IndexEntry* entry = nullptr;
-  };
-
-  void fast_insert(const IndexEntry& entry);
-  [[nodiscard]] Resolved fast_find(std::uint64_t hash,
-                                   std::string_view domain) const;
-
   Duration epoch_length_;
-  std::unordered_map<std::string, std::vector<Occurrence>, StringHash,
-                     std::equal_to<>>
-      index_;
-  std::uint64_t index_size_ = 0;
 
-  /// Flat linear-probe mirror of `index_` (power-of-two size, load ≤ 1/2),
-  /// maintained by add_epoch and read-only afterwards — resolve_many's
-  /// prefetch pipeline needs direct slot addresses, which the node-based
-  /// map cannot expose.
-  std::vector<FastSlot> fast_;
-  std::size_t fast_count_ = 0;
+  /// The domain index: a linear-probe table (power-of-two size, load ≤ 1/2)
+  /// over entries that never move — a deque grows without relocating or
+  /// copying them, and Resolved handles point into them.
+  std::deque<Entry> entries_;
+  std::vector<Slot> slots_;
+  std::uint64_t occurrence_count_ = 0;
 };
 
 /// Structural recognition of a DGA family's output: length bounds, allowed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <set>
 #include <string>
 #include <utility>
 
@@ -61,20 +62,36 @@ namespace {
 std::shared_ptr<const core::BotMeter> prepared_meter(
     const StreamEngineConfig& config,
     std::shared_ptr<const core::BotMeter> shared) {
-  if (shared != nullptr) return shared;
-  auto own = std::make_shared<core::BotMeter>(config.meter);
-  own->prepare_epochs(config.first_epoch, config.epoch_count);
-  return own;
+  if (shared == nullptr) {
+    auto own = std::make_shared<core::BotMeter>(config.meter);
+    own->prepare_epochs(config.first_epoch, config.epoch_count);
+    return own;
+  }
+  // The grid holds the horizon; the matcher attributes to every prepared epoch.
+  const std::span<const std::int64_t> epochs = shared->prepared_epochs();
+  if (epochs.size() != static_cast<std::size_t>(config.epoch_count) ||
+      epochs.front() != config.first_epoch ||
+      epochs.back() != config.first_epoch + config.epoch_count - 1) {
+    throw ConfigError(
+        "StreamEngine: shared meter not prepared for exactly the horizon");
+  }
+  return shared;
 }
 
 }  // namespace
 
 /// The engine's own back as its front's sink: evidence lands in the open
-/// buckets, closes close here. Nothing to admit or count per tuple.
+/// grid, closes close here. Admission keeps every server inside the grid.
 struct StreamEngine::Back {
   StreamEngine& engine;
 
-  void admit(std::uint32_t /*server*/, std::int64_t /*t_ms*/) {}
+  void admit(std::uint32_t server, std::int64_t /*t_ms*/) {
+    if (server >= engine.config_.server_count) {
+      throw ConfigError("StreamEngine: server id " + std::to_string(server) +
+                        " outside the configured width " +
+                        std::to_string(engine.config_.server_count));
+    }
+  }
   void late(std::uint32_t /*server*/) {}
   void append(std::uint32_t server, std::int64_t epoch,
               const detect::MatchedLookup& lookup) {
@@ -91,7 +108,8 @@ StreamEngine::StreamEngine(StreamEngineConfig config,
       // and determinism tests pin counts above small CI machines' cores.
       workers_(config_.worker_threads, WorkerPool::Oversubscribe::kAllow),
       front_(meter_->matcher(), config_.first_epoch, config_.epoch_count,
-             config_.allowed_lateness, config_.meter.telemetry.trace) {
+             config_.allowed_lateness, config_.meter.telemetry.trace),
+      open_(static_cast<std::size_t>(config_.epoch_count)) {
   if (config_.compact_state &&
       !meter_->active_estimator().compact_support().supported) {
     throw ConfigError(
@@ -126,8 +144,14 @@ void StreamEngine::spill_bucket(OpenBucket& bucket, std::int64_t epoch) {
   ++compact_spills_;
 }
 
-void StreamEngine::append_matched(OpenBucket& bucket, std::int64_t epoch,
-                                  const detect::MatchedLookup& lookup) {
+void StreamEngine::append_evidence(std::uint32_t server, std::int64_t epoch,
+                                   const detect::MatchedLookup& lookup) {
+  std::vector<OpenBucket>& row =
+      open_[static_cast<std::size_t>(epoch - config_.first_epoch)];
+  if (row.empty()) row.resize(config_.server_count);
+  OpenBucket& bucket = row[server];
+  ++resident_;
+  peak_resident_ = std::max(peak_resident_, resident_);
   if (bucket.compact != nullptr) {
     bucket.compact->add(lookup);  // cell footprint is constant
     return;
@@ -141,37 +165,6 @@ void StreamEngine::append_matched(OpenBucket& bucket, std::int64_t epoch,
       bucket.exact.size() >= config_.compact_spill_threshold) {
     spill_bucket(bucket, epoch);
   }
-}
-
-void StreamEngine::append_evidence(std::uint32_t server, std::int64_t epoch,
-                                   const detect::MatchedLookup& lookup) {
-  append_matched(*bucket_for(detect::StreamKey{dns::ServerId{server}, epoch}),
-                 epoch, lookup);
-  ++resident_;
-  peak_resident_ = std::max(peak_resident_, resident_);
-}
-
-StreamEngine::OpenBucket* StreamEngine::bucket_for(
-    const detect::StreamKey& key) {
-  const std::size_t server = key.server.value();
-  const std::int64_t row = key.epoch - config_.first_epoch;
-  // Keys outside the horizon grid (a trace naming more servers than
-  // configured) take the uncached map path; everything the matcher emits
-  // for a prepared horizon lands in the grid.
-  if (server >= config_.server_count || row < 0 ||
-      row >= config_.epoch_count) {
-    return &open_[key];
-  }
-  if (bucket_cache_.empty()) {
-    bucket_cache_.assign(
-        config_.server_count * static_cast<std::size_t>(config_.epoch_count),
-        nullptr);
-  }
-  OpenBucket*& slot =
-      bucket_cache_[static_cast<std::size_t>(row) * config_.server_count +
-                    server];
-  if (slot == nullptr) slot = &open_[key];
-  return slot;
 }
 
 void StreamEngine::ingest(const dns::ForwardedLookup& lookup) {
@@ -221,37 +214,28 @@ void StreamEngine::close_next_epoch() {
   const std::int64_t epoch = next_epoch_to_close();
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Serially detach this epoch's buckets from the open map (one per
-  // server; servers with no matched traffic get an empty bucket — a
-  // population-0 statement, exactly as in batch analyze).
+  // Take this epoch's row of the grid, releasing it (one bucket per server;
+  // servers with no matched traffic get an empty bucket — a population-0
+  // statement, exactly as in batch analyze).
+  std::vector<OpenBucket> row = std::exchange(
+      open_[static_cast<std::size_t>(epoch - config_.first_epoch)], {});
   std::vector<std::vector<detect::MatchedLookup>> buckets(config_.server_count);
   std::vector<std::unique_ptr<estimators::CompactCell>> compact_cells;
   if (config_.compact_state) compact_cells.resize(config_.server_count);
   std::uint64_t epoch_matched = 0;
-  for (std::uint32_t s = 0; s < config_.server_count; ++s) {
-    auto it = open_.find(detect::StreamKey{dns::ServerId{s}, epoch});
-    if (it != open_.end()) {
-      OpenBucket bucket = std::move(it->second);
-      open_.erase(it);
-      open_bytes_ -= bucket.exact.capacity() * sizeof(detect::MatchedLookup);
-      if (bucket.compact != nullptr) {
-        open_bytes_ -= bucket.compact->memory_bytes();
-        epoch_matched += bucket.compact->matched();
-        compact_cells[s] = std::move(bucket.compact);
-      } else {
-        epoch_matched += bucket.exact.size();
-        buckets[s] = std::move(bucket.exact);
-      }
+  for (std::size_t s = 0; s < row.size(); ++s) {
+    OpenBucket& bucket = row[s];
+    open_bytes_ -= bucket.exact.capacity() * sizeof(detect::MatchedLookup);
+    if (bucket.compact != nullptr) {
+      open_bytes_ -= bucket.compact->memory_bytes();
+      epoch_matched += bucket.compact->matched();
+      compact_cells[s] = std::move(bucket.compact);
+    } else {
+      epoch_matched += bucket.exact.size();
+      buckets[s] = std::move(bucket.exact);
     }
   }
   resident_ -= static_cast<std::size_t>(epoch_matched);
-  if (!bucket_cache_.empty()) {
-    // The erased buckets' cached addresses are dead; null the epoch's row.
-    const auto row = static_cast<std::size_t>(epoch - config_.first_epoch);
-    std::fill_n(bucket_cache_.begin() +
-                    static_cast<std::ptrdiff_t>(row * config_.server_count),
-                config_.server_count, nullptr);
-  }
 
   // Per-server estimation through the meter's shared row path — the same
   // code batch analyze runs per prepared epoch (worker sharding, shared
@@ -420,26 +404,33 @@ json::Value StreamEngine::checkpoint() const {
     closed.emplace_back(std::move(row_obj));
   }
 
+  // Every bucket holding evidence, in (server, epoch) order.
   json::Array open;
-  for (const auto& [key, bucket] : open_) {
-    json::Array t, pos, valid;
-    for (const detect::MatchedLookup& lookup : bucket.exact) {
-      t.push_back(number(lookup.t.millis()));
-      pos.push_back(number(static_cast<std::int64_t>(lookup.pool_position)));
-      valid.push_back(number(static_cast<std::int64_t>(
-          lookup.is_valid_domain ? 1 : 0)));
+  for (std::size_t server = 0; server < config_.server_count; ++server) {
+    for (std::size_t row = 0; row < open_.size(); ++row) {
+      if (open_[row].empty()) continue;
+      const OpenBucket& bucket = open_[row][server];
+      if (bucket.exact.empty() && bucket.compact == nullptr) continue;
+      json::Array t, pos, valid;
+      for (const detect::MatchedLookup& lookup : bucket.exact) {
+        t.push_back(number(lookup.t.millis()));
+        pos.push_back(number(static_cast<std::int64_t>(lookup.pool_position)));
+        valid.push_back(number(static_cast<std::int64_t>(
+            lookup.is_valid_domain ? 1 : 0)));
+      }
+      json::Object bucket_obj;
+      bucket_obj.emplace("server", number(server));
+      bucket_obj.emplace(
+          "epoch", number(config_.first_epoch + static_cast<std::int64_t>(row)));
+      bucket_obj.emplace("t", json::Value(std::move(t)));
+      bucket_obj.emplace("pos", json::Value(std::move(pos)));
+      bucket_obj.emplace("valid", json::Value(std::move(valid)));
+      if (bucket.compact != nullptr) {
+        // A spilled bucket: the sketch cell is the state (`exact` is empty).
+        bucket_obj.emplace("compact", bucket.compact->serialize());
+      }
+      open.emplace_back(std::move(bucket_obj));
     }
-    json::Object bucket_obj;
-    bucket_obj.emplace("server", number(static_cast<std::int64_t>(key.server.value())));
-    bucket_obj.emplace("epoch", number(key.epoch));
-    bucket_obj.emplace("t", json::Value(std::move(t)));
-    bucket_obj.emplace("pos", json::Value(std::move(pos)));
-    bucket_obj.emplace("valid", json::Value(std::move(valid)));
-    if (bucket.compact != nullptr) {
-      // A spilled bucket: the sketch cell is the state (`exact` is empty).
-      bucket_obj.emplace("compact", bucket.compact->serialize());
-    }
-    open.emplace_back(std::move(bucket_obj));
   }
 
   json::Object root;
@@ -465,7 +456,7 @@ json::Value StreamEngine::checkpoint() const {
 }
 
 void StreamEngine::restore(const json::Value& checkpoint) {
-  if (ingested() != 0 || !closed_.empty() || !open_.empty() || finished_) {
+  if (ingested() != 0 || !closed_.empty() || resident_ != 0 || finished_) {
     throw ConfigError("StreamEngine::restore: engine already used");
   }
   if (checkpoint.at("schema").as_string() != kCheckpointSchema) {
@@ -602,8 +593,10 @@ void StreamEngine::restore(const json::Value& checkpoint) {
     new_closed.push_back(std::move(row));
   }
 
-  std::map<detect::StreamKey, OpenBucket> new_open;
+  std::vector<std::vector<OpenBucket>> new_open(open_.size());
+  std::set<std::pair<std::int64_t, std::int64_t>> listed;  // (server, epoch)
   std::size_t new_resident = 0;
+  std::size_t new_open_bytes = 0;
   const std::int64_t open_floor =
       config_.first_epoch + static_cast<std::int64_t>(new_closed.size());
   for (const json::Value& bucket_obj : checkpoint.at("open").as_array()) {
@@ -622,8 +615,15 @@ void StreamEngine::restore(const json::Value& checkpoint) {
     if (t.size() != pos.size() || t.size() != valid.size()) {
       throw DataError("StreamEngine::restore: open bucket arrays misaligned");
     }
-    OpenBucket& bucket = new_open[detect::StreamKey{
-        dns::ServerId{static_cast<std::uint32_t>(server)}, epoch}];
+    if (!listed.emplace(server, epoch).second) {
+      throw DataError("StreamEngine::restore: open bucket (server " +
+                      std::to_string(server) + ", epoch " +
+                      std::to_string(epoch) + ") listed twice");
+    }
+    std::vector<OpenBucket>& row =
+        new_open[static_cast<std::size_t>(epoch - config_.first_epoch)];
+    if (row.empty()) row.resize(config_.server_count);
+    OpenBucket& bucket = row[static_cast<std::size_t>(server)];
     if (const json::Value* compact = bucket_obj.find("compact");
         compact != nullptr) {
       if (!config_.compact_state) {
@@ -645,6 +645,7 @@ void StreamEngine::restore(const json::Value& checkpoint) {
             "engine's configuration");
       }
       new_resident += cell->matched();
+      new_open_bytes += cell->memory_bytes();
       bucket.compact = std::move(cell);
       continue;
     }
@@ -656,6 +657,7 @@ void StreamEngine::restore(const json::Value& checkpoint) {
           valid[i].as_int() != 0});
     }
     new_resident += bucket.exact.size();
+    new_open_bytes += bucket.exact.capacity() * sizeof(detect::MatchedLookup);
   }
   new_peak_resident = std::max(new_peak_resident, new_resident);
 
@@ -667,22 +669,23 @@ void StreamEngine::restore(const json::Value& checkpoint) {
   open_ = std::move(new_open);
   resident_ = new_resident;
   peak_resident_ = new_peak_resident;
+  open_bytes_ = new_open_bytes;
   compact_spills_ = new_compact_spills;
 
-  // Rebuild the byte accounting from the restored buckets, then apply the
-  // spill policy to exact buckets already past the threshold — an exact
-  // checkpoint resumed by a compact engine spills on load, and cells are
-  // insertion-order invariant, so the state matches a live-spilled run.
-  open_bytes_ = 0;
-  for (auto& [key, bucket] : open_) {
-    open_bytes_ += bucket.exact.capacity() * sizeof(detect::MatchedLookup);
-    if (bucket.compact != nullptr) open_bytes_ += bucket.compact->memory_bytes();
-  }
+  // Apply the spill policy to exact buckets already past the threshold, in
+  // (server, epoch) order — an exact checkpoint resumed by a compact engine
+  // spills on load, and cells are insertion-order invariant, so the state
+  // matches a live-spilled run.
   if (config_.compact_state) {
-    for (auto& [key, bucket] : open_) {
-      if (bucket.compact == nullptr &&
-          bucket.exact.size() >= config_.compact_spill_threshold) {
-        spill_bucket(bucket, key.epoch);
+    for (std::size_t server = 0; server < config_.server_count; ++server) {
+      for (std::size_t row = 0; row < open_.size(); ++row) {
+        if (open_[row].empty()) continue;
+        OpenBucket& bucket = open_[row][server];
+        if (bucket.compact == nullptr &&
+            bucket.exact.size() >= config_.compact_spill_threshold) {
+          spill_bucket(bucket,
+                       config_.first_epoch + static_cast<std::int64_t>(row));
+        }
       }
     }
   }

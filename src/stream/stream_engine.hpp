@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -139,8 +138,8 @@ class StreamEngine {
   using EpochCallback = std::function<void(const EpochReport&)>;
 
   /// Builds and prepares its own meter for the horizon — or, when `meter`
-  /// is set, shares that one, which must already hold every epoch of the
-  /// horizon (a cluster prepares one meter for all its shards). A shared
+  /// is set, shares that one, prepared for exactly the horizon (else
+  /// ConfigError; a cluster prepares one meter for all its shards). A shared
   /// meter is only read: the front matches against its index and closes
   /// estimate through its const row path.
   explicit StreamEngine(StreamEngineConfig config,
@@ -153,8 +152,9 @@ class StreamEngine {
   void on_epoch_close(EpochCallback callback);
 
   /// Ingest one tuple / a batch of tuples. Throws ConfigError after
-  /// finish(). Advances the watermark and auto-closes every epoch whose
-  /// close boundary it passed.
+  /// finish(), and for a tuple whose server id is not below server_count
+  /// (state is then what it was before that tuple). Advances the watermark
+  /// and auto-closes every epoch whose close boundary it passed.
   void ingest(const dns::ForwardedLookup& lookup);
   void ingest(std::span<const dns::ForwardedLookup> batch);
 
@@ -176,7 +176,8 @@ class StreamEngine {
   /// Back-only ingest: apply one producer-side front's delivery (see
   /// EvidenceBatch). The engine neither matches nor closes on its own
   /// watermark here; its counters, watermark and closes are the front's.
-  /// Every record must be of an epoch this engine has not closed.
+  /// Every record must be of a server below server_count and of a horizon
+  /// epoch this engine has not closed.
   void ingest_evidence(const EvidenceBatch& batch);
 
   /// Advance the watermark without data (a quiet feed still makes time
@@ -255,10 +256,10 @@ class StreamEngine {
 
   /// Load a checkpoint into a freshly constructed engine (nothing ingested
   /// yet). The engine's configuration must match the checkpointed
-  /// fingerprint (family, estimator, horizon, server count); mismatches and
-  /// schema violations throw DataError. After restore the engine continues
-  /// exactly where the checkpointed one stopped: resumed ingestion yields
-  /// bit-identical reports.
+  /// fingerprint (family, estimator, horizon, server count); mismatches,
+  /// schema violations and an open bucket listed twice throw DataError.
+  /// After restore the engine continues exactly where the checkpointed one
+  /// stopped: resumed ingestion yields bit-identical reports.
   void restore(const json::Value& checkpoint);
 
  private:
@@ -282,15 +283,12 @@ class StreamEngine {
   /// epoch close (live rate gauges need moving counters) while the final
   /// totals stay exactly what finish() always published.
   void flush_counters(obs::MetricsRegistry& metrics);
-  [[nodiscard]] OpenBucket* bucket_for(const detect::StreamKey& key);
   /// Append one matched lookup to its (server, epoch) bucket, maintaining
-  /// the residency and byte accounting.
+  /// the residency and byte accounting and spilling the exact buffer into a
+  /// compact cell when the threshold is crossed. Precondition: `server` is
+  /// below server_count and `epoch` is an open horizon epoch.
   void append_evidence(std::uint32_t server, std::int64_t epoch,
                        const detect::MatchedLookup& lookup);
-  /// Append one matched lookup to `bucket`, spilling the exact buffer into
-  /// a compact cell when the threshold is crossed.
-  void append_matched(OpenBucket& bucket, std::int64_t epoch,
-                      const detect::MatchedLookup& lookup);
   /// Fold `bucket.exact` into a freshly specced compact cell and free it.
   void spill_bucket(OpenBucket& bucket, std::int64_t epoch);
   void note_open_bytes_grew(std::size_t delta);
@@ -305,15 +303,11 @@ class StreamEngine {
   /// counters. Passive (fed by ingest_evidence) on a back-only engine.
   MatchFront front_;
 
-  /// Open buckets: matched lookups awaiting their epoch's close, keyed by
-  /// (server, epoch). Append order; sorted at close.
-  std::map<detect::StreamKey, OpenBucket> open_;
-
-  /// Flat (epoch row × server) cache of open-bucket addresses, so the
-  /// per-matched-tuple path skips the map walk — map nodes are stable, so a
-  /// pointer stays valid until close_next_epoch() erases its bucket (the
-  /// row is nulled there). Lazily sized; derived state, never checkpointed.
-  std::vector<OpenBucket*> bucket_cache_;
+  /// Open buckets, [epoch index][server]: matched lookups awaiting their
+  /// epoch's close, in append order (sorted at close). A row is sized when
+  /// its epoch gets its first evidence and released when the epoch closes;
+  /// rows of closed or untouched epochs are empty.
+  std::vector<std::vector<OpenBucket>> open_;
 
   /// Closed cells, [epoch index][server]. Grows one epoch row per close;
   /// this (plus `open_`) is the entire analysis state.

@@ -528,6 +528,31 @@ TEST(ClusterRuntimeTest, FrontierLagDegradesClusterHealth) {
   EXPECT_EQ(health.at("shards").as_array().size(), 2u);
 }
 
+// A server past the routed width is a ConfigError at every shard count and
+// on both ingest paths, as it is for analyze and a single StreamEngine.
+TEST(ClusterRuntimeTest, ServerOutsideTheRoutedWidthIsRejected) {
+  const std::vector<dns::ForwardedLookup> outside{
+      {TimePoint{0}, dns::ServerId{kServers}, "benign.example"}};
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, outside, 1 << 10);
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    {
+      ClusterRuntime runtime(cluster_config(shards, 1));
+      EXPECT_THROW(runtime.ingest(outside.front()), ConfigError);
+    }
+    ClusterRuntime runtime(cluster_config(shards, 1));
+    std::istringstream binary_is(binary_os.str());
+    EXPECT_THROW(
+        trace::for_each_block(
+            binary_is, [&runtime](const dns::LookupColumns& columns,
+                                  std::span<const std::string_view> table) {
+              runtime.ingest_block(columns, table);
+            }),
+        ConfigError);
+  }
+}
+
 TEST(ClusterRuntimeTest, ValidatesConfiguration) {
   // Empty router (default-constructed placeholder).
   ClusterConfig config;

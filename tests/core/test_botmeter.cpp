@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "botnet/simulator.hpp"
 #include "common/error.hpp"
 #include "common/stats.hpp"
@@ -142,6 +145,29 @@ TEST(BotMeterTest, DetectionMissRateShrinksMatchableSet) {
   meter_half.prepare_epochs(0, 1);
   EXPECT_LT(meter_half.window_for_epoch(0).detected_count(),
             meter_full.window_for_epoch(0).detected_count());
+}
+
+// A tuple from a server at or past the report width would silently fall
+// out of the landscape; analyze rejects it like the stream engine and the
+// cluster router do, benign lookups included.
+TEST(BotMeterTest, ServerOutsideTheWidthIsRejected) {
+  const auto result = botnet::simulate(newgoz_sim(64, 4, 3));
+  BotMeter meter(newgoz_botmeter());
+  meter.prepare_epochs(0, 1);
+  try {
+    (void)meter.analyze(result.observable, 2);
+    ADD_FAILURE() << "a 4-server trace was charted as 2 servers";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("outside the configured width 2"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_NO_THROW((void)meter.analyze(result.observable, 4));
+
+  const std::vector<dns::ForwardedLookup> benign{
+      {TimePoint{0}, dns::ServerId{5}, "benign.example"}};
+  EXPECT_THROW((void)meter.analyze(benign, 5), ConfigError);
+  EXPECT_NO_THROW((void)meter.analyze(benign, 6));
 }
 
 TEST(BotMeterTest, ConfigValidation) {

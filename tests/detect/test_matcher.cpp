@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
 #include <utility>
 
 #include "common/error.hpp"
@@ -223,6 +225,8 @@ std::pair<MatchedStreams, MatchStats> match_per_tuple(
   MatchStats stats;
   for (const dns::ForwardedLookup& lookup : stream) {
     ++stats.stream_size;
+    stats.server_width = std::max<std::uint64_t>(
+        stats.server_width, std::uint64_t{lookup.forwarder.value()} + 1);
     const auto outcome = matcher.match_one(lookup);
     if (!outcome) {
       ++stats.unmatched;
@@ -317,6 +321,168 @@ TEST(MatcherDetectionTest, WindowsThatDetectNothingMatchNothing) {
     EXPECT_EQ(stats.matched, 2u);  // one confirmed C2 per epoch
     EXPECT_EQ(matched, match_per_tuple(missing, stream).first);
   }
+}
+
+/// An independent reference for the domain index: every registered domain
+/// with its (epoch, position, valid) occurrences in registration order, in
+/// an ordered map built straight from the pools and windows.
+struct ReferenceOccurrence {
+  std::int64_t epoch;
+  std::uint32_t position;
+  bool valid;
+};
+using ReferenceIndex =
+    std::map<std::string, std::vector<ReferenceOccurrence>>;
+
+struct IndexUnderTest {
+  explicit IndexUnderTest(const dga::DgaConfig& config)
+      : model(dga::make_pool_model(config)), matcher(config.epoch) {}
+
+  /// Register `epoch` with the matcher and the reference alike.
+  void add(std::int64_t epoch, const DetectionWindow& window) {
+    const dga::EpochPool& pool = model->epoch_pool(epoch);
+    matcher.add_epoch(pool, window);
+    for (std::uint32_t pos = 0; pos < pool.size(); ++pos) {
+      if (!window.detected[pos]) continue;
+      reference[pool.domains[pos]].push_back(
+          {epoch, pos, pool.is_valid_position(pos)});
+    }
+    epochs.push_back(epoch);
+  }
+
+  std::unique_ptr<dga::QueryPoolModel> model;
+  DomainMatcher matcher;
+  ReferenceIndex reference;
+  std::vector<std::int64_t> epochs;
+};
+
+/// Every registered domain resolves through all three entry points and
+/// attributes, at each of its epochs, to that epoch's first occurrence;
+/// everything else misses.
+void expect_index_matches_reference(const IndexUnderTest& index) {
+  const DomainMatcher& matcher = index.matcher;
+  std::uint64_t occurrences = 0;
+  for (const auto& [domain, list] : index.reference) occurrences += list.size();
+  EXPECT_EQ(matcher.matchable_domain_count(), occurrences);
+
+  std::vector<std::string> misses;
+  for (const std::int64_t epoch : index.epochs) {
+    for (const std::string& domain : index.model->epoch_pool(epoch).domains) {
+      if (!index.reference.contains(domain)) misses.push_back(domain);
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    misses.push_back("benign" + std::to_string(i) + ".example");
+  }
+  if (!index.reference.empty()) {
+    misses.push_back(index.reference.begin()->first + "x");
+    misses.push_back("x" + index.reference.rbegin()->first);
+  }
+
+  std::vector<std::string_view> members;
+  for (const auto& [domain, list] : index.reference) members.push_back(domain);
+  std::vector<DomainMatcher::Resolved> batched(members.size());
+  matcher.resolve_many(members, batched);
+
+  const std::int64_t epoch_ms = matcher.epoch_length().millis();
+  std::size_t failures = 0;
+  for (std::size_t i = 0; i < members.size() && failures < 10; ++i) {
+    const std::string domain(members[i]);
+    const std::vector<ReferenceOccurrence>& list = index.reference.at(domain);
+    const DomainMatcher::Resolved single = matcher.resolve(domain);
+    const bool resolved =
+        static_cast<bool>(single) && static_cast<bool>(batched[i]);
+    EXPECT_TRUE(resolved) << domain;
+    if (!resolved) {
+      ++failures;
+      continue;
+    }
+    for (const ReferenceOccurrence& occ : list) {
+      const ReferenceOccurrence& first = *std::find_if(
+          list.begin(), list.end(),
+          [&occ](const ReferenceOccurrence& o) { return o.epoch == occ.epoch; });
+      const TimePoint t{occ.epoch * epoch_ms + 1000};
+      const DomainMatcher::MatchOutcome want{
+          StreamKey{dns::ServerId{3}, occ.epoch},
+          MatchedLookup{t, first.position, first.valid}};
+      const auto via_one =
+          matcher.match_one(dns::ForwardedLookup{t, dns::ServerId{3}, domain});
+      ASSERT_TRUE(via_one.has_value()) << domain;
+      for (const DomainMatcher::MatchOutcome& got :
+           {matcher.match_resolved(single, t, dns::ServerId{3}, occ.epoch),
+            matcher.match_resolved(batched[i], t, dns::ServerId{3}),
+            *via_one}) {
+        if (got.key != want.key || !(got.lookup == want.lookup)) {
+          ADD_FAILURE() << domain << " at epoch " << occ.epoch
+                        << " attributed to epoch " << got.key.epoch
+                        << " position " << got.lookup.pool_position;
+          ++failures;
+        }
+      }
+    }
+  }
+
+  std::vector<std::string_view> miss_views(misses.begin(), misses.end());
+  std::vector<DomainMatcher::Resolved> batched_misses(miss_views.size());
+  matcher.resolve_many(miss_views, batched_misses);
+  for (std::size_t i = 0; i < misses.size(); ++i) {
+    EXPECT_FALSE(static_cast<bool>(matcher.resolve(misses[i]))) << misses[i];
+    EXPECT_FALSE(static_cast<bool>(batched_misses[i])) << misses[i];
+    EXPECT_FALSE(matcher
+                     .match_one(dns::ForwardedLookup{TimePoint{1000},
+                                                     dns::ServerId{0},
+                                                     misses[i]})
+                     .has_value())
+        << misses[i];
+  }
+}
+
+TEST(MatcherIndexTest, ConfickerPoolsGrowTheTableAndMatchTheReference) {
+  // ~50k domains per epoch: the table doubles from its first size many
+  // times over, re-seating every slot each time.
+  IndexUnderTest index(dga::conficker_c_config());
+  for (std::int64_t epoch = 0; epoch < 3; ++epoch) {
+    index.add(epoch, perfect_detection(index.model->epoch_pool(epoch)));
+  }
+  EXPECT_GT(index.reference.size(), 100000u);
+  expect_index_matches_reference(index);
+}
+
+TEST(MatcherIndexTest, SlidingWindowDomainsMatchTheReference) {
+  // One domain in many epochs' pools: each registered epoch attributes to
+  // its own occurrence.
+  IndexUnderTest index(dga::pushdo_config());
+  for (std::int64_t epoch = 0; epoch < 12; ++epoch) {
+    index.add(epoch, perfect_detection(index.model->epoch_pool(epoch)));
+  }
+  std::size_t shared = 0;
+  for (const auto& [domain, list] : index.reference) {
+    if (list.size() > 1) ++shared;
+  }
+  EXPECT_GT(shared, 100u);
+  expect_index_matches_reference(index);
+}
+
+TEST(MatcherIndexTest, PartialWindowsMatchTheReference) {
+  // A 0.3 miss rate leaves every third domain or so unregistered: those
+  // must miss like benign traffic.
+  for (const dga::DgaConfig& config :
+       {dga::newgoz_config(), dga::ranbyus_config()}) {
+    SCOPED_TRACE(config.name);
+    IndexUnderTest index(config);
+    Rng rng{11};
+    for (std::int64_t epoch = 0; epoch < 4; ++epoch) {
+      index.add(epoch,
+                make_detection_window(index.model->epoch_pool(epoch), 0.3, rng));
+    }
+    expect_index_matches_reference(index);
+  }
+}
+
+TEST(MatcherIndexTest, EmptyMatcherMatchesTheEmptyReference) {
+  IndexUnderTest index(dga::newgoz_config());
+  expect_index_matches_reference(index);
+  EXPECT_EQ(index.matcher.matchable_domain_count(), 0u);
 }
 
 TEST(AlgorithmicPatternTest, MatchesGeneratedDomains) {

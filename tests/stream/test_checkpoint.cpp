@@ -216,6 +216,87 @@ TEST(StreamCheckpointTest, RejectedCheckpointLeavesEngineEmptyAndUsable) {
   EXPECT_EQ(json::write(core::landscape_to_json(retry.finish())), want);
 }
 
+/// Nine tuples over four servers and three open epochs (nothing closes: the
+/// watermark stays inside epoch 1). Server 1 sees only benign traffic and
+/// server 3 nothing; epoch 1 arrives out of order, and an epoch-2 domain is
+/// looked up a day early.
+std::vector<dns::ForwardedLookup> golden_stream() {
+  const auto model = dga::make_pool_model(dga::newgoz_config());
+  const std::int64_t day = days(1).millis();
+  const auto lookup = [&model](std::int64_t t_ms, std::uint32_t server,
+                               std::int64_t epoch, std::uint32_t pos) {
+    return dns::ForwardedLookup{TimePoint{t_ms}, dns::ServerId{server},
+                                model->epoch_pool(epoch).domains[pos]};
+  };
+  const std::uint32_t valid = model->epoch_pool(0).valid_positions.front();
+  return {
+      lookup(1000, 0, 0, 3),
+      {TimePoint{1500}, dns::ServerId{1}, "benign.example"},
+      lookup(3000, 0, 0, valid),
+      lookup(4000, 2, 0, 7),
+      lookup(day + 2000, 0, 1, 11),
+      lookup(day + 2000, 2, 1, 11),
+      lookup(day + 900, 2, 1, 4),
+      lookup(day + 5000, 0, 2, 9),
+      {TimePoint{day + 6000}, dns::ServerId{1}, "benign.example"},
+  };
+}
+
+/// The checkpoint of golden_stream() under newgoz_config(3, 4), pinned byte
+/// for byte: open buckets in (server, epoch) order, empty servers absent.
+constexpr const char* kGoldenCheckpoint =
+    R"({"closed":[],"config":{"detection_miss_rate":0,"dga_seed":1196382770,)"
+    R"("epoch_count":3,"estimator":"","family":"newGoZ","first_epoch":0,)"
+    R"("neg_ttl_ms":7200000,"server_count":4,"window_seed":7},)"
+    R"("finished":false,"ingested":9,"late_dropped":0,"matched":7,)"
+    R"("open":[{"epoch":0,"pos":[3,1394],"server":0,"t":[1000,)"
+    R"(3000],"valid":[0,1]},{"epoch":1,"pos":[11],"server":0,)"
+    R"("t":[86402000],"valid":[0]},{"epoch":2,"pos":[9],"server":0,)"
+    R"("t":[86405000],"valid":[0]},{"epoch":0,"pos":[7],"server":2,)"
+    R"("t":[4000],"valid":[0]},{"epoch":1,"pos":[11,4],"server":2,)"
+    R"("t":[86402000,86400900],"valid":[0,0]}],"peak_resident":7,)"
+    R"("schema":"botmeter.stream_checkpoint.v1","unmatched":2,)"
+    R"("watermark_ms":86406000})";
+
+TEST(StreamCheckpointTest, GoldenCheckpointBytesAreKept) {
+  StreamEngine live(newgoz_config(3, 4));
+  live.ingest(golden_stream());
+  EXPECT_EQ(json::write(live.checkpoint()), kGoldenCheckpoint);
+
+  StreamEngine restored(newgoz_config(3, 4));
+  restored.restore(json::parse(kGoldenCheckpoint));
+  EXPECT_EQ(json::write(restored.checkpoint()), kGoldenCheckpoint);
+  EXPECT_EQ(restored.resident_lookups(), live.resident_lookups());
+  EXPECT_EQ(restored.watermark(), live.watermark());
+
+  // Both continue to the same landscape.
+  EXPECT_EQ(json::write(core::landscape_to_json(restored.finish())),
+            json::write(core::landscape_to_json(live.finish())));
+}
+
+// An open bucket listed twice would be loaded twice: its evidence would
+// reach the estimator twice and count twice as resident.
+TEST(StreamCheckpointTest, OpenBucketListedTwiceIsRejected) {
+  json::Object doubled = json::parse(kGoldenCheckpoint).as_object();
+  json::Array open = doubled.at("open").as_array();
+  open.push_back(open.front());  // (server 0, epoch 0) again
+  doubled["open"] = json::Value(std::move(open));
+
+  StreamEngine engine(newgoz_config(3, 4));
+  try {
+    engine.restore(json::Value(std::move(doubled)));
+    ADD_FAILURE() << "a duplicated open bucket was accepted";
+  } catch (const DataError& e) {
+    EXPECT_NE(std::string(e.what()).find("(server 0, epoch 0)"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.resident_lookups(), 0u);
+  EXPECT_EQ(engine.ingested(), 0u);
+  engine.restore(json::parse(kGoldenCheckpoint));  // still usable
+  EXPECT_EQ(engine.resident_lookups(), 7u);
+}
+
 TEST(StreamCheckpointTest, FinishedEngineRoundTripsSealed) {
   const auto stream = simulate_stream(2, 1, 59);
   StreamEngine engine(newgoz_config(2, 1));

@@ -9,14 +9,19 @@
 
 #include <algorithm>
 #include <random>
+#include <sstream>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "botnet/simulator.hpp"
+#include "common/json.hpp"
 #include "core/botmeter.hpp"
 #include "dga/families.hpp"
 #include "estimators/library.hpp"
 #include "obs/metrics.hpp"
 #include "stream/health_monitor.hpp"
+#include "trace/block.hpp"
 
 namespace botmeter::stream {
 namespace {
@@ -344,6 +349,91 @@ TEST(StreamEngineTest, SealedAfterFinish) {
   EXPECT_THROW(engine.advance(TimePoint{1}), ConfigError);
   EXPECT_THROW(engine.close_through(0), ConfigError);
   EXPECT_THROW((void)engine.finish(), ConfigError);
+}
+
+// A tuple naming a server at or past server_count is rejected when it is
+// admitted, on the per-tuple and the block path alike: the engine is left
+// as it was after the tuple before it, and its message names the id and
+// the width. Admitted, its bucket would lie outside the [epoch][server]
+// grid, where no close reaches it.
+TEST(StreamEngineTest, ServerOutsideTheWidthIsRejectedOnAdmission) {
+  Scenario narrow{dga::newgoz_config(), 64, 2, 0, 2, 3};
+  std::vector<dns::ForwardedLookup> stream = simulate_stream(narrow);
+  // Halfway through, one DGA lookup arrives from server 3.
+  const std::size_t k = stream.size() / 2;
+  dns::ForwardedLookup outside = stream[k];
+  outside.forwarder = dns::ServerId{3};
+  stream.insert(stream.begin() + static_cast<std::ptrdiff_t>(k), outside);
+  const auto first_outside = stream.begin() + static_cast<std::ptrdiff_t>(k);
+  const std::span<const dns::ForwardedLookup> before(stream.data(), k);
+
+  StreamEngine reference(engine_config(narrow, "", 1));
+  reference.ingest(before);
+  const std::string want = json::write(reference.checkpoint());
+
+  const auto expect_rejected = [&](StreamEngine& engine, auto&& ingest) {
+    try {
+      ingest();
+      ADD_FAILURE() << "server " << first_outside->forwarder.value()
+                    << " was admitted into a 2-server engine";
+    } catch (const ConfigError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("server id " +
+                          std::to_string(first_outside->forwarder.value())),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("width 2"), std::string::npos) << what;
+    }
+    EXPECT_EQ(engine.ingested(), reference.ingested());
+    EXPECT_EQ(engine.matched(), reference.matched());
+    EXPECT_EQ(engine.unmatched(), reference.unmatched());
+    EXPECT_EQ(engine.resident_lookups(), reference.resident_lookups());
+    EXPECT_EQ(engine.watermark(), reference.watermark());
+    EXPECT_EQ(json::write(engine.checkpoint()), want);
+  };
+
+  StreamEngine per_tuple(engine_config(narrow, "", 1));
+  per_tuple.ingest(before);
+  expect_rejected(per_tuple, [&] { per_tuple.ingest(*first_outside); });
+
+  std::ostringstream binary;
+  trace::write_blocks(binary, stream, stream.size());  // one block
+  std::istringstream blocks(binary.str());
+  StreamEngine blocky(engine_config(narrow, "", 1));
+  expect_rejected(blocky, [&] {
+    trace::for_each_block(blocks, [&blocky](const dns::LookupColumns& columns,
+                                            std::span<const std::string_view>
+                                                table) {
+      blocky.ingest_block(columns, table);
+    });
+  });
+}
+
+TEST(StreamEngineTest, SharedMeterMustBePreparedForExactlyTheHorizon) {
+  const Scenario s{dga::newgoz_config(), 16, 1, 0, 1, 7};
+  // Wider: a meter prepared for two epochs would attribute tuples to an
+  // epoch the one-epoch engine never closes.
+  auto wide = std::make_shared<core::BotMeter>(meter_config(s, ""));
+  wide->prepare_epochs(0, 2);
+  EXPECT_THROW(StreamEngine(engine_config(s, "", 1), wide), ConfigError);
+  // Shifted: the right length over the wrong epochs.
+  Scenario later = s;
+  later.first_epoch = 1;
+  auto shifted = std::make_shared<core::BotMeter>(meter_config(s, ""));
+  shifted->prepare_epochs(0, 1);
+  EXPECT_THROW(StreamEngine(engine_config(later, "", 1), shifted), ConfigError);
+  // Gapped: as many epochs as a two-epoch horizon, but not its two.
+  Scenario two = s;
+  two.epochs = 2;
+  auto gapped = std::make_shared<core::BotMeter>(meter_config(s, ""));
+  gapped->prepare_epochs(0, 1);
+  gapped->prepare_epochs(2, 1);
+  EXPECT_THROW(StreamEngine(engine_config(two, "", 1), gapped), ConfigError);
+  // Exactly the horizon is shared.
+  auto exact = std::make_shared<core::BotMeter>(meter_config(s, ""));
+  exact->prepare_epochs(0, 1);
+  StreamEngine engine(engine_config(s, "", 1), exact);
+  EXPECT_EQ(&engine.meter(), exact.get());
 }
 
 TEST(StreamEngineTest, ConfigValidation) {
