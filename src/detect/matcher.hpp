@@ -3,9 +3,10 @@
 // The matcher consumes the vantage-point stream and keeps the lookups whose
 // domain falls inside a registered detection window, grouping them by
 // (forwarding server, pool epoch) — exactly the matching results handed to
-// the analytical models in step 4. Domains may be registered from plain
-// lists (detection windows over known pools) or recognised structurally via
-// `AlgorithmicPattern` (§ "algorithmic patterns (or plain lists)").
+// the analytical models in step 4. Domains are registered from plain lists
+// (detection windows over known pools). `AlgorithmicPattern` below is a
+// standalone structural recogniser (§ "algorithmic patterns (or plain
+// lists)") that no pipeline calls.
 #pragma once
 
 #include <cstdint>

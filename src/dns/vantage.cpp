@@ -17,42 +17,4 @@ std::vector<ForwardedLookup> VantagePoint::take() {
   return std::exchange(stream_, {});
 }
 
-std::size_t VantagePoint::drain(
-    const std::function<void(std::span<const ForwardedLookup>)>& consume) {
-  const std::size_t n = stream_.size();
-  if (n != 0) consume(std::span<const ForwardedLookup>{stream_});
-  stream_.clear();
-  return n;
-}
-
-std::size_t VantagePoint::drain_block(
-    const std::function<void(const LookupColumns&,
-                             std::span<const std::string>)>& consume) {
-  const std::size_t n = stream_.size();
-  if (n == 0) return 0;
-  col_t_ms_.clear();
-  col_server_.clear();
-  col_domain_.clear();
-  col_t_ms_.reserve(n);
-  col_server_.reserve(n);
-  col_domain_.reserve(n);
-  for (const ForwardedLookup& lookup : stream_) {
-    col_t_ms_.push_back(lookup.timestamp.millis());
-    col_server_.push_back(lookup.forwarder.value());
-    const auto it = intern_.find(std::string_view{lookup.domain});
-    if (it != intern_.end()) {
-      col_domain_.push_back(it->second);
-    } else {
-      const auto id = static_cast<std::uint32_t>(domain_table_.size());
-      intern_.emplace(lookup.domain, id);
-      domain_table_.push_back(lookup.domain);
-      col_domain_.push_back(id);
-    }
-  }
-  consume(LookupColumns{col_t_ms_, col_server_, col_domain_},
-          std::span<const std::string>{domain_table_});
-  stream_.clear();
-  return n;
-}
-
 }  // namespace botmeter::dns

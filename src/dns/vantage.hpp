@@ -11,8 +11,6 @@
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/time.hpp"
@@ -31,12 +29,12 @@ struct ForwardedLookup {
 
 /// Columnar (structure-of-arrays) view of a batch of forwarded lookups —
 /// the zero-copy unit of the binary hot path (trace::BlockReader,
-/// VantagePoint::drain_block, stream::StreamEngine::ingest_block). The
-/// `domain` column holds interned ids into a string table that travels
-/// beside the view; ids are stable for the lifetime of whichever component
-/// owns the table, so consumers resolve each distinct domain exactly once
-/// and replay the result per tuple. All three spans have equal length and
-/// are only valid for the duration of the producing call.
+/// stream::StreamEngine::ingest_block). The `domain` column holds interned
+/// ids into a string table that travels beside the view; ids are stable for
+/// the lifetime of whichever component owns the table, so consumers resolve
+/// each distinct domain exactly once and replay the result per tuple. All
+/// three spans have equal length and are only valid for the duration of the
+/// producing call.
 struct LookupColumns {
   std::span<const std::int64_t> t_ms;
   std::span<const std::uint32_t> server;
@@ -69,7 +67,7 @@ class VantagePoint {
   /// Install (or, with a null sink, remove) the tap. Timestamp quantisation
   /// still applies before the callback sees a tuple, so a tapped consumer
   /// observes exactly the stream a batch caller would. Installing a sink
-  /// does not disturb already-buffered lookups; drain or take them first.
+  /// does not disturb already-buffered lookups; take them first.
   void set_sink(Sink sink) { sink_ = std::move(sink); }
   [[nodiscard]] bool has_sink() const { return static_cast<bool>(sink_); }
 
@@ -80,48 +78,10 @@ class VantagePoint {
   /// Move the accumulated stream out (the harness drains per-epoch).
   [[nodiscard]] std::vector<ForwardedLookup> take();
 
-  /// Pull-batch drain: hand the buffered lookups to `consume` as one span,
-  /// then clear the buffer. Returns the number of lookups handed over.
-  /// The span is only valid during the call.
-  std::size_t drain(
-      const std::function<void(std::span<const ForwardedLookup>)>& consume);
-
-  /// Columnar drain: intern the buffered domains into a per-vantage-point
-  /// string table (ids are stable across drains for the lifetime of this
-  /// VantagePoint) and hand `consume` the column view plus the full table,
-  /// then clear the buffer. Tuple order and values are identical to drain();
-  /// only the representation changes. The column spans are valid during the
-  /// call; the table reference stays valid (and only grows) until the
-  /// VantagePoint dies. Returns the number of lookups handed over.
-  std::size_t drain_block(
-      const std::function<void(const LookupColumns&,
-                               std::span<const std::string>)>& consume);
-
-  /// Distinct domains interned by drain_block so far.
-  [[nodiscard]] std::size_t interned_domain_count() const {
-    return domain_table_.size();
-  }
-
  private:
-  struct StringHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-
   Duration granularity_{0};
   std::vector<ForwardedLookup> stream_;
   Sink sink_;
-
-  // drain_block state: the append-only intern table plus reusable column
-  // buffers (no per-drain allocation once warm).
-  std::unordered_map<std::string, std::uint32_t, StringHash, std::equal_to<>>
-      intern_;
-  std::vector<std::string> domain_table_;
-  std::vector<std::int64_t> col_t_ms_;
-  std::vector<std::uint32_t> col_server_;
-  std::vector<std::uint32_t> col_domain_;
 };
 
 }  // namespace botmeter::dns

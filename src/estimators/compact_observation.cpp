@@ -11,16 +11,6 @@ void CompactObservationConfig::validate() const {
   if (kmv_k < 8) {
     throw ConfigError("CompactObservationConfig: kmv_k must be >= 8");
   }
-  if (cms_depth < 1) {
-    throw ConfigError("CompactObservationConfig: cms_depth must be >= 1");
-  }
-  if (cms_width < 2 || (cms_width & (cms_width - 1)) != 0) {
-    throw ConfigError(
-        "CompactObservationConfig: cms_width must be a power of two >= 2");
-  }
-  if (max_time_slots < 1) {
-    throw ConfigError("CompactObservationConfig: max_time_slots must be >= 1");
-  }
 }
 
 json::Value CompactCellSpec::serialize() const {
@@ -29,8 +19,6 @@ json::Value CompactCellSpec::serialize() const {
   out["window_ms"] = json::Value{static_cast<double>(window_ms)};
   out["slot_count"] = json::Value{static_cast<double>(slot_count)};
   out["kmv_k"] = json::Value{static_cast<double>(kmv_k)};
-  out["cms_depth"] = json::Value{static_cast<double>(cms_depth)};
-  out["cms_width"] = json::Value{static_cast<double>(cms_width)};
   return json::Value{std::move(out)};
 }
 
@@ -47,8 +35,6 @@ CompactCellSpec CompactCellSpec::parse(const json::Value& value) {
   };
   spec.slot_count = u32("slot_count");
   spec.kmv_k = u32("kmv_k");
-  spec.cms_depth = u32("cms_depth");
-  spec.cms_width = u32("cms_width");
   if (spec.window_ms <= 0) {
     throw DataError("CompactCellSpec: window_ms must be positive");
   }
@@ -68,10 +54,6 @@ CompactCellSpec make_compact_spec(const CompactObservationConfig& config,
   spec.window_start_ms = window_start.millis();
   spec.window_ms = window_length.millis();
   if (support.needs_distinct) spec.kmv_k = config.kmv_k;
-  if (support.needs_position_counts || config.position_counts) {
-    spec.cms_depth = config.cms_depth;
-    spec.cms_width = config.cms_width;
-  }
   if (support.needs_time_slots) {
     // The Poisson activation filter keeps events at least delta_l - slack
     // apart (delta_l = negative TTL, slack = min(60 s, delta_l / 4)). Half
@@ -83,7 +65,7 @@ CompactCellSpec make_compact_spec(const CompactObservationConfig& config,
     const std::int64_t want =
         (spec.window_ms + slot_ms - 1) / slot_ms;  // ceil(window / slot)
     spec.slot_count = static_cast<std::uint32_t>(std::clamp<std::int64_t>(
-        want, 1, static_cast<std::int64_t>(config.max_time_slots)));
+        want, 1, static_cast<std::int64_t>(kMaxTimeSlots)));
   }
   return spec;
 }
@@ -93,7 +75,6 @@ CompactCell::CompactCell(const CompactCellSpec& spec) : spec_(spec) {
     throw ConfigError("CompactCell: window_ms must be positive");
   }
   if (spec.kmv_k > 0) kmv_.emplace(spec.kmv_k);
-  if (spec.cms_depth > 0) cms_.emplace(spec.cms_depth, spec.cms_width);
   if (spec.slot_count > 0) {
     slot_counts_.assign(spec.slot_count, 0);
     slot_min_ms_.assign(spec.slot_count, 0);
@@ -122,7 +103,6 @@ void CompactCell::add(const detect::MatchedLookup& lookup) {
   }
   ++nxd_lookups_;
   if (kmv_) kmv_->insert(lookup.pool_position);
-  if (cms_) cms_->add(lookup.pool_position);
   if (spec_.slot_count > 0) {
     const std::int64_t w = slot_width().millis();
     const std::int64_t raw = (t_ms - spec_.window_start_ms) / w;
@@ -139,35 +119,6 @@ void CompactCell::add_all(std::span<const detect::MatchedLookup> lookups) {
   for (const detect::MatchedLookup& lookup : lookups) add(lookup);
 }
 
-void CompactCell::merge(const CompactCell& other) {
-  if (!(other.spec_ == spec_)) {
-    throw ConfigError("CompactCell: merge requires identical spec");
-  }
-  if (other.matched_ > 0) {
-    if (matched_ == 0) {
-      first_ms_ = other.first_ms_;
-      last_ms_ = other.last_ms_;
-    } else {
-      first_ms_ = std::min(first_ms_, other.first_ms_);
-      last_ms_ = std::max(last_ms_, other.last_ms_);
-    }
-  }
-  matched_ += other.matched_;
-  nxd_lookups_ += other.nxd_lookups_;
-  valid_lookups_ += other.valid_lookups_;
-  if (kmv_) kmv_->merge(*other.kmv_);
-  if (cms_) cms_->merge(*other.cms_);
-  for (std::size_t i = 0; i < slot_counts_.size(); ++i) {
-    if (other.slot_counts_[i] == 0) continue;
-    if (slot_counts_[i] == 0 || other.slot_min_ms_[i] < slot_min_ms_[i]) {
-      slot_min_ms_[i] = other.slot_min_ms_[i];
-    }
-    const std::uint64_t sum = std::uint64_t{slot_counts_[i]} + other.slot_counts_[i];
-    slot_counts_[i] = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(sum, ~std::uint32_t{0}));
-  }
-}
-
 std::optional<TimePoint> CompactCell::first_t() const {
   if (matched_ == 0) return std::nullopt;
   return TimePoint{first_ms_};
@@ -181,7 +132,6 @@ std::optional<TimePoint> CompactCell::last_t() const {
 std::size_t CompactCell::memory_bytes() const {
   std::size_t bytes = sizeof(*this);
   if (kmv_) bytes += kmv_->memory_bytes();
-  if (cms_) bytes += cms_->memory_bytes();
   bytes += slot_counts_.capacity() * sizeof(std::uint32_t);
   bytes += slot_min_ms_.capacity() * sizeof(std::int64_t);
   return bytes;
@@ -198,7 +148,6 @@ json::Value CompactCell::serialize() const {
     out["last_ms"] = json::Value{static_cast<double>(last_ms_)};
   }
   if (kmv_) out["kmv"] = kmv_->serialize();
-  if (cms_) out["cms"] = cms_->serialize();
   if (!slot_counts_.empty()) {
     json::Array counts, mins;
     counts.reserve(slot_counts_.size());
@@ -236,17 +185,13 @@ CompactCell CompactCell::parse(const json::Value& value) {
     }
   }
   if (spec.kmv_k > 0) {
-    cell.kmv_ = KmvSketch::parse(value.at("kmv"));
-    if (cell.kmv_->k() != spec.kmv_k) {
+    // Checked before KmvSketch::parse reserves k entries: a tampered k must
+    // fail here, not ask for gigabytes.
+    const json::Value& kmv = value.at("kmv");
+    if (kmv.at("k").as_int() != spec.kmv_k) {
       throw DataError("CompactCell: KMV k disagrees with spec");
     }
-  }
-  if (spec.cms_depth > 0) {
-    cell.cms_ = CountMinSketch::parse(value.at("cms"));
-    if (cell.cms_->depth() != spec.cms_depth ||
-        cell.cms_->width() != spec.cms_width) {
-      throw DataError("CompactCell: CMS shape disagrees with spec");
-    }
+    cell.kmv_ = KmvSketch::parse(kmv);
   }
   if (spec.slot_count > 0) {
     const json::Array& counts = value.at("slot_counts").as_array();

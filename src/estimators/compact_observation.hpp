@@ -3,17 +3,17 @@
 // A `CompactCell` is the sketch-backed replacement for a buffered
 // per-(server, epoch) lookup vector: exact scalar tallies (matched counts,
 // first/last timestamps), a KMV sketch of the distinct detected-NXD pool
-// positions, an optional count-min sketch of per-position forwarded counts,
-// and a fixed grid of time slots holding {NXD count, earliest timestamp} —
-// everything the compact-capable estimators consume, in O(k + slots) bytes
-// regardless of traffic volume. `CompactObservation` then plays the role of
-// `EpochObservation` for the compact path: the cell plus the same family /
-// pool / window / TTL context, handed to `Estimator::estimate_with_interval`.
+// positions (M_B), and a fixed grid of time slots holding {NXD count,
+// earliest timestamp} (M_P's activations) — everything the compact-capable
+// estimators consume, in O(k + slots) bytes regardless of traffic volume.
+// `CompactObservation` then plays the role of `EpochObservation` for the
+// compact path: the cell plus the same family / pool / window / TTL context,
+// handed to `Estimator::estimate_with_interval`.
 //
-// Cells are insertion-order invariant and merge deterministically (sketches
-// merge, scalars add, slots add with min-timestamps), so spilling an exact
-// buffer into a cell mid-stream, restoring one from a checkpoint, or merging
-// shard-local cells all reproduce the cell a single pass would have built.
+// Cells are insertion-order invariant, so spilling an exact buffer into a
+// cell mid-stream or restoring one from a checkpoint reproduces the cell a
+// single pass would have built. Every server has one owning shard, so cells
+// never merge; the cluster merges closed estimates.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +40,8 @@ class EstimationContext;
 /// cell — structures no model asked for are simply absent.
 struct CompactSupport {
   bool supported = false;
-  bool needs_distinct = false;         // KMV over detected-NXD positions
-  bool needs_position_counts = false;  // count-min per-position tallies
-  bool needs_time_slots = false;       // slotted NXD timestamps (Poisson)
+  bool needs_distinct = false;    // KMV over detected-NXD positions
+  bool needs_time_slots = false;  // slotted NXD timestamps (Poisson)
 };
 
 /// Tuning for the compact path; one config serves every cell of a run.
@@ -50,29 +49,22 @@ struct CompactObservationConfig {
   /// KMV size: cells stay exact below this many distinct NXD positions;
   /// saturated relative error is 1/sqrt(kmv_k - 2) (~3.2% at 1024).
   std::uint32_t kmv_k = 1024;
-  /// Count-min shape for the per-position tally sketch.
-  std::uint32_t cms_depth = 4;
-  std::uint32_t cms_width = 256;  // power of two
-  /// Include the count-min tally even when no estimator asked for it
-  /// (per-position forwarded-count diagnostics).
-  bool position_counts = false;
-  /// Upper bound on time slots per cell; the actual count is derived from
-  /// the window length and the negative-TTL activation spacing.
-  std::uint32_t max_time_slots = 4096;
 
   void validate() const;
 };
 
+/// Upper bound on time slots per cell; the actual count is derived from the
+/// window length and the negative-TTL activation spacing.
+inline constexpr std::uint32_t kMaxTimeSlots = 4096;
+
 /// The concrete shape of one cell, derived from config + estimator support +
 /// the epoch's window geometry. A zero count/size means the structure is
-/// absent. Cells serialize their spec, and only equal-spec cells merge.
+/// absent. Cells serialize their spec; parse ignores keys it does not know.
 struct CompactCellSpec {
   std::int64_t window_start_ms = 0;
   std::int64_t window_ms = 0;
   std::uint32_t slot_count = 0;
   std::uint32_t kmv_k = 0;
-  std::uint32_t cms_depth = 0;
-  std::uint32_t cms_width = 0;
 
   friend bool operator==(const CompactCellSpec&, const CompactCellSpec&) = default;
 
@@ -83,7 +75,7 @@ struct CompactCellSpec {
 /// Derive the cell shape for one epoch. The slot width is chosen so that
 /// consecutive kept activations (spaced at least delta_l - slack apart, the
 /// Poisson estimator's filter) land in distinct slots: half that spacing,
-/// clamped to [1 ms, window] and to at most `max_time_slots` slots.
+/// clamped to [1 ms, window] and to at most `kMaxTimeSlots` slots.
 [[nodiscard]] CompactCellSpec make_compact_spec(
     const CompactObservationConfig& config, const CompactSupport& support,
     TimePoint window_start, Duration window_length, const dns::TtlPolicy& ttl);
@@ -100,10 +92,6 @@ class CompactCell {
   /// Fold a whole buffer (the spill path).
   void add_all(std::span<const detect::MatchedLookup> lookups);
 
-  /// Merge another cell built with an identical spec (throws ConfigError on
-  /// mismatch). Equivalent to having added both input streams to one cell.
-  void merge(const CompactCell& other);
-
   [[nodiscard]] const CompactCellSpec& spec() const { return spec_; }
 
   /// Exact scalars.
@@ -113,11 +101,8 @@ class CompactCell {
   [[nodiscard]] std::optional<TimePoint> first_t() const;
   [[nodiscard]] std::optional<TimePoint> last_t() const;
 
-  /// Sketches; null when the spec excluded them.
+  /// The distinct-NXD sketch; null when the spec excluded it.
   [[nodiscard]] const KmvSketch* distinct_nxd() const { return kmv_ ? &*kmv_ : nullptr; }
-  [[nodiscard]] const CountMinSketch* position_counts() const {
-    return cms_ ? &*cms_ : nullptr;
-  }
 
   /// Time-slot grid (empty spans when slot_count == 0). `slot_min_ms()[i]`
   /// is meaningful only where `slot_counts()[i] > 0`.
@@ -132,7 +117,8 @@ class CompactCell {
   /// Heap + inline footprint; constant after construction.
   [[nodiscard]] std::size_t memory_bytes() const;
 
-  /// Deterministic JSON state (spec included; parse is self-contained).
+  /// Deterministic JSON state (spec included; parse is self-contained and
+  /// checks the stored KMV's k against the spec before sizing the sketch).
   [[nodiscard]] json::Value serialize() const;
   [[nodiscard]] static CompactCell parse(const json::Value& value);
 
@@ -144,7 +130,6 @@ class CompactCell {
   std::int64_t first_ms_ = 0;  // valid iff matched_ > 0
   std::int64_t last_ms_ = 0;
   std::optional<KmvSketch> kmv_;
-  std::optional<CountMinSketch> cms_;
   std::vector<std::uint32_t> slot_counts_;
   std::vector<std::int64_t> slot_min_ms_;
 };

@@ -43,8 +43,6 @@ CompactSupport HybridEstimator::compact_support() const {
   CompactSupport support;
   support.supported = true;
   support.needs_distinct = semantic.needs_distinct || temporal.needs_distinct;
-  support.needs_position_counts =
-      semantic.needs_position_counts || temporal.needs_position_counts;
   support.needs_time_slots =
       semantic.needs_time_slots || temporal.needs_time_slots;
   return support;

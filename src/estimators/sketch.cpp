@@ -16,23 +16,11 @@ namespace {
   return mix64(static_cast<std::uint64_t>(value));
 }
 
-// Per-row count-min salt; any fixed avalanche-quality schedule works, it just
-// has to be identical across shards/threads/restores.
-[[nodiscard]] std::uint64_t row_salt(std::uint32_t row) {
-  return mix64(0xC0117A115EEDULL + static_cast<std::uint64_t>(row) *
-                                       0x9E3779B97F4A7C15ULL);
-}
-
-constexpr double kTwoPow53 = 9007199254740992.0;  // JSON-exact integer bound
-
 void require(bool ok, const char* what) {
   if (!ok) throw DataError(std::string("sketch: ") + what);
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// KmvSketch
 
 KmvSketch::KmvSketch(std::uint32_t k) : k_(k) {
   if (k < 8) throw ConfigError("KmvSketch: k must be >= 8");
@@ -80,15 +68,6 @@ std::vector<std::uint32_t> KmvSketch::values() const {
   return out;
 }
 
-void KmvSketch::merge(const KmvSketch& other) {
-  if (other.k_ != k_) throw ConfigError("KmvSketch: merge requires equal k");
-  // Inserting the survivors of `other` reproduces the k smallest hashes of
-  // the union; a saturated input has already dropped items, so the merged
-  // sketch is approximate even if every survivor fits.
-  saturated_ = saturated_ || other.saturated_;
-  for (const Entry& e : other.entries_) insert(e.value);
-}
-
 std::size_t KmvSketch::memory_bytes() const {
   return sizeof(*this) + entries_.capacity() * sizeof(Entry);
 }
@@ -121,108 +100,6 @@ KmvSketch KmvSketch::parse(const json::Value& value) {
   // At most k values re-inserted, so insert() cannot have evicted; the flag
   // carries the pre-serialization truth.
   out.saturated_ = value.at("saturated").as_bool();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// CountMinSketch
-
-CountMinSketch::CountMinSketch(std::uint32_t depth, std::uint32_t width)
-    : depth_(depth), width_(width) {
-  if (depth < 1) throw ConfigError("CountMinSketch: depth must be >= 1");
-  if (width < 2 || (width & (width - 1)) != 0) {
-    throw ConfigError("CountMinSketch: width must be a power of two >= 2");
-  }
-  counters_.assign(static_cast<std::size_t>(depth) * width, 0);
-}
-
-std::size_t CountMinSketch::slot(std::uint32_t row, std::uint32_t item) const {
-  const std::uint64_t h = mix64(static_cast<std::uint64_t>(item) ^ row_salt(row));
-  return static_cast<std::size_t>(row) * width_ +
-         static_cast<std::size_t>(h & (width_ - 1));
-}
-
-void CountMinSketch::add(std::uint32_t item, std::uint64_t count) {
-  for (std::uint32_t row = 0; row < depth_; ++row) {
-    counters_[slot(row, item)] += count;
-  }
-  total_ += count;
-}
-
-std::uint64_t CountMinSketch::query(std::uint32_t item) const {
-  std::uint64_t best = ~0ULL;
-  for (std::uint32_t row = 0; row < depth_; ++row) {
-    best = std::min(best, counters_[slot(row, item)]);
-  }
-  return best;
-}
-
-double CountMinSketch::epsilon() const {
-  return std::exp(1.0) / static_cast<double>(width_);
-}
-
-void CountMinSketch::merge(const CountMinSketch& other) {
-  if (other.depth_ != depth_ || other.width_ != width_) {
-    throw ConfigError("CountMinSketch: merge requires equal shape");
-  }
-  for (std::size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += other.counters_[i];
-  }
-  total_ += other.total_;
-}
-
-std::size_t CountMinSketch::memory_bytes() const {
-  return sizeof(*this) + counters_.capacity() * sizeof(std::uint64_t);
-}
-
-json::Value CountMinSketch::serialize() const {
-  json::Array rows;
-  rows.reserve(depth_);
-  for (std::uint32_t row = 0; row < depth_; ++row) {
-    json::Array cells;
-    cells.reserve(width_);
-    for (std::uint32_t col = 0; col < width_; ++col) {
-      const std::uint64_t c = counters_[static_cast<std::size_t>(row) * width_ + col];
-      if (static_cast<double>(c) >= kTwoPow53) {
-        throw DataError("CountMinSketch: counter exceeds JSON-exact range");
-      }
-      cells.emplace_back(static_cast<double>(c));
-    }
-    rows.emplace_back(std::move(cells));
-  }
-  if (static_cast<double>(total_) >= kTwoPow53) {
-    throw DataError("CountMinSketch: total exceeds JSON-exact range");
-  }
-  json::Object out;
-  out["depth"] = json::Value{static_cast<double>(depth_)};
-  out["width"] = json::Value{static_cast<double>(width_)};
-  out["total"] = json::Value{static_cast<double>(total_)};
-  out["rows"] = json::Value{std::move(rows)};
-  return json::Value{std::move(out)};
-}
-
-CountMinSketch CountMinSketch::parse(const json::Value& value) {
-  const std::int64_t depth = value.at("depth").as_int();
-  const std::int64_t width = value.at("width").as_int();
-  require(depth >= 1 && depth <= 64, "CMS depth out of range");
-  require(width >= 2 && width <= (1LL << 24), "CMS width out of range");
-  CountMinSketch out{static_cast<std::uint32_t>(depth),
-                     static_cast<std::uint32_t>(width)};
-  const json::Array& rows = value.at("rows").as_array();
-  require(rows.size() == static_cast<std::size_t>(depth), "CMS row count");
-  for (std::size_t row = 0; row < rows.size(); ++row) {
-    const json::Array& cells = rows[row].as_array();
-    require(cells.size() == static_cast<std::size_t>(width), "CMS row width");
-    for (std::size_t col = 0; col < cells.size(); ++col) {
-      const std::int64_t c = cells[col].as_int();
-      require(c >= 0, "CMS negative counter");
-      out.counters_[row * static_cast<std::size_t>(width) + col] =
-          static_cast<std::uint64_t>(c);
-    }
-  }
-  const std::int64_t total = value.at("total").as_int();
-  require(total >= 0, "CMS negative total");
-  out.total_ = static_cast<std::uint64_t>(total);
   return out;
 }
 

@@ -1,20 +1,14 @@
-// Bounded-memory streaming sketches backing the compact observation path.
+// Bounded-memory distinct counting for the compact observation path.
 //
-// Two classic summaries, each chosen for a statistic the estimators need
-// (DESIGN.md §13):
-//  - KmvSketch: k-minimum-values distinct counter over u32 item ids. Exact
-//    while the distinct count stays below k (every survivor keeps its original
-//    value, so small cells lose nothing); once saturated it estimates
-//    (k-1)/u_k with relative standard error 1/sqrt(k-2).
-//  - CountMinSketch: conservative point-frequency tallies (per-position
-//    forwarded-count diagnostics); never underestimates, overestimates by at
-//    most (e/w)*N with probability >= 1 - e^-d.
+// KmvSketch is a k-minimum-values distinct counter over u32 item ids, the
+// statistic M_B needs from a spilled cell (DESIGN.md §13). It is exact while
+// the distinct count stays below k (every survivor keeps its original value,
+// so small cells lose nothing); once saturated it estimates (k-1)/u_k with
+// relative standard error 1/sqrt(k-2).
 //
-// Both share the properties the streaming engine relies on: insertion
-// order never changes the state, merge is associative and commutative, the
-// state serializes to JSON deterministically, and every hash is the seedless
-// mix64 bijection — so shard count, thread count, and spill timing cannot
-// perturb an estimate.
+// Insertion order never changes the state, the state serializes to JSON
+// deterministically, and the hash is the seedless mix64 bijection — so
+// shard count, thread count, and spill timing cannot perturb an estimate.
 #pragma once
 
 #include <cstdint>
@@ -59,10 +53,6 @@ class KmvSketch {
   /// distinct set (in hash order, not insertion order).
   [[nodiscard]] std::vector<std::uint32_t> values() const;
 
-  /// Merge another sketch (same k required; throws ConfigError otherwise).
-  /// Equivalent to having inserted both input streams into one sketch.
-  void merge(const KmvSketch& other);
-
   /// Bytes of heap + inline state; constant after construction.
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -80,47 +70,6 @@ class KmvSketch {
   std::uint32_t k_ = 0;
   bool saturated_ = false;
   std::vector<Entry> entries_;  // ascending by hash, size <= k
-};
-
-/// Count-min frequency sketch: d rows of w (power-of-two) u64 counters.
-/// Point queries never underestimate; the overestimate is bounded by
-/// epsilon() * total() with probability >= 1 - e^-depth.
-class CountMinSketch {
- public:
-  /// depth >= 1, width a power of two >= 2.
-  CountMinSketch(std::uint32_t depth, std::uint32_t width);
-
-  void add(std::uint32_t item, std::uint64_t count = 1);
-
-  /// Upper-biased frequency of `item` (min over rows).
-  [[nodiscard]] std::uint64_t query(std::uint32_t item) const;
-
-  /// Total mass added (exact).
-  [[nodiscard]] std::uint64_t total() const { return total_; }
-
-  /// Expected-error factor e/width: query(x) <= true(x) + epsilon()*total().
-  [[nodiscard]] double epsilon() const;
-
-  [[nodiscard]] std::uint32_t depth() const { return depth_; }
-  [[nodiscard]] std::uint32_t width() const { return width_; }
-
-  /// Elementwise-add merge (same shape required; throws ConfigError).
-  void merge(const CountMinSketch& other);
-
-  [[nodiscard]] std::size_t memory_bytes() const;
-
-  /// {depth, width, total, rows:[[u64-as-int...]...]}; counters stay below
-  /// 2^53 at any realistic tuple volume, enforced on serialize.
-  [[nodiscard]] json::Value serialize() const;
-  [[nodiscard]] static CountMinSketch parse(const json::Value& value);
-
- private:
-  [[nodiscard]] std::size_t slot(std::uint32_t row, std::uint32_t item) const;
-
-  std::uint32_t depth_ = 0;
-  std::uint32_t width_ = 0;  // power of two
-  std::uint64_t total_ = 0;
-  std::vector<std::uint64_t> counters_;  // depth_ * width_, row-major
 };
 
 }  // namespace botmeter::estimators

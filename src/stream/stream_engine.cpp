@@ -357,12 +357,6 @@ json::Value StreamEngine::checkpoint() const {
     fingerprint.emplace("compact_spill_threshold",
                         number(config_.compact_spill_threshold));
     fingerprint.emplace("compact_kmv_k", number(config_.compact.kmv_k));
-    fingerprint.emplace("compact_cms_depth", number(config_.compact.cms_depth));
-    fingerprint.emplace("compact_cms_width", number(config_.compact.cms_width));
-    fingerprint.emplace("compact_max_time_slots",
-                        number(config_.compact.max_time_slots));
-    fingerprint.emplace("compact_position_counts",
-                        json::Value(config_.compact.position_counts));
   }
 
   json::Array closed;
@@ -499,18 +493,11 @@ void StreamEngine::restore(const json::Value& checkpoint) {
   }
   if (checkpoint_compact) {
     // Sketch parameters shape the live cells; resuming under different ones
-    // would silently mix error regimes.
+    // would silently mix error regimes. Keys of since-removed knobs (the
+    // count-min shape and switch, the slot cap) are ignored; each stored
+    // cell's shape is still checked against this engine's spec below.
     require("compact_spill_threshold", config_.compact_spill_threshold);
     require("compact_kmv_k", config_.compact.kmv_k);
-    require("compact_cms_depth", config_.compact.cms_depth);
-    require("compact_cms_width", config_.compact.cms_width);
-    require("compact_max_time_slots", config_.compact.max_time_slots);
-    if (fp.at("compact_position_counts").as_bool() !=
-        config_.compact.position_counts) {
-      throw DataError("StreamEngine::restore: checkpoint was taken under a "
-                      "different configuration (compact_position_counts "
-                      "mismatch)");
-    }
   }
   // An exact checkpoint *is* restorable into a compact engine: the exact
   // buckets load verbatim and any at or past the spill threshold are spilled
@@ -615,10 +602,11 @@ void StreamEngine::restore(const json::Value& checkpoint) {
     if (t.size() != pos.size() || t.size() != valid.size()) {
       throw DataError("StreamEngine::restore: open bucket arrays misaligned");
     }
+    const std::string bucket_name =
+        "StreamEngine::restore: open bucket (server " + std::to_string(server) +
+        ", epoch " + std::to_string(epoch) + ")";
     if (!listed.emplace(server, epoch).second) {
-      throw DataError("StreamEngine::restore: open bucket (server " +
-                      std::to_string(server) + ", epoch " +
-                      std::to_string(epoch) + ") listed twice");
+      throw DataError(bucket_name + " listed twice");
     }
     std::vector<OpenBucket>& row =
         new_open[static_cast<std::size_t>(epoch - config_.first_epoch)];
@@ -635,14 +623,20 @@ void StreamEngine::restore(const json::Value& checkpoint) {
         throw DataError(
             "StreamEngine::restore: spilled bucket with exact residue");
       }
-      auto cell =
-          std::make_unique<estimators::CompactCell>(
-              estimators::CompactCell::parse(*compact));
-      if (!(cell->spec() ==
-            meter_->compact_spec_for_epoch(epoch, config_.compact))) {
-        throw DataError(
-            "StreamEngine::restore: compact cell spec disagrees with the "
-            "engine's configuration");
+      // The stored spec is compared with this engine's before the cell is
+      // built, so a tampered slot count or KMV size fails here instead of
+      // sizing the cell's arrays; parse checks the KMV's own k likewise.
+      std::unique_ptr<estimators::CompactCell> cell;
+      try {
+        if (!(estimators::CompactCellSpec::parse(compact->at("spec")) ==
+              meter_->compact_spec_for_epoch(epoch, config_.compact))) {
+          throw DataError(
+              "compact cell spec disagrees with the engine's configuration");
+        }
+        cell = std::make_unique<estimators::CompactCell>(
+            estimators::CompactCell::parse(*compact));
+      } catch (const DataError& e) {
+        throw DataError(bucket_name + ": " + e.what());
       }
       new_resident += cell->matched();
       new_open_bytes += cell->memory_bytes();

@@ -159,7 +159,7 @@ class StreamEngine {
   void ingest(std::span<const dns::ForwardedLookup> batch);
 
   /// Zero-copy batched ingest of one columnar block (a decoded
-  /// trace::BlockReader frame or a VantagePoint::drain_block batch).
+  /// trace::BlockReader frame).
   /// `domains` is the producer's full accumulated string table, which the
   /// block's `domain` ids index. Pool membership is resolved once per
   /// newly-seen interned id and cached for the engine's lifetime, so the
@@ -168,7 +168,7 @@ class StreamEngine {
   /// — are tuple-for-tuple identical to ingest() on the equivalent stream.
   ///
   /// All blocks fed to one engine must share one interning lineage (one
-  /// reader / one vantage point): the table may only grow between calls,
+  /// reader / one producer): the table may only grow between calls,
   /// and ids must keep their meaning. A shrinking table throws ConfigError.
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
@@ -257,7 +257,9 @@ class StreamEngine {
   /// Load a checkpoint into a freshly constructed engine (nothing ingested
   /// yet). The engine's configuration must match the checkpointed
   /// fingerprint (family, estimator, horizon, server count); mismatches,
-  /// schema violations and an open bucket listed twice throw DataError.
+  /// schema violations, an open bucket listed twice and a compact cell whose
+  /// shape disagrees with this engine's spec throw DataError (the last two
+  /// naming the bucket). A rejected checkpoint leaves the engine empty.
   /// After restore the engine continues exactly where the checkpointed one
   /// stopped: resumed ingestion yields bit-identical reports.
   void restore(const json::Value& checkpoint);

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/error.hpp"
-#include "trace/io.hpp"
 
 namespace botmeter::trace {
 
@@ -28,31 +27,6 @@ std::uint64_t SplitCounts::total() const {
   std::uint64_t sum = 0;
   for (const std::uint64_t n : tuples) sum += n;
   return sum;
-}
-
-SplitCounts split_observable_text(std::istream& is,
-                                  std::span<std::ostream* const> outs,
-                                  const SplitRoute& route) {
-  if (outs.empty()) throw ConfigError("split_observable_text: no outputs");
-  SplitCounts counts;
-  counts.tuples.assign(outs.size(), 0);
-  for_each_observable(is, [&](const dns::ForwardedLookup& lookup) {
-    const std::size_t out =
-        route_checked(route, lookup.forwarder.value(), outs.size());
-    // Same line format as write_observable, so each output equals
-    // write_observable of the routed subset byte for byte.
-    *outs[out] << lookup.timestamp.millis() << '\t'
-               << lookup.forwarder.value() << '\t' << lookup.domain << '\n';
-    ++counts.tuples[out];
-  });
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    outs[i]->flush();
-    if (!*outs[i]) {
-      throw DataError("split_observable_text: write to output " +
-                      std::to_string(i) + " failed");
-    }
-  }
-  return counts;
 }
 
 SplitCounts split_blocks(std::istream& is,

@@ -1,17 +1,12 @@
-// Splitting one border trace into per-vantage sub-streams.
+// Splitting one binary border trace into per-vantage sub-streams.
 //
 // A multi-border cluster (src/cluster/) routes servers onto shards; its
 // natural feed is one capture per vantage point, each holding exactly the
 // tuples of the servers that border sees. Real archives are usually the
-// other way around — one union trace — so these helpers cut a union trace
-// into per-vantage files by server id, in both codecs:
-//
-//   - split_observable_text: text observable lines are routed verbatim (the
-//     emitted bytes per output equal write_observable of the routed subset);
-//   - split_blocks: binary block traces are re-framed per output with a
-//     fresh interning lineage each (ids in a sub-stream are dense in that
-//     sub-stream, exactly as a collector at that border would have written
-//     them).
+// other way around — one union trace — so split_blocks cuts a union block
+// trace into per-vantage files by server id, re-framing each output with a
+// fresh interning lineage (ids in a sub-stream are dense in that sub-stream,
+// exactly as a collector at that border would have written them).
 //
 // Tuple order within each output is the input order restricted to that
 // output — precisely the per-shard sequence the cluster's router would have
@@ -44,17 +39,10 @@ struct SplitCounts {
   [[nodiscard]] std::uint64_t total() const;
 };
 
-/// Split a text observable trace across `outs` by routed server id.
-/// Streaming (bounded memory); every output is flushed and checked on
-/// completion. Throws DataError on malformed input, an out-of-range route,
-/// or a failed write.
-SplitCounts split_observable_text(std::istream& is,
-                                  std::span<std::ostream* const> outs,
-                                  const SplitRoute& route);
-
-/// Split a binary block trace across `outs`, re-framing each output as an
-/// independent botmeter.trace_block.v1 file with its own interned string
-/// table. Same routing and error contract as split_observable_text.
+/// Split a binary block trace across `outs` by routed server id, re-framing
+/// each output as an independent botmeter.trace_block.v1 file with its own
+/// interned string table. Throws DataError on malformed input, an
+/// out-of-range route, or a failed write.
 SplitCounts split_blocks(std::istream& is,
                          std::span<std::ostream* const> outs,
                          const SplitRoute& route,

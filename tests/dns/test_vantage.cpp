@@ -72,93 +72,6 @@ TEST(VantagePointTest, SinkReceivesQuantizedTuplesInOrderWithoutBuffering) {
   EXPECT_EQ(tapped.size(), 2u);
 }
 
-TEST(VantagePointTest, DrainHandsSpanThenClears) {
-  VantagePoint vantage;
-  vantage.record(TimePoint{1}, ServerId{0}, "a.com");
-  vantage.record(TimePoint{2}, ServerId{1}, "b.com");
-
-  std::vector<ForwardedLookup> received;
-  const std::size_t n = vantage.drain(
-      [&received](std::span<const ForwardedLookup> batch) {
-        received.assign(batch.begin(), batch.end());
-      });
-  EXPECT_EQ(n, 2u);
-  ASSERT_EQ(received.size(), 2u);
-  EXPECT_EQ(received[0].domain, "a.com");
-  EXPECT_EQ(received[1].domain, "b.com");
-  EXPECT_EQ(vantage.size(), 0u);
-
-  // Draining an empty vantage point never invokes the consumer.
-  bool called = false;
-  EXPECT_EQ(vantage.drain([&called](auto) { called = true; }), 0u);
-  EXPECT_FALSE(called);
-}
-
-TEST(VantagePointTest, DrainBlockMatchesDrainAndClears) {
-  VantagePoint vantage;
-  vantage.record(TimePoint{100}, ServerId{1}, "a.com");
-  vantage.record(TimePoint{50}, ServerId{2}, "b.com");
-  vantage.record(TimePoint{75}, ServerId{1}, "a.com");
-
-  std::vector<ForwardedLookup> rebuilt;
-  const std::size_t n = vantage.drain_block(
-      [&rebuilt](const LookupColumns& block, std::span<const std::string> table) {
-        for (std::size_t i = 0; i < block.size(); ++i) {
-          rebuilt.push_back(ForwardedLookup{TimePoint{block.t_ms[i]},
-                                            ServerId{block.server[i]},
-                                            table[block.domain[i]]});
-        }
-      });
-  EXPECT_EQ(n, 3u);
-  ASSERT_EQ(rebuilt.size(), 3u);
-  // Same tuples, same arrival order as drain() — only the representation
-  // changed. The repeated domain shares one table entry.
-  EXPECT_EQ(rebuilt[0], (ForwardedLookup{TimePoint{100}, ServerId{1}, "a.com"}));
-  EXPECT_EQ(rebuilt[1], (ForwardedLookup{TimePoint{50}, ServerId{2}, "b.com"}));
-  EXPECT_EQ(rebuilt[2], (ForwardedLookup{TimePoint{75}, ServerId{1}, "a.com"}));
-  EXPECT_EQ(vantage.interned_domain_count(), 2u);
-  EXPECT_EQ(vantage.size(), 0u);
-}
-
-TEST(VantagePointTest, DrainBlockIdsStableAcrossDrains) {
-  VantagePoint vantage;
-  vantage.record(TimePoint{1}, ServerId{0}, "a.com");
-  vantage.record(TimePoint{2}, ServerId{0}, "b.com");
-  std::uint32_t a_id = 0;
-  vantage.drain_block([&a_id](const LookupColumns& block,
-                              std::span<const std::string>) {
-    a_id = block.domain[0];
-  });
-
-  // A later drain reuses the table: "a.com" keeps its id, "c.com" extends.
-  vantage.record(TimePoint{3}, ServerId{0}, "c.com");
-  vantage.record(TimePoint{4}, ServerId{0}, "a.com");
-  vantage.drain_block([a_id](const LookupColumns& block,
-                             std::span<const std::string> table) {
-    EXPECT_EQ(table[block.domain[0]], "c.com");
-    EXPECT_EQ(block.domain[1], a_id);
-    EXPECT_EQ(table.size(), 3u);
-  });
-  EXPECT_EQ(vantage.interned_domain_count(), 3u);
-}
-
-TEST(VantagePointTest, DrainBlockAppliesQuantisation) {
-  VantagePoint vantage{seconds(1)};
-  vantage.record(TimePoint{1999}, ServerId{0}, "a.com");
-  vantage.drain_block([](const LookupColumns& block,
-                         std::span<const std::string>) {
-    EXPECT_EQ(block.t_ms[0], 1000);
-  });
-}
-
-TEST(VantagePointTest, DrainBlockOnEmptyIsANoOp) {
-  VantagePoint vantage;
-  bool called = false;
-  EXPECT_EQ(vantage.drain_block([&called](auto&&, auto&&) { called = true; }),
-            0u);
-  EXPECT_FALSE(called);
-}
-
 TEST(ForwardedLookupTest, EqualityIsFieldwise) {
   const ForwardedLookup a{TimePoint{1}, ServerId{2}, "x.com"};
   EXPECT_EQ(a, (ForwardedLookup{TimePoint{1}, ServerId{2}, "x.com"}));

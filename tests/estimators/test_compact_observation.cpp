@@ -64,7 +64,6 @@ TEST(CompactSpecTest, StructuresFollowEstimatorSupport) {
   const CompactCellSpec spec = make_compact_spec(
       config, distinct_only, TimePoint{0}, days(1), dns::TtlPolicy{});
   EXPECT_EQ(spec.kmv_k, 64u);
-  EXPECT_EQ(spec.cms_depth, 0u);
   EXPECT_EQ(spec.slot_count, 0u);
   EXPECT_EQ(spec.window_ms, days(1).millis());
 
@@ -75,7 +74,7 @@ TEST(CompactSpecTest, StructuresFollowEstimatorSupport) {
       config, slotted, TimePoint{0}, days(1), dns::TtlPolicy{});
   EXPECT_EQ(slots.kmv_k, 0u);
   EXPECT_GT(slots.slot_count, 0u);
-  EXPECT_LE(slots.slot_count, config.max_time_slots);
+  EXPECT_LE(slots.slot_count, kMaxTimeSlots);
   // Slot width must keep two kept activations (>= delta_l - slack apart)
   // from sharing a slot.
   const CompactCell cell(slots);
@@ -88,14 +87,15 @@ TEST(CompactSpecTest, StructuresFollowEstimatorSupport) {
 }
 
 TEST(CompactSpecTest, SlotCountClampedToConfiguredMaximum) {
-  CompactObservationConfig config = small_config(64);
-  config.max_time_slots = 16;
+  // A 10 s negative TTL makes 3.75 s slots: 7 days would need 161,280.
   CompactSupport slotted;
   slotted.supported = true;
   slotted.needs_time_slots = true;
+  dns::TtlPolicy ttl;
+  ttl.negative = seconds(10);
   const CompactCellSpec spec = make_compact_spec(
-      config, slotted, TimePoint{0}, days(7), dns::TtlPolicy{});
-  EXPECT_EQ(spec.slot_count, 16u);
+      small_config(64), slotted, TimePoint{0}, days(7), ttl);
+  EXPECT_EQ(spec.slot_count, kMaxTimeSlots);
 }
 
 class CompactCellTest : public ::testing::Test {
@@ -141,25 +141,6 @@ TEST_F(CompactCellTest, InsertionOrderInvariant) {
   for (const auto& lookup : shuffled) permuted.add(lookup);
   EXPECT_EQ(json::write(forward.cell.serialize()),
             json::write(permuted.serialize()));
-}
-
-TEST_F(CompactCellTest, MergeEqualsCombinedStream) {
-  const auto& lookups = exact().lookups;
-  const CompactTwin whole(exact(), bernoulli_support(), small_config(32));
-  CompactCell left(whole.cell.spec());
-  CompactCell right(whole.cell.spec());
-  for (std::size_t i = 0; i < lookups.size(); ++i) {
-    (i % 3 == 0 ? left : right).add(lookups[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(json::write(left.serialize()), json::write(whole.cell.serialize()));
-}
-
-TEST_F(CompactCellTest, MergeRejectsMismatchedSpec) {
-  const CompactTwin a(exact(), bernoulli_support(), small_config(32));
-  const CompactTwin b(exact(), bernoulli_support(), small_config(64));
-  CompactCell target(a.cell.spec());
-  EXPECT_THROW(target.merge(b.cell), ConfigError);
 }
 
 TEST_F(CompactCellTest, MemoryConstantWhileFilling) {

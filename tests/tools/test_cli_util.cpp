@@ -96,5 +96,50 @@ TEST(CliArgsTest, EmptyCommandLine) {
   EXPECT_EQ(args.int_or("--bots", 7), 7);
 }
 
+TEST(CliArgsTest, OnlyCommandLineErrorsPrintUsage) {
+  const auto family = [](std::vector<const char*> argv) {
+    return dga_config_from(parse(std::move(argv), {"--family", "--config"}));
+  };
+  // Command-line errors: the flags themselves, their numbers, and the
+  // --family / --config choice.
+  EXPECT_THROW(parse({"--nope"}), UsageError);
+  EXPECT_THROW(parse({"--family"}), UsageError);
+  EXPECT_THROW((void)parse({"--bots", "4x"}).int_or("--bots", 0), UsageError);
+  EXPECT_THROW((void)parse({"--bots", "x"}).double_or("--bots", 0.0),
+               UsageError);
+  EXPECT_THROW((void)parse({"--bots", "-1"}).count_or("--bots", 0), UsageError);
+  EXPECT_THROW((void)family({}), UsageError);
+  EXPECT_THROW(
+      (void)family({"--family", "newGoZ", "--config", "dga.json"}),
+      UsageError);
+  EXPECT_THROW((void)family({"--family", "NoSuchFamily"}), UsageError);
+  // Not one: a config file that cannot be read is a data error.
+  try {
+    (void)family({"--config", "/nonexistent/dga.json"});
+    ADD_FAILURE() << "unreadable --config accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(dynamic_cast<const UsageError*>(&e), nullptr);
+  }
+
+  // Only a UsageError is followed by the usage text; every error is one
+  // "error:" line and exit status 1.
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(report_error(UsageError("unknown argument '--nope'"), "usage: x\n"),
+            1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: unknown argument '--nope'\nusage: x\n");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(report_error(ConfigError("server id 3 outside the configured "
+                                     "width 2"),
+                         "usage: x\n"),
+            1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: server id 3 outside the configured width 2\n");
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(report_error(DataError("cannot open t.tsv"), "usage: x\n"), 1);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+            "error: cannot open t.tsv\n");
+}
+
 }  // namespace
 }  // namespace botmeter::tools

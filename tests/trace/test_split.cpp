@@ -1,6 +1,6 @@
-// Trace splitting: cutting a union border trace into per-vantage
-// sub-streams must preserve bytes (text codec), tuples and order (binary
-// codec, re-framed per output), and must be loud about unrouted servers.
+// Trace splitting: cutting a union binary border trace into per-vantage
+// sub-streams must preserve tuples and order (re-framed per output), and
+// must be loud about unrouted servers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -13,7 +13,6 @@
 #include "common/error.hpp"
 #include "dga/families.hpp"
 #include "trace/block.hpp"
-#include "trace/io.hpp"
 #include "trace/split.hpp"
 
 namespace botmeter::trace {
@@ -42,31 +41,6 @@ std::vector<std::vector<dns::ForwardedLookup>> route_subsets(
   return subsets;
 }
 
-TEST(TraceSplitTest, TextSplitEqualsWriteObservableOfEachRoutedSubset) {
-  const auto stream = simulate_stream(91);
-  ASSERT_FALSE(stream.empty());
-  const cluster::ShardRouter router = cluster::ShardRouter::by_range(kServers, 3);
-
-  std::ostringstream union_os;
-  write_observable(union_os, stream);
-
-  std::ostringstream a, b, c;
-  std::ostream* outs[] = {&a, &b, &c};
-  std::istringstream union_is(union_os.str());
-  const SplitCounts counts = split_observable_text(
-      union_is, outs, [&router](std::uint32_t s) { return router.shard_of(s); });
-
-  const auto subsets = route_subsets(stream, router);
-  EXPECT_EQ(counts.total(), stream.size());
-  const std::ostringstream* streams[] = {&a, &b, &c};
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(counts.tuples[i], subsets[i].size());
-    std::ostringstream want;
-    write_observable(want, subsets[i]);
-    EXPECT_EQ(streams[i]->str(), want.str());  // byte-equal, not just parse-equal
-  }
-}
-
 TEST(TraceSplitTest, BlockSplitRoundTripsEachRoutedSubset) {
   const auto stream = simulate_stream(92);
   const cluster::ShardRouter router = cluster::ShardRouter::by_range(kServers, 2);
@@ -93,32 +67,19 @@ TEST(TraceSplitTest, BlockSplitRoundTripsEachRoutedSubset) {
 }
 
 TEST(TraceSplitTest, RejectsUnroutedServersAndEmptyOutputs) {
-  const auto stream = simulate_stream(93);
-
-  std::ostringstream text_os;
-  write_observable(text_os, stream);
-  std::ostringstream only;
-  std::ostream* one_out[] = {&only};
+  std::ostringstream binary_os;
+  write_blocks(binary_os, simulate_stream(93));
   {
     // Route every tuple out of range.
-    std::istringstream is(text_os.str());
-    EXPECT_THROW((void)split_observable_text(
-                     is, one_out, [](std::uint32_t) { return std::size_t{7}; }),
-                 DataError);
-  }
-  {
-    std::ostringstream binary_os;
-    write_blocks(binary_os, stream);
+    std::ostringstream only;
+    std::ostream* one_out[] = {&only};
     std::istringstream is(binary_os.str());
     EXPECT_THROW((void)split_blocks(
                      is, one_out, [](std::uint32_t) { return std::size_t{7}; }),
                  DataError);
   }
   {
-    std::istringstream is(text_os.str());
-    EXPECT_THROW((void)split_observable_text(
-                     is, {}, [](std::uint32_t) { return std::size_t{0}; }),
-                 ConfigError);
+    std::istringstream is(binary_os.str());
     EXPECT_THROW((void)split_blocks(
                      is, {}, [](std::uint32_t) { return std::size_t{0}; }),
                  ConfigError);

@@ -148,7 +148,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
+    return tools::report_error(e, kUsage);
   }
 }

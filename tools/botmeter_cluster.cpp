@@ -390,7 +390,7 @@ int main(int argc, char** argv) {
     if (simulate_mode) {
       const std::size_t bots = args.count_or(
           "--bots", 0, std::numeric_limits<std::uint32_t>::max());
-      if (bots == 0) throw ConfigError("--simulate requires --bots > 0");
+      if (bots == 0) throw tools::UsageError("--simulate requires --bots > 0");
       botnet::SimulationConfig sim;
       sim.dga = cfg.meter.dga;
       sim.bot_count = static_cast<std::uint32_t>(bots);
@@ -518,7 +518,6 @@ int main(int argc, char** argv) {
     if (exporter) exporter->stop();
     return 0;
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
+    return tools::report_error(e, kUsage);
   }
 }

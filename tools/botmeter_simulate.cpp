@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     config.dga = tools::dga_config_from(args);
     const std::size_t bots =
         args.count_or("--bots", 0, std::numeric_limits<std::uint32_t>::max());
-    if (bots == 0) throw ConfigError("--bots must be a positive integer");
+    if (bots == 0) throw tools::UsageError("--bots must be a positive integer");
     if (args.flag("--evasive")) config.dga = dga::evasive_variant(config.dga);
     config.bot_count = static_cast<std::uint32_t>(bots);
     config.server_count = args.count_or("--servers", 1);
@@ -152,7 +152,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%zu observable lookups\n", result.observable.size());
     return 0;
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
+    return tools::report_error(e, kUsage);
   }
 }

@@ -212,13 +212,13 @@ int main(int argc, char** argv) {
     const auto port_arg = args.value("--port");
     const auto history_path = args.value("--history");
     if (port_arg.has_value() == history_path.has_value()) {
-      throw ConfigError("exactly one of --port / --history is required");
+      throw tools::UsageError("exactly one of --port / --history is required");
     }
     const std::string host = args.value_or("--host", "127.0.0.1");
     const auto interval =
         std::chrono::milliseconds(args.int_or("--interval-ms", 1000));
     const std::size_t window = args.count_or("--window", 60);
-    if (window == 0) throw ConfigError("--window must be > 0");
+    if (window == 0) throw tools::UsageError("--window must be > 0");
     const std::size_t width = args.count_or("--width", detect_terminal_width());
     const bool once = args.flag("--once");
     const std::int64_t frames = once ? 1 : args.int_or("--frames", 0);
@@ -259,7 +259,6 @@ int main(int argc, char** argv) {
     }
     return 0;
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
+    return tools::report_error(e, kUsage);
   }
 }

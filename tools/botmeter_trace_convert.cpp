@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     }
     const std::string to = args.value_or("--to", "");
     if (to != "binary" && to != "text") {
-      throw ConfigError("--to must be 'binary' or 'text'");
+      throw tools::UsageError("--to must be 'binary' or 'text'");
     }
 
     std::ifstream in_file;
@@ -69,7 +69,9 @@ int main(int argc, char** argv) {
     if (to == "binary") {
       const std::int64_t block_tuples = args.int_or(
           "--block-tuples", static_cast<std::int64_t>(trace::kDefaultBlockTuples));
-      if (block_tuples <= 0) throw ConfigError("--block-tuples must be > 0");
+      if (block_tuples <= 0) {
+        throw tools::UsageError("--block-tuples must be > 0");
+      }
       trace::BlockWriter writer(out, static_cast<std::size_t>(block_tuples));
       tuples = trace::for_each_observable(
           in, [&writer](const dns::ForwardedLookup& l) { writer.append(l); });
@@ -102,7 +104,6 @@ int main(int argc, char** argv) {
     std::fputc('\n', stderr);
     return 0;
   } catch (const Error& e) {
-    std::fprintf(stderr, "error: %s\n%s", e.what(), kUsage);
-    return 1;
+    return tools::report_error(e, kUsage);
   }
 }

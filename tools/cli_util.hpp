@@ -3,7 +3,8 @@
 //
 // Flags are "--name value" pairs (plus bare "--name" booleans); anything the
 // tool did not declare is an error, so typos fail loudly instead of being
-// silently ignored.
+// silently ignored. Command-line mistakes throw UsageError, and only those
+// are answered with the tool's usage text (report_error).
 #pragma once
 
 #include <cstdint>
@@ -32,6 +33,25 @@
 
 namespace botmeter::tools {
 
+/// A mistake on the command line itself: an unknown flag, a missing value, a
+/// malformed or out-of-range number, the --family / --config choice, or a
+/// flag value the tool rejects. Errors the run meets later (files, traces,
+/// checkpoints, the pipeline's own configuration checks) are not.
+class UsageError : public ConfigError {
+ public:
+  using ConfigError::ConfigError;
+};
+
+/// Report a failed run on stderr and return the tool's exit status (1): one
+/// "error:" line, followed by the usage text only for a UsageError.
+inline int report_error(const Error& error, const char* usage) {
+  std::fprintf(stderr, "error: %s\n", error.what());
+  if (dynamic_cast<const UsageError*>(&error) != nullptr) {
+    std::fputs(usage, stderr);
+  }
+  return 1;
+}
+
 class CliArgs {
  public:
   /// Parse argv against the declared flag names. `value_flags` take one
@@ -46,12 +66,12 @@ class CliArgs {
       }
       if (value_flags.contains(arg)) {
         if (i + 1 >= argc) {
-          throw ConfigError("missing value for " + arg);
+          throw UsageError("missing value for " + arg);
         }
         values_[arg] = argv[++i];
         continue;
       }
-      throw ConfigError("unknown argument '" + arg + "'");
+      throw UsageError("unknown argument '" + arg + "'");
     }
   }
 
@@ -70,7 +90,7 @@ class CliArgs {
     return value(name).value_or(std::move(fallback));
   }
 
-  /// The whole value must be a number: "4x" or "0.1.5" is a ConfigError,
+  /// The whole value must be a number: "4x" or "0.1.5" is a UsageError,
   /// never a silently truncated prefix.
   [[nodiscard]] std::int64_t int_or(const std::string& name,
                                     std::int64_t fallback) const {
@@ -82,12 +102,12 @@ class CliArgs {
       if (used == v->size()) return parsed;
     } catch (const std::exception&) {
     }
-    throw ConfigError("argument " + name + " expects an integer, got '" + *v +
-                      "'");
+    throw UsageError("argument " + name + " expects an integer, got '" + *v +
+                     "'");
   }
 
   /// A count (servers, shards, threads, tuples, a port): an integer in
-  /// [0, max]. Out-of-range values are a ConfigError, never wrapped into
+  /// [0, max]. Out-of-range values are a UsageError, never wrapped into
   /// the narrower type the caller stores them in.
   [[nodiscard]] std::size_t count_or(
       const std::string& name, std::size_t fallback,
@@ -95,8 +115,8 @@ class CliArgs {
     const std::int64_t parsed =
         int_or(name, static_cast<std::int64_t>(fallback));
     if (parsed < 0 || parsed > max) {
-      throw ConfigError("argument " + name + " expects an integer in [0, " +
-                        std::to_string(max) + "], got '" + *value(name) + "'");
+      throw UsageError("argument " + name + " expects an integer in [0, " +
+                       std::to_string(max) + "], got '" + *value(name) + "'");
     }
     return static_cast<std::size_t>(parsed);
   }
@@ -110,8 +130,8 @@ class CliArgs {
       if (used == v->size()) return parsed;
     } catch (const std::exception&) {
     }
-    throw ConfigError("argument " + name + " expects a number, got '" + *v +
-                      "'");
+    throw UsageError("argument " + name + " expects a number, got '" + *v +
+                     "'");
   }
 
  private:
@@ -120,14 +140,22 @@ class CliArgs {
 };
 
 /// The target DGA from exactly one of `--family <name>` (the built-in
-/// registry) or `--config <file.json>` (a DGA config document).
+/// registry) or `--config <file.json>` (a DGA config document). The choice
+/// and an unknown family name are UsageErrors; an unreadable or invalid
+/// config file is not.
 [[nodiscard]] inline dga::DgaConfig dga_config_from(const CliArgs& args) {
   const auto family = args.value("--family");
   const auto config_path = args.value("--config");
   if (family.has_value() == config_path.has_value()) {
-    throw ConfigError("exactly one of --family / --config is required");
+    throw UsageError("exactly one of --family / --config is required");
   }
-  if (family) return dga::family_config(*family);
+  if (family) {
+    try {
+      return dga::family_config(*family);
+    } catch (const ConfigError& e) {
+      throw UsageError(e.what());
+    }
+  }
   std::ifstream file(*config_path);
   if (!file) throw DataError("cannot open " + *config_path);
   const std::string text((std::istreambuf_iterator<char>(file)),
