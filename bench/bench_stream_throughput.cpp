@@ -129,7 +129,7 @@ Measurement run_scenario(const Scenario& scenario) {
   config.first_epoch = first_epoch;
   config.epoch_count = scenario.epochs;
   config.server_count = scenario.servers;
-  config.worker_threads = scenario.threads;
+  config.meter.analyze_threads = scenario.threads;
   stream::StreamEngine engine(config);
 
   Measurement m;
@@ -299,7 +299,7 @@ ScrapeGuard run_scrape_guard() {
     config.first_epoch = 0;
     config.epoch_count = scenario.epochs;
     config.server_count = scenario.servers;
-    config.worker_threads = scenario.threads;
+    config.meter.analyze_threads = scenario.threads;
 
     const auto start = std::chrono::steady_clock::now();
     std::uint64_t tick = 0;
@@ -307,7 +307,7 @@ ScrapeGuard run_scrape_guard() {
       stream::StreamEngine engine(config);
       for (const dns::ForwardedLookup& lookup : result.observable) {
         engine.ingest(lookup);
-        if ((++tick & 0xFFF) == 0) monitor.sample(engine, wall_ms());
+        if ((++tick & 0xFFF) == 0) monitor.sample(engine.stats(), wall_ms());
       }
       (void)engine.finish();
     }
@@ -392,7 +392,7 @@ HistoryGuard run_history_guard() {
   config.first_epoch = 0;
   config.epoch_count = scenario.epochs;
   config.server_count = scenario.servers;
-  config.worker_threads = scenario.threads;
+  config.meter.analyze_threads = scenario.threads;
 
   // Same multi-pass stretch as the scrape guard: a single ~10 ms pass is too
   // short for a stable delta. Each pass gets a fresh history — every replay
@@ -500,7 +500,7 @@ MemoryGuard run_memory_guard() {
   config.first_epoch = 0;
   config.epoch_count = scenario.epochs;
   config.server_count = scenario.servers;
-  config.worker_threads = scenario.threads;
+  config.meter.analyze_threads = scenario.threads;
   // Hold every epoch open until finish(): peak open bytes then measure the
   // whole horizon's state, not whichever single epoch happened to be open.
   config.allowed_lateness =

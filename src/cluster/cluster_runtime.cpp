@@ -124,7 +124,6 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     ec.first_epoch = config_.first_epoch;
     ec.epoch_count = config_.epoch_count;
     ec.server_count = config_.router.servers_of(i).size();
-    ec.worker_threads = config_.shard_worker_threads;
     ec.allowed_lateness = config_.allowed_lateness;
     ec.compact_state = config_.compact_state;
     ec.compact_spill_threshold = config_.compact_spill_threshold;
@@ -158,31 +157,26 @@ void ClusterRuntime::handle_close(std::size_t shard, std::int64_t epoch) {
   // immediately after the engine appended the epoch's cell row.
   const stream::StreamEngine& engine = *shards_[shard]->engine;
   const obs::Telemetry& tel = telemetry();
+  std::optional<double> closed_ms;
+  std::uint64_t flow = 0;
   if (tel.timed()) {
     // The close ended now and lasted the engine's own measurement of it:
-    // one reading, fanned out to the lag stage, the span and the journal.
+    // one reading, fanned out to the lag stage, the span, the journal and
+    // the merger's record of the close's arrival.
     const double end = tel.now_ms();
     const double close_ms = engine.close_latencies_ms().back();
-    // Mint the close->merge flow id BEFORE offering: when this is the
-    // last-arriving close, offer() merges the epoch synchronously on this
-    // thread and handle_merge must find the id already stored. Earlier
-    // closes of the same epoch are overwritten — the triggering (last)
-    // writer is the one the merge span links from.
-    const std::uint64_t flow = obs::TraceSession::next_flow_id();
-    {
-      std::lock_guard<std::mutex> lock(flow_mu_);
-      close_flow_[epoch] = flow;
-    }
+    flow = obs::TraceSession::next_flow_id();
     tel.record_stage(shard, obs::LagStage::kEpochClose, "cluster.epoch_close",
                      end - close_ms, end, 0, flow);
     tel.log_at(end, obs::EventKind::kEpochClose,
                static_cast<std::int32_t>(shard), epoch, close_ms);
-    if (tel.lag != nullptr) tel.lag->note_shard_close(epoch, shard, end);
+    closed_ms = end;
   }
   const auto rows = engine.closed_rows();
   merger_.offer(shard, epoch,
                 std::vector<estimators::EpochCell>(rows.back().begin(),
-                                                   rows.back().end()));
+                                                   rows.back().end()),
+                closed_ms, flow);
 }
 
 void ClusterRuntime::handle_merge(const MergedEpoch& merged) {
@@ -202,23 +196,17 @@ void ClusterRuntime::handle_merge(const MergedEpoch& merged) {
   }
   if (!timed) return;
   // Published: the merged row is visible. That moment closes the span, is
-  // the journal stamp, and ends every contributing shard's merge wait.
+  // the journal stamp, and ends every contributing shard's merge wait. The
+  // span links from the close that completed the row.
   const double end = tel.now_ms();
-  std::uint64_t flow = 0;
-  {
-    std::lock_guard<std::mutex> lock(flow_mu_);
-    const auto it = close_flow_.find(merged.epoch);
-    if (it != close_flow_.end()) {
-      flow = it->second;
-      close_flow_.erase(it);
-    }
+  if (tel.lag != nullptr) {
+    tel.lag->note_merge(merged.epoch, merged.closed_ms, end);
   }
-  if (tel.lag != nullptr) tel.lag->note_merge(merged.epoch, end);
   tel.log_at(end, obs::EventKind::kMergePublish, -1, merged.epoch,
              static_cast<double>(merged.cells.size()));
   if (tel.trace != nullptr) {
     tel.trace->record_flow_span("cluster.merge_publish", start, end - start,
-                                this_thread_ordinal(), flow, 0);
+                                this_thread_ordinal(), merged.flow, 0);
   }
 }
 
@@ -246,25 +234,24 @@ void ClusterRuntime::shard_main(std::size_t index) {
     ShardBatch batch;
     {
       std::unique_lock<std::mutex> lock(shard.mu);
-      for (;;) {
-        if (!shard.queue.empty()) break;  // drain before stop or pause
-        if (shard.stop) return;
-        if (shard.pause) {
-          shard.idle = true;
-          shard.cv_idle.notify_all();
-          shard.cv_pop.wait(lock, [&shard] {
-            return !shard.pause || shard.stop || !shard.queue.empty();
-          });
-          shard.idle = false;
-          continue;
-        }
-        shard.cv_pop.wait(lock);
-      }
+      shard.cv_pop.wait(
+          lock, [&shard] { return !shard.queue.empty() || shard.stop; });
+      if (shard.queue.empty()) return;  // stopped, and drained first
       batch = std::move(shard.queue.front());
       shard.queue.pop_front();
       shard.cv_push.notify_one();
     }
-    apply_batch(shard, batch);
+    if (batch.checkpoint == nullptr) {
+      apply_batch(shard, batch);
+      continue;
+    }
+    // Every earlier item is applied: this is the shard's cut. A failure
+    // reaches checkpoint()'s caller, as it did when the caller serialized.
+    try {
+      batch.checkpoint->set_value(shard.engine->checkpoint());
+    } catch (...) {
+      batch.checkpoint->set_exception(std::current_exception());
+    }
   }
 }
 
@@ -283,9 +270,6 @@ void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
             static_cast<std::int32_t>(shard.index), obs::JournalEvent::kNoEpoch,
             static_cast<double>(batch.advance->millis()));
   }
-  if (batch.sample_now_ms) {
-    shard.monitor->sample(*shard.engine, *batch.sample_now_ms);
-  }
 
   if (tracked) {
     tel.record_stage(shard.index, obs::LagStage::kShardIngest,
@@ -296,19 +280,23 @@ void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
 }
 
 void ClusterRuntime::mirror_counters(Shard& shard) {
-  shard.ingested.store(shard.engine->ingested(), std::memory_order_relaxed);
-  shard.matched.store(shard.engine->matched(), std::memory_order_relaxed);
-  shard.unmatched.store(shard.engine->unmatched(), std::memory_order_relaxed);
-  shard.late_dropped.store(shard.engine->late_dropped(),
-                           std::memory_order_relaxed);
-  shard.next_epoch.store(shard.engine->next_epoch_to_close(),
-                         std::memory_order_relaxed);
-  shard.open_bytes.store(shard.engine->open_buffer_bytes(),
-                         std::memory_order_relaxed);
-  shard.peak_open_bytes.store(shard.engine->peak_open_buffer_bytes(),
+  const stream::StreamStats stats = shard.engine->stats();
+  shard.ingested.store(stats.ingested, std::memory_order_relaxed);
+  shard.matched.store(stats.matched, std::memory_order_relaxed);
+  shard.unmatched.store(stats.unmatched, std::memory_order_relaxed);
+  // Released after matched, acquired before it (shard_stats): a reader never
+  // pairs this late count with an older matched count, so no late rate it
+  // derives exceeds one a single publish held.
+  shard.late_dropped.store(stats.late_dropped, std::memory_order_release);
+  shard.next_epoch.store(stats.next_epoch_to_close, std::memory_order_relaxed);
+  shard.epochs_closed.store(stats.epochs_closed, std::memory_order_relaxed);
+  shard.watermark_ms.store(
+      stats.watermark ? stats.watermark->millis() : kNoWatermark,
+      std::memory_order_relaxed);
+  shard.open_bytes.store(stats.open_buffer_bytes, std::memory_order_relaxed);
+  shard.peak_open_bytes.store(stats.peak_open_buffer_bytes,
                               std::memory_order_relaxed);
-  shard.compact_spills.store(shard.engine->compact_spills(),
-                             std::memory_order_relaxed);
+  shard.compact_spills.store(stats.compact_spills, std::memory_order_relaxed);
 }
 
 void ClusterRuntime::enqueue(std::size_t shard, ShardBatch batch) {
@@ -338,28 +326,6 @@ void ClusterRuntime::enqueue(std::size_t shard, ShardBatch batch) {
   s.cv_pop.notify_one();
 }
 
-void ClusterRuntime::pause_threads() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->pause = true;
-    shard->cv_pop.notify_all();
-  }
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::unique_lock<std::mutex> lock(shard->mu);
-    shard->cv_idle.wait(lock, [&shard] {
-      return shard->idle && shard->queue.empty();
-    });
-  }
-}
-
-void ClusterRuntime::resume_threads() {
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->pause = false;
-    shard->cv_pop.notify_all();
-  }
-}
-
 void ClusterRuntime::stop_threads() {
   if (!started_) return;
   for (const std::unique_ptr<Shard>& shard : shards_) {
@@ -383,14 +349,14 @@ struct ClusterRuntime::Scatter {
   ClusterRuntime& runtime;
   std::size_t owner;
 
-  [[nodiscard]] ShardScatter& scatter_of(std::uint32_t server) const {
-    return runtime.shards_[runtime.config_.router.shard_of(server)]->scatter;
+  [[nodiscard]] ShardBatch& pending_of(std::uint32_t server) const {
+    return runtime.shards_[runtime.config_.router.shard_of(server)]->pending;
   }
 
   void admit(std::uint32_t server, std::int64_t t_ms) const {
     const std::size_t shard = runtime.owning_shard(server, owner);
-    ShardScatter& scatter = runtime.shards_[shard]->scatter;
-    stream::EvidenceBatch& evidence = scatter.pending.evidence;
+    ShardBatch& pending = runtime.shards_[shard]->pending;
+    stream::EvidenceBatch& evidence = pending.evidence;
     // A full batch leaves when the shard's next tuple arrives, so its last
     // tuple is classified and counted in it.
     if (evidence.counts.ingested >= runtime.config_.flush_tuples) {
@@ -399,20 +365,20 @@ struct ClusterRuntime::Scatter {
     // The clock is read once per *batch* (first tuple), and only when
     // instrumentation is on.
     if (evidence.counts.ingested++ == 0 && runtime.telemetry().timed()) {
-      scatter.pending.formed_ms = runtime.telemetry().now_ms();
+      pending.formed_ms = runtime.telemetry().now_ms();
     }
-    if (!scatter.watermark || t_ms > scatter.watermark->millis()) {
-      scatter.watermark = TimePoint{t_ms};
+    if (!evidence.watermark || t_ms > evidence.watermark->millis()) {
+      evidence.watermark = TimePoint{t_ms};
     }
   }
 
   void late(std::uint32_t server) const {
-    ++scatter_of(server).pending.evidence.counts.late_dropped;
+    ++pending_of(server).evidence.counts.late_dropped;
   }
 
   void append(std::uint32_t server, std::int64_t epoch,
               const detect::MatchedLookup& lookup) const {
-    stream::EvidenceBatch& evidence = scatter_of(server).pending.evidence;
+    stream::EvidenceBatch& evidence = pending_of(server).evidence;
     ++evidence.counts.matched;
     evidence.records.push_back(stream::Evidence{
         runtime.config_.router.local_index(server), epoch, lookup});
@@ -422,7 +388,7 @@ struct ClusterRuntime::Scatter {
   /// closes the epoch right after the evidence that preceded the boundary.
   void close(std::int64_t epoch) const {
     const auto mark = [this, epoch](std::size_t shard) {
-      runtime.shards_[shard]->scatter.pending.evidence.close_through = epoch;
+      runtime.shards_[shard]->pending.evidence.close_through = epoch;
       runtime.flush_shard(shard);
     };
     if (owner != kAnyShard) {
@@ -524,14 +490,12 @@ void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
 }
 
 void ClusterRuntime::flush_shard(std::size_t shard) {
-  ShardScatter& scatter = shards_[shard]->scatter;
-  if (scatter.pending.empty()) return;
-  ShardBatch batch = std::move(scatter.pending);
-  scatter.pending = ShardBatch{};
+  ShardBatch& pending = shards_[shard]->pending;
+  if (pending.empty()) return;
+  ShardBatch batch = std::move(pending);
+  pending = ShardBatch{};
   stream::FrontCounters& counts = batch.evidence.counts;
   counts.unmatched = counts.ingested - counts.matched - counts.late_dropped;
-  batch.evidence.watermark = scatter.watermark;
-  scatter.watermark.reset();
   enqueue(shard, std::move(batch));
 }
 
@@ -573,11 +537,10 @@ void ClusterRuntime::route_advance(TimePoint watermark, std::size_t owner) {
   const std::size_t first = owner == kAnyShard ? 0 : owner;
   const std::size_t last = owner == kAnyShard ? shards_.size() : owner + 1;
   for (std::size_t i = first; i < last; ++i) {
-    ShardScatter& scatter = shards_[i]->scatter;
-    if (!scatter.watermark || watermark > *scatter.watermark) {
-      scatter.watermark = watermark;
-    }
-    scatter.pending.advance = watermark;
+    ShardBatch& pending = shards_[i]->pending;
+    std::optional<TimePoint>& mark = pending.evidence.watermark;
+    if (!mark || watermark > *mark) mark = watermark;
+    pending.advance = watermark;
   }
   Scatter scatter{*this, owner};
   front.advance(watermark, scatter);
@@ -617,11 +580,18 @@ ShardStats ClusterRuntime::shard_stats(std::size_t shard) const {
   }
   const Shard& s = *shards_[shard];
   ShardStats stats;
+  // late_dropped first (see mirror_counters).
+  stats.late_dropped = s.late_dropped.load(std::memory_order_acquire);
   stats.ingested = s.ingested.load(std::memory_order_relaxed);
   stats.matched = s.matched.load(std::memory_order_relaxed);
   stats.unmatched = s.unmatched.load(std::memory_order_relaxed);
-  stats.late_dropped = s.late_dropped.load(std::memory_order_relaxed);
   stats.next_epoch_to_close = s.next_epoch.load(std::memory_order_relaxed);
+  stats.epochs_closed = s.epochs_closed.load(std::memory_order_relaxed);
+  if (const std::int64_t watermark =
+          s.watermark_ms.load(std::memory_order_relaxed);
+      watermark != kNoWatermark) {
+    stats.watermark = TimePoint{watermark};
+  }
   stats.open_buffer_bytes = s.open_bytes.load(std::memory_order_relaxed);
   stats.peak_open_buffer_bytes =
       s.peak_open_bytes.load(std::memory_order_relaxed);
@@ -630,25 +600,12 @@ ShardStats ClusterRuntime::shard_stats(std::size_t shard) const {
 }
 
 stream::HealthState ClusterRuntime::sample_health(double now_ms) {
-  if (started_ && !finished_) {
-    // Monitors must sample on the thread that owns the engine; queue one
-    // sample item per shard. The fold below therefore reads the *previous*
-    // round's samples — health is an operational signal, one round of
-    // latency is immaterial.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      ShardBatch batch;
-      batch.sample_now_ms = now_ms;
-      enqueue(i, std::move(batch));
-    }
-  } else {
-    for (const std::unique_ptr<Shard>& shard : shards_) {
-      shard->monitor->sample(*shard->engine, now_ms);
-    }
-  }
-
+  std::vector<ShardStats> stats;
+  stats.reserve(shards_.size());
   stream::HealthState worst = stream::HealthState::kOk;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    worst = std::max(worst, shard->monitor->state());
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    stats.push_back(shard_stats(i));
+    worst = std::max(worst, shards_[i]->monitor->sample(stats[i], now_ms));
   }
   const std::int64_t frontier = merger_.merge_frontier();
   const std::int64_t lag = merger_.max_shard_progress() - frontier;
@@ -662,37 +619,26 @@ stream::HealthState ClusterRuntime::sample_health(double now_ms) {
   const obs::Telemetry& tel = telemetry();
   if (tel.journal != nullptr) {
     // Journal every state change since the previous sample (shard-level and
-    // cluster-level), and flush the black box the moment the cluster goes
+    // cluster-level), and flush the black box the moment one turns
     // unhealthy — by then the interesting history is already in the ring.
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      const int state = static_cast<int>(shards_[i]->monitor->state());
-      if (state != prev_shard_state_[i]) {
-        tel.log(obs::EventKind::kHealthTransition, static_cast<std::int32_t>(i),
-                obs::JournalEvent::kNoEpoch, static_cast<double>(state),
-                std::string(stream::health_state_name(
-                    static_cast<stream::HealthState>(prev_shard_state_[i]))) +
-                    "->" +
-                    std::string(stream::health_state_name(
-                        static_cast<stream::HealthState>(state))));
-        prev_shard_state_[i] = state;
-        if (state == static_cast<int>(stream::HealthState::kUnhealthy)) {
-          (void)tel.journal->auto_dump();
-        }
-      }
-    }
-    const int cluster_now = static_cast<int>(worst);
-    if (cluster_now != prev_cluster_state_) {
-      tel.log(obs::EventKind::kHealthTransition, -1,
-              obs::JournalEvent::kNoEpoch, static_cast<double>(cluster_now),
+    const auto transition = [&tel](std::int32_t shard, int& prev,
+                                   stream::HealthState now) {
+      if (static_cast<int>(now) == prev) return;
+      tel.log(obs::EventKind::kHealthTransition, shard,
+              obs::JournalEvent::kNoEpoch, static_cast<double>(now),
               std::string(stream::health_state_name(
-                  static_cast<stream::HealthState>(prev_cluster_state_))) +
-                  "->" + std::string(stream::health_state_name(worst)));
-      const bool went_unhealthy =
-          worst == stream::HealthState::kUnhealthy &&
-          prev_cluster_state_ != static_cast<int>(stream::HealthState::kUnhealthy);
-      prev_cluster_state_ = cluster_now;
-      if (went_unhealthy) (void)tel.journal->auto_dump();
+                  static_cast<stream::HealthState>(prev))) +
+                  "->" + std::string(stream::health_state_name(now)));
+      prev = static_cast<int>(now);
+      if (now == stream::HealthState::kUnhealthy) {
+        (void)tel.journal->auto_dump();
+      }
+    };
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      transition(static_cast<std::int32_t>(i), prev_shard_state_[i],
+                 shards_[i]->monitor->state());
     }
+    transition(-1, prev_cluster_state_, worst);
   }
 
   obs::MetricsRegistry* const metrics = tel.metrics;
@@ -703,24 +649,23 @@ stream::HealthState ClusterRuntime::sample_health(double now_ms) {
     metrics->gauge("cluster.frontier_lag").set(static_cast<double>(lag));
     for (std::size_t i = 0; i < shards_.size(); ++i) {
       const std::string label = "shard_" + std::to_string(i);
-      const ShardStats stats = shard_stats(i);
       metrics->gauge("cluster.shard.health_state", label)
           .set(static_cast<double>(shards_[i]->monitor->state()));
       metrics->gauge("cluster.shard.ingested", label)
-          .set(static_cast<double>(stats.ingested));
+          .set(static_cast<double>(stats[i].ingested));
       metrics->gauge("cluster.shard.matched", label)
-          .set(static_cast<double>(stats.matched));
+          .set(static_cast<double>(stats[i].matched));
       metrics->gauge("cluster.shard.late_dropped", label)
-          .set(static_cast<double>(stats.late_dropped));
+          .set(static_cast<double>(stats[i].late_dropped));
       metrics->gauge("cluster.shard.next_epoch", label)
-          .set(static_cast<double>(stats.next_epoch_to_close));
+          .set(static_cast<double>(stats[i].next_epoch_to_close));
       metrics->gauge("cluster.shard.open_buffer_bytes", label)
-          .set(static_cast<double>(stats.open_buffer_bytes));
+          .set(static_cast<double>(stats[i].open_buffer_bytes));
       metrics->gauge("cluster.shard.open_buffer_bytes.peak", label)
-          .set(static_cast<double>(stats.peak_open_buffer_bytes));
+          .set(static_cast<double>(stats[i].peak_open_buffer_bytes));
       if (config_.compact_state) {
         metrics->gauge("cluster.shard.compact_spills", label)
-            .set(static_cast<double>(stats.compact_spills));
+            .set(static_cast<double>(stats[i].compact_spills));
       }
     }
   }
@@ -776,21 +721,31 @@ json::Value ClusterRuntime::checkpoint() {
   // flush them first (this starts the shard threads if nothing had ever
   // filled a batch — small traces live entirely in pending batches).
   if (!finished_.load(std::memory_order_acquire)) flush();
-  const bool pause = started_ && !finished_;
-  if (pause) pause_threads();
-
   json::Array shards;
   shards.reserve(shards_.size());
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    shards.emplace_back(shard->engine->checkpoint());
+  if (started_ && !finished_) {
+    // Each running shard thread answers after every batch enqueued before
+    // the request, closes (and their merger offers) included, so the
+    // frontier read below belongs to the same cut.
+    std::vector<std::promise<json::Value>> answers(shards_.size());
+    for (std::size_t i = 0; i < shards_.size(); ++i) {
+      ShardBatch request;
+      request.checkpoint = &answers[i];
+      enqueue(i, std::move(request));
+    }
+    for (std::promise<json::Value>& answer : answers) {
+      shards.emplace_back(answer.get_future().get());
+    }
+  } else {
+    for (const std::unique_ptr<Shard>& shard : shards_) {
+      shards.emplace_back(shard->engine->checkpoint());
+    }
   }
   json::Object root;
   root.emplace("schema", json::Value(std::string(kCheckpointSchema)));
   root.emplace("router", config_.router.to_json());
   root.emplace("merge_frontier", number(merger_.merge_frontier()));
   root.emplace("shards", json::Value(std::move(shards)));
-
-  if (pause) resume_threads();
   telemetry().log(obs::EventKind::kCheckpoint, -1, obs::JournalEvent::kNoEpoch,
                   static_cast<double>(merger_.merge_frontier()));
   return json::Value(std::move(root));

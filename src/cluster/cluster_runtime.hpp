@@ -52,8 +52,8 @@
 // crossed the close boundary returns, and flush() has nothing to do. With
 // one shard no series can collide, so the engine and its health monitor
 // keep the telemetry bundle's metrics and trace (stream.* series beside the
-// cluster.* ones). sample_health() then samples on the calling thread,
-// which must be the producer thread.
+// cluster.* ones). The producer publishes the engine's counters after every
+// call, as a shard thread does after every batch.
 //
 // Lateness caveat (feeds only): a feed's front closes its shard on that
 // feed's own watermark, so a shard fed through a feed is more lenient about
@@ -70,21 +70,22 @@
 // Each shard entry carries the counters and watermark the front attributed
 // to that shard's servers; the producer front keeps no state of its own
 // beyond them (its resolve memo is derived). checkpoint() flushes every
-// pending batch, drains the queues, pauses every shard thread at an item
-// boundary, snapshots, and resumes; restore() loads each shard engine,
-// resumes the fronts from them (the global watermark is the maximum of the
-// shard watermarks — a single engine's watermark over the union — and
-// shards that closed fewer epochs than the furthest one are closed up to it
-// before cluster-level ingest resumes),
-// replays their closed rows into a fresh merger (silently — history only
-// records post-restore merges, mirroring StreamEngine::restore), and
-// cross-checks the stored frontier.
+// pending batch, then each running shard thread answers a snapshot request
+// sent through its queue, after every earlier item. restore() loads each
+// shard engine, resumes the fronts from them (the global watermark is the
+// maximum of the shard watermarks — a single engine's watermark over the
+// union — and shards that closed fewer epochs than the furthest one are
+// closed up to it before cluster-level ingest resumes), replays their
+// closed rows into a fresh merger (silently — history only records
+// post-restore merges, mirroring StreamEngine::restore), and cross-checks
+// the stored frontier.
 //
-// Health. Each shard carries a StreamHealthMonitor sampled on its own
-// thread (engine accessors are not synchronized); the cluster folds the
-// worst shard state with the merge-frontier lag — a lagging shard both
-// degrades the cluster state and holds the global landscape back, by
-// construction — into one state /healthz keys on.
+// Health. Other threads see a shard only through the atomic mirrors of its
+// engine's counters (ShardStats) published after each batch. sample_health()
+// evaluates every shard's StreamHealthMonitor from them on the calling
+// thread, never waiting on a shard, and folds the worst shard state with the
+// merge-frontier lag (a lagging shard both degrades the cluster state and
+// holds the global landscape back) into one state /healthz keys on.
 //
 // See DESIGN.md §11 for the full architecture and equivalence argument.
 #pragma once
@@ -93,6 +94,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -100,7 +103,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cluster/landscape_merger.hpp"
@@ -129,6 +131,8 @@ struct ClusterConfig {
   /// get no sinks (their series would collide across shards); a lone inline
   /// shard keeps metrics and trace. Every sink is observational only, and
   /// with no trace, journal or lag attached the ingest path reads no clock.
+  /// Its analyze_threads sizes every shard engine's close-time estimation
+  /// pool (bit-identical for every value).
   core::BotMeterConfig meter;
 
   /// Epoch horizon, as for StreamEngine.
@@ -137,10 +141,6 @@ struct ClusterConfig {
 
   /// Server ownership map; also fixes shard count and global report width.
   ShardRouter router;
-
-  /// Estimation worker threads per shard engine (close-time parallelism;
-  /// bit-identical for every value).
-  std::size_t shard_worker_threads = 1;
 
   /// Passed through to every shard engine.
   std::optional<Duration> allowed_lateness;
@@ -181,25 +181,11 @@ struct ClusterConfig {
   void validate() const;
 };
 
-/// Point-in-time per-shard counters, readable from any thread. The tuple
-/// counters count the tuples routed to the shard's servers (the producer
-/// front classifies them; the shard applies the counts with its evidence).
-struct ShardStats {
-  std::uint64_t ingested = 0;
-  std::uint64_t matched = 0;
-  std::uint64_t unmatched = 0;
-  std::uint64_t late_dropped = 0;
-  /// Next epoch the shard will close (first_epoch + its closes so far).
-  std::int64_t next_epoch_to_close = 0;
-  /// Bytes held by the shard engine's open-epoch buffers (exact vector
-  /// capacities plus compact-cell footprints), and the run's high-water
-  /// mark — the memory the compact observation path bounds.
-  std::uint64_t open_buffer_bytes = 0;
-  std::uint64_t peak_open_buffer_bytes = 0;
-  /// Exact buffers folded into sketch cells so far (0 when compact_state
-  /// is off).
-  std::uint64_t compact_spills = 0;
-};
+/// Point-in-time per-shard counters, readable from any thread: the shard
+/// engine's record as last published. The tuple counters count the tuples
+/// routed to the shard's servers (the producer front classifies them; the
+/// shard applies the counts with its evidence).
+using ShardStats = stream::StreamStats;
 
 class ClusterRuntime;
 
@@ -296,12 +282,11 @@ class ClusterRuntime {
   [[nodiscard]] const LandscapeMerger& merger() const { return merger_; }
 
   // --- health --------------------------------------------------------------
-  /// Queue a health sample on every shard thread (monitors must sample on
-  /// the thread that owns the engine), then fold the *previous* samples plus
-  /// the current frontier lag into the cluster state. Call periodically from
-  /// the control/scrape thread with monotonic wall milliseconds; also
-  /// publishes cluster.* gauges when a metrics registry is attached. An
-  /// inline shard samples at once, on the calling (producer) thread.
+  /// Evaluate every shard's monitor from shard_stats() and fold the states
+  /// plus the current frontier lag into the cluster state; also publishes
+  /// cluster.* gauges when a metrics registry is attached. Never waits on a
+  /// shard. Call periodically with monotonic wall milliseconds, from any one
+  /// thread at a time, at any shard count.
   stream::HealthState sample_health(double now_ms);
   [[nodiscard]] stream::HealthState cluster_state() const {
     return static_cast<stream::HealthState>(
@@ -314,10 +299,11 @@ class ClusterRuntime {
 
   // --- checkpointing -------------------------------------------------------
   /// Serialize the whole cluster (schema botmeter.cluster_checkpoint.v1):
-  /// router, merge frontier, and one per-shard stream checkpoint. Drains the
-  /// shard queues and pauses every shard thread at an item boundary for the
-  /// snapshot, so the envelope is a consistent cut; producers must not
-  /// ingest concurrently with checkpoint().
+  /// router, merge frontier, and one per-shard stream checkpoint. Flushes
+  /// every pending batch; each running shard thread then snapshots its
+  /// engine when the request reaches it through its queue. Producers must
+  /// not ingest concurrently with checkpoint(), so the envelope is a
+  /// consistent cut.
   [[nodiscard]] json::Value checkpoint();
 
   /// Load a cluster checkpoint into a freshly constructed runtime (nothing
@@ -333,12 +319,13 @@ class ClusterRuntime {
 
   /// One unit of shard-thread work: the front's delivery to the shard's
   /// engine (evidence records with engine-local servers, counter deltas,
-  /// watermark, close marker), plus control items.
+  /// watermark, close marker), or a checkpoint request.
   struct ShardBatch {
     stream::EvidenceBatch evidence;
     /// An explicit watermark advance reached the shard (journaled).
     std::optional<TimePoint> advance;
-    std::optional<double> sample_now_ms;
+    /// A checkpoint request, answered with the engine's checkpoint.
+    std::promise<json::Value>* checkpoint = nullptr;
 
     // Lag/flow metadata, stamped only when the telemetry is timed (its clock
     // is never read otherwise). Not data: empty() ignores it.
@@ -351,42 +338,41 @@ class ClusterRuntime {
 
     [[nodiscard]] bool empty() const {
       return evidence.counts.ingested == 0 && evidence.records.empty() &&
-             !evidence.close_through && !advance && !sample_now_ms;
+             !evidence.close_through && !advance;
     }
   };
 
-  /// Producer-side state for one shard: the batch being formed. Owned by
-  /// whichever single producer currently feeds the shard.
-  struct ShardScatter {
-    ShardBatch pending;
-    /// Max timestamp routed to the shard since the last flush.
-    std::optional<TimePoint> watermark;
-  };
+  /// `Shard::watermark_ms` before the engine saw a tuple.
+  static constexpr std::int64_t kNoWatermark =
+      std::numeric_limits<std::int64_t>::min();
 
-  /// Shard-thread-side state: the bounded queue and the back-only engine
-  /// (plus, for feeds, the feed's own front on the producer side).
+  /// One shard: the producer's pending batch, the bounded queue and the
+  /// back-only engine (plus, for feeds, the feed's own front on the
+  /// producer side).
   struct Shard {
     std::size_t index = 0;
     std::unique_ptr<stream::StreamEngine> engine;
     std::unique_ptr<stream::StreamHealthMonitor> monitor;
     std::unique_ptr<stream::MatchFront> feed_front;
-    ShardScatter scatter;
+    /// The batch being formed, owned by whichever single producer currently
+    /// feeds the shard.
+    ShardBatch pending;
 
     std::mutex mu;
     std::condition_variable cv_push;   // producer waits: queue full
     std::condition_variable cv_pop;    // thread waits: queue empty
-    std::condition_variable cv_idle;   // checkpoint waits: thread paused
     std::deque<ShardBatch> queue;
     bool stop = false;
-    bool pause = false;
-    bool idle = false;
 
-    // Point-in-time counters mirrored by the shard thread after each batch.
+    // The engine's counters, published by the thread that owns it after
+    // each batch (mirror_counters): the only view other threads have.
     std::atomic<std::uint64_t> ingested{0};
     std::atomic<std::uint64_t> matched{0};
     std::atomic<std::uint64_t> unmatched{0};
     std::atomic<std::uint64_t> late_dropped{0};
     std::atomic<std::int64_t> next_epoch{0};
+    std::atomic<std::uint64_t> epochs_closed{0};
+    std::atomic<std::int64_t> watermark_ms{kNoWatermark};
     std::atomic<std::uint64_t> open_bytes{0};
     std::atomic<std::uint64_t> peak_open_bytes{0};
     std::atomic<std::uint64_t> compact_spills{0};
@@ -401,8 +387,8 @@ class ClusterRuntime {
   void ensure_started();
   void shard_main(std::size_t index);
   void apply_batch(Shard& shard, ShardBatch& batch);
-  /// Copy the engine's counters into the shard's atomic mirrors. Must run on
-  /// the thread that currently owns the engine.
+  /// Publish the engine's counters to the shard's atomic mirrors. Must run
+  /// on the thread that currently owns the engine.
   static void mirror_counters(Shard& shard);
   void enqueue(std::size_t shard, ShardBatch batch);
   void flush_shard(std::size_t shard);
@@ -424,8 +410,6 @@ class ClusterRuntime {
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
   void stop_threads();
-  void pause_threads();
-  void resume_threads();
   [[nodiscard]] const obs::Telemetry& telemetry() const {
     return config_.meter.telemetry;
   }
@@ -450,12 +434,7 @@ class ClusterRuntime {
   /// cluster-level front closes every shard through this epoch before its
   /// first tuple (producer thread only).
   std::optional<std::int64_t> catch_up_through_;
-  /// Epoch -> flow id minted at the triggering close, consumed by the merge
-  /// publish span (the offer that completes an epoch merges it on the same
-  /// thread, so the last writer is the one handle_merge reads).
-  std::mutex flow_mu_;
-  std::unordered_map<std::int64_t, std::uint64_t> close_flow_;
-  /// Previous health states (control thread only): journal transitions.
+  /// Previous health states (the sampling thread only): journal transitions.
   std::vector<int> prev_shard_state_;
   int prev_cluster_state_ = 0;
   /// Guards the one-time thread spawn: feeds for different shards may ingest

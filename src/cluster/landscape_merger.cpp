@@ -15,6 +15,9 @@ LandscapeMerger::LandscapeMerger(const ShardRouter& router,
   }
   rows_.resize(static_cast<std::size_t>(epoch_count));
   arrived_.assign(static_cast<std::size_t>(epoch_count), 0);
+  closed_ms_.assign(static_cast<std::size_t>(epoch_count),
+                    std::vector<std::optional<double>>(router.shard_count()));
+  flow_.assign(static_cast<std::size_t>(epoch_count), 0);
   shard_progress_.assign(router.shard_count(), 0);
 }
 
@@ -24,7 +27,9 @@ void LandscapeMerger::on_merge(MergeCallback callback) {
 }
 
 void LandscapeMerger::offer(std::size_t shard, std::int64_t epoch,
-                            std::vector<estimators::EpochCell> local_cells) {
+                            std::vector<estimators::EpochCell> local_cells,
+                            std::optional<double> closed_ms,
+                            std::uint64_t flow) {
   const std::vector<std::uint32_t>& owned = router_.servers_of(shard);
   if (local_cells.size() != owned.size()) {
     throw ConfigError("LandscapeMerger: shard " + std::to_string(shard) +
@@ -53,6 +58,8 @@ void LandscapeMerger::offer(std::size_t shard, std::int64_t epoch,
     global_row[owned[k]] = local_cells[k];
   }
   ++arrived_[i];
+  closed_ms_[i][shard] = closed_ms;
+  flow_[i] = flow;
 
   // Publish every epoch the new arrival completed, ascending. A row is only
   // emitted once all earlier rows went out — a fast shard completing epoch 5
@@ -63,6 +70,8 @@ void LandscapeMerger::offer(std::size_t shard, std::int64_t epoch,
       MergedEpoch merged;
       merged.epoch = first_epoch_ + static_cast<std::int64_t>(merged_);
       merged.cells = rows_[merged_];
+      merged.closed_ms = std::move(closed_ms_[merged_]);
+      merged.flow = flow_[merged_];
       on_merge_(merged);
     }
     ++merged_;

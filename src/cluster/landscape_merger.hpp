@@ -19,6 +19,10 @@
 // (max shard progress − frontier) is the cluster health monitor's signal for
 // that condition.
 //
+// The merger is also the one record of when each close arrived: an offer
+// carries its close's end time and flow id, and the merged epoch hands them
+// to on_merge (straggler rows, merge_publish waits, close→merge arrows).
+//
 // Byte-identity: a (server, epoch) cell is a pure function of the server's
 // matched bucket for that epoch, and the router gives every server exactly
 // one owner, so the scattered cells are the very cells a single engine's
@@ -31,6 +35,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,6 +49,10 @@ namespace botmeter::cluster {
 struct MergedEpoch {
   std::int64_t epoch = 0;
   std::vector<estimators::EpochCell> cells;  // width == router server_count
+  /// on_merge only (merged_epoch() leaves them empty): each shard's close
+  /// time as offered, and the flow id of the offer that completed the row.
+  std::vector<std::optional<double>> closed_ms;
+  std::uint64_t flow = 0;
 };
 
 class LandscapeMerger {
@@ -63,10 +72,13 @@ class LandscapeMerger {
 
   /// Offer shard `shard`'s closed row for `epoch`: `local_cells[i]` is the
   /// cell of the shard's i-th owned server (the engine's local order). Each
-  /// shard must offer each epoch exactly once, ascending. Thread-safe
-  /// against concurrent offers and queries.
+  /// shard must offer each epoch exactly once, ascending. `closed_ms` (when
+  /// the close ended) and `flow` (its span's flow id) are the one record of
+  /// the close's arrival. Thread-safe against concurrent offers and queries.
   void offer(std::size_t shard, std::int64_t epoch,
-             std::vector<estimators::EpochCell> local_cells);
+             std::vector<estimators::EpochCell> local_cells,
+             std::optional<double> closed_ms = std::nullopt,
+             std::uint64_t flow = 0);
 
   // --- queries (thread-safe) ----------------------------------------------
   /// First epoch not yet fully merged (first_epoch + merged_count; one past
@@ -97,6 +109,10 @@ class LandscapeMerger {
   /// are final.
   std::vector<std::vector<estimators::EpochCell>> rows_;
   std::vector<std::size_t> arrived_;
+  /// Per row: each shard's offered close time, and the latest offer's flow
+  /// id — the completing offer's once the row is whole.
+  std::vector<std::vector<std::optional<double>>> closed_ms_;
+  std::vector<std::uint64_t> flow_;
   std::size_t merged_ = 0;
   /// Per-shard close progress (epochs offered so far).
   std::vector<std::size_t> shard_progress_;

@@ -60,10 +60,10 @@ struct BotMeterConfig {
   std::uint64_t seed = 7;
 
   /// Total parallelism of analyze() — matcher sharding plus the
-  /// per-(server, epoch) estimation loop. 1 = serial (the default), 0 =
-  /// hardware concurrency. The LandscapeReport is bit-identical for every
-  /// value: matched streams merge in canonical order and every estimate is
-  /// an independent pure function of its cell, written to its own slot.
+  /// per-(server, epoch) estimation loop — and of a stream engine's closes.
+  /// 1 = serial (the default), 0 = hardware concurrency. The LandscapeReport
+  /// is bit-identical for every value: matched streams merge in canonical
+  /// order and every estimate is an independent pure function of its cell.
   std::size_t analyze_threads = 1;
 
   /// Share one EstimationContext per epoch across the servers of that epoch

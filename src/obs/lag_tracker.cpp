@@ -72,29 +72,16 @@ void LagTracker::record(std::size_t shard, LagStage stage, double ms) {
   ++acc.buckets[bucket];
 }
 
-void LagTracker::note_shard_close(std::int64_t epoch, std::size_t shard,
-                                  double now_ms) {
-  if (shard >= shard_count_) {
-    throw ConfigError("LagTracker.note_shard_close: shard index out of range");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_closes_[epoch][shard] = now_ms;
-}
-
-void LagTracker::note_merge(std::int64_t epoch, double now_ms) {
-  std::map<std::size_t, double> closes;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = pending_closes_.find(epoch);
-    if (it == pending_closes_.end()) return;
-    closes = std::move(it->second);
-    pending_closes_.erase(it);
-  }
+void LagTracker::note_merge(std::int64_t epoch,
+                            std::span<const std::optional<double>> closed_ms,
+                            double now_ms) {
   StragglerRow row;
   row.epoch = epoch;
   row.merge_ms = now_ms;
   bool first = true;
-  for (const auto& [shard, close_ms] : closes) {
+  for (std::size_t shard = 0; shard < closed_ms.size(); ++shard) {
+    if (!closed_ms[shard]) continue;
+    const double close_ms = *closed_ms[shard];
     record(shard, LagStage::kMergePublish,
            now_ms > close_ms ? now_ms - close_ms : 0.0);
     if (first || close_ms < row.first_close_ms) row.first_close_ms = close_ms;
@@ -104,7 +91,7 @@ void LagTracker::note_merge(std::int64_t epoch, double now_ms) {
     }
     first = false;
   }
-  if (first) return;  // no contributing shards recorded
+  if (first) return;  // no timed arrival
   row.straggle_ms = row.last_close_ms - row.first_close_ms;
   std::lock_guard<std::mutex> lock(mu_);
   stragglers_.push_back(row);

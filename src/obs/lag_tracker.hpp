@@ -21,7 +21,8 @@
 // mutex, locked per *batch*/close, never per tuple. On top of the
 // histograms, a bounded per-epoch straggler table records, for every merged
 // epoch, which shard's close arrived last and by how much — "which border
-// is holding the frontier back" as a first-class answer.
+// is holding the frontier back" as a first-class answer. The close arrival
+// times come with the merge, so the tracker keeps no per-close state.
 //
 // `attribution()` folds the table down to the slowest stage and slowest
 // shard by accumulated wall time, which ClusterRuntime::health_json embeds
@@ -35,9 +36,9 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -106,13 +107,13 @@ class LagTracker {
   /// shards are a ConfigError (instrumentation bugs should be loud).
   void record(std::size_t shard, LagStage stage, double ms);
 
-  /// A shard's close for `epoch` reached the merger at `now_ms`.
-  void note_shard_close(std::int64_t epoch, std::size_t shard, double now_ms);
-
-  /// The merger published `epoch` at `now_ms`: records merge_publish wait
-  /// per contributing shard (now - its close arrival), appends the epoch's
-  /// straggler row, and drops the pending close times.
-  void note_merge(std::int64_t epoch, double now_ms);
+  /// The merger published `epoch` at `now_ms`; `closed_ms[shard]` is when
+  /// that shard's close of it arrived (unset: not timed). Records the
+  /// merge_publish wait of every timed shard (now - its arrival) and appends
+  /// the epoch's straggler row (none without a timed arrival).
+  void note_merge(std::int64_t epoch,
+                  std::span<const std::optional<double>> closed_ms,
+                  double now_ms);
 
   [[nodiscard]] LagStageSample stage_sample(std::size_t shard,
                                             LagStage stage) const;
@@ -143,8 +144,6 @@ class LagTracker {
   mutable std::mutex mu_;
   /// shard_count_ x kLagStageCount, row-major by shard.
   std::vector<StageAcc> stages_;
-  /// epoch -> (shard -> close arrival time); pending until note_merge.
-  std::map<std::int64_t, std::map<std::size_t, double>> pending_closes_;
   std::deque<StragglerRow> stragglers_;
 };
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "stream/stream_engine.hpp"
 
 namespace botmeter::stream {
 
@@ -66,14 +65,14 @@ void StreamHealthMonitor::publish(const StreamHealthSignals& s,
       .set(static_cast<double>(s.open_buffer_bytes));
 }
 
-HealthState StreamHealthMonitor::sample(const StreamEngine& engine,
+HealthState StreamHealthMonitor::sample(const StreamStats& stats,
                                         double now_ms) {
   StreamHealthSignals signals;
-  signals.ingested = engine.ingested();
-  signals.matched = engine.matched();
-  signals.late_dropped = engine.late_dropped();
-  signals.open_buffer_bytes = engine.open_buffer_bytes();
-  signals.epochs_closed = engine.close_latencies_ms().size();
+  signals.ingested = stats.ingested;
+  signals.matched = stats.matched;
+  signals.late_dropped = stats.late_dropped;
+  signals.open_buffer_bytes = stats.open_buffer_bytes;
+  signals.epochs_closed = stats.epochs_closed;
 
   const std::uint64_t attributed = signals.matched + signals.late_dropped;
   signals.late_rate =
@@ -86,10 +85,9 @@ HealthState StreamHealthMonitor::sample(const StreamEngine& engine,
     std::lock_guard<std::mutex> lock(mu_);
     // The watermark "advances" when its stream timestamp moves (or on the
     // very first sample, which seeds the reference point).
-    const std::optional<TimePoint> watermark = engine.watermark();
     const std::optional<std::int64_t> watermark_ms =
-        watermark ? std::optional<std::int64_t>(watermark->millis())
-                  : std::nullopt;
+        stats.watermark ? std::optional<std::int64_t>(stats.watermark->millis())
+                        : std::nullopt;
     if (!last_advance_wall_ms_ || watermark_ms != last_watermark_ms_) {
       last_watermark_ms_ = watermark_ms;
       last_advance_wall_ms_ = now_ms;

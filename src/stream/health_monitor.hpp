@@ -24,11 +24,12 @@
 // the monitor never reads a clock itself, so threshold/hysteresis behaviour
 // is testable with simulated time and no sleeps.
 //
-// Thread-safety: `sample()` must run on the ingest thread (StreamEngine's
-// accessors are unsynchronized), while `state()` / `last_signals()` may run
-// on any thread — the HTTP exporter reads them concurrently. All shared
-// state sits behind one mutex; gauge writes go through the (optional)
-// MetricsRegistry, which is itself safe for concurrent scrapes.
+// Thread-safety: the monitor reads only the counters record it is handed,
+// never an engine, so `sample()` may run on any one thread at a time while
+// `state()` / `last_signals()` run on any other — the HTTP exporter reads
+// them concurrently. All shared state sits behind one mutex; gauge writes go
+// through the (optional) MetricsRegistry, which is itself safe for
+// concurrent scrapes.
 #pragma once
 
 #include <cstddef>
@@ -37,11 +38,10 @@
 #include <optional>
 #include <string_view>
 
+#include "common/time.hpp"
 #include "obs/metrics.hpp"
 
 namespace botmeter::stream {
-
-class StreamEngine;
 
 enum class HealthState : int { kOk = 0, kDegraded = 1, kUnhealthy = 2 };
 
@@ -69,6 +69,30 @@ struct StreamHealthConfig {
   void validate() const;
 };
 
+/// Point-in-time counters of one stream engine as one record: what
+/// StreamEngine::stats() returns, what a cluster shard publishes after each
+/// batch it applies (cluster::ShardStats), and what sample() evaluates.
+struct StreamStats {
+  std::uint64_t ingested = 0;
+  std::uint64_t matched = 0;
+  std::uint64_t unmatched = 0;
+  std::uint64_t late_dropped = 0;
+  /// Next epoch the engine will close (first_epoch + its closes so far).
+  std::int64_t next_epoch_to_close = 0;
+  /// Epoch closes the engine ran itself (not those it restored).
+  std::uint64_t epochs_closed = 0;
+  /// Max timestamp seen; unset before the first tuple.
+  std::optional<TimePoint> watermark;
+  /// Bytes held by the open-epoch buffers (exact vector capacities plus
+  /// compact-cell footprints), and the run's high-water mark — the memory
+  /// the compact observation path bounds.
+  std::uint64_t open_buffer_bytes = 0;
+  std::uint64_t peak_open_buffer_bytes = 0;
+  /// Exact buffers folded into sketch cells so far (0 when compact_state
+  /// is off).
+  std::uint64_t compact_spills = 0;
+};
+
 /// The raw signal vector one evaluation sees.
 struct StreamHealthSignals {
   double watermark_lag_ms = 0.0;
@@ -93,10 +117,9 @@ class StreamHealthMonitor {
   explicit StreamHealthMonitor(StreamHealthConfig config,
                                obs::MetricsRegistry* metrics = nullptr);
 
-  /// Derive signals from the engine at wall time `now_ms` and evaluate
-  /// them. Call from the ingest thread (engine accessors are not
-  /// synchronized against ingest).
-  HealthState sample(const StreamEngine& engine, double now_ms);
+  /// Derive signals from one counters record at wall time `now_ms` and
+  /// evaluate them.
+  HealthState sample(const StreamStats& stats, double now_ms);
 
   /// Evaluate an explicit signal vector (the simulated-time test path, and
   /// the building block `sample()` uses).

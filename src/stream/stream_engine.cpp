@@ -106,7 +106,8 @@ StreamEngine::StreamEngine(StreamEngineConfig config,
       meter_(prepared_meter(config_, std::move(meter))),
       // kAllow: close-time estimation is bit-identical for any worker count,
       // and determinism tests pin counts above small CI machines' cores.
-      workers_(config_.worker_threads, WorkerPool::Oversubscribe::kAllow),
+      workers_(config_.meter.analyze_threads,
+               WorkerPool::Oversubscribe::kAllow),
       front_(meter_->matcher(), config_.first_epoch, config_.epoch_count,
              config_.allowed_lateness, config_.meter.telemetry.trace),
       open_(static_cast<std::size_t>(config_.epoch_count)) {
@@ -125,6 +126,12 @@ void StreamEngine::on_epoch_close(EpochCallback callback) {
 
 std::int64_t StreamEngine::next_epoch_to_close() const {
   return config_.first_epoch + static_cast<std::int64_t>(closed_.size());
+}
+
+StreamStats StreamEngine::stats() const {
+  return {ingested(), matched(), unmatched(), late_dropped(),
+          next_epoch_to_close(), close_latencies_ms_.size(), watermark(),
+          open_bytes_, peak_open_bytes_, compact_spills_};
 }
 
 void StreamEngine::note_open_bytes_grew(std::size_t delta) {

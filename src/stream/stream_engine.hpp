@@ -27,7 +27,7 @@
 //     LandscapeReport from the retained per-epoch cells via the shared
 //     window aggregation — **bit-identical** to core::BotMeter::analyze on
 //     the concatenated stream (provided nothing was dropped as late), for
-//     every estimator and any worker_threads value.
+//     every estimator and any analyze_threads value.
 //   - checkpoint()/restore() round-trip the mutable state through the
 //     byte-stable common/json writer (schema botmeter.stream_checkpoint.v1)
 //     so a monitor can restart mid-horizon without reprocessing the feed.
@@ -49,13 +49,15 @@
 #include "detect/matcher.hpp"
 #include "dns/vantage.hpp"
 #include "estimators/estimator.hpp"
+#include "stream/health_monitor.hpp"
 #include "stream/match_front.hpp"
 
 namespace botmeter::stream {
 
 struct StreamEngineConfig {
   /// The analysis configuration (family, TTL policy, estimator choice,
-  /// detection window seed) — exactly what batch BotMeter takes. The engine
+  /// detection window seed) — exactly what batch BotMeter takes; its
+  /// analyze_threads sizes the close-time estimation pool. The engine
   /// reports into `meter.telemetry`: `stream.*` series into metrics, block
   /// and close spans into trace, and one per-server snapshot row per epoch
   /// close into history (purely observational — attaching any of them
@@ -70,11 +72,6 @@ struct StreamEngineConfig {
 
   /// Number of local DNS servers behind the border (fixes report width).
   std::size_t server_count = 1;
-
-  /// Worker threads for per-server estimation at epoch close. Results are
-  /// bit-identical for every value: each server's estimate is an
-  /// independent pure function of its bucket, written to its own slot.
-  std::size_t worker_threads = 1;
 
   /// How far the watermark must pass an epoch's end before the engine
   /// auto-closes it. Lookup trains spill past epoch boundaries and
@@ -235,6 +232,8 @@ class StreamEngine {
   [[nodiscard]] std::span<const double> close_latencies_ms() const {
     return close_latencies_ms_;
   }
+  /// The counters above, watermark and close count as one record.
+  [[nodiscard]] StreamStats stats() const;
   [[nodiscard]] const core::BotMeter& meter() const { return *meter_; }
   [[nodiscard]] const StreamEngineConfig& config() const { return config_; }
   /// Closed per-epoch cell rows so far, [epoch index][server] — the final

@@ -61,7 +61,7 @@ ClusterConfig cluster_config(std::size_t shards, std::size_t threads) {
   config.first_epoch = 0;
   config.epoch_count = kEpochs;
   config.router = ShardRouter::by_range(kServers, shards);
-  config.shard_worker_threads = threads;
+  config.meter.analyze_threads = threads;
   return config;
 }
 

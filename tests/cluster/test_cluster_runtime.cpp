@@ -4,14 +4,16 @@
 // paths, for per-shard feed handles, across estimation thread counts, and
 // under aggressive batching/backpressure settings — and drop exactly the
 // tuples the single engine drops as late. The recorded landscape_series.v1
-// history must be byte-equal too. Two tests drive producers against live
-// queries (the TSan targets): per-shard feeds, and one cluster-level front
-// sharing its prepared meter with every shard.
+// history must be byte-equal too. Three tests drive producers against live
+// queries (the TSan targets): per-shard feeds, one cluster-level front
+// sharing its prepared meter with every shard, and a health sampler on its
+// own thread at one and two shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <sstream>
 #include <string>
@@ -58,7 +60,7 @@ ClusterConfig cluster_config(std::size_t shards, std::size_t threads) {
   config.first_epoch = 0;
   config.epoch_count = kEpochs;
   config.router = ShardRouter::by_range(kServers, shards);
-  config.shard_worker_threads = threads;
+  config.meter.analyze_threads = threads;
   return config;
 }
 
@@ -526,6 +528,115 @@ TEST(ClusterRuntimeTest, FrontierLagDegradesClusterHealth) {
   EXPECT_EQ(health.at("schema").as_string(), "botmeter.cluster_health.v1");
   EXPECT_EQ(health.at("frontier_lag").as_int(), kEpochs);
   EXPECT_EQ(health.at("shards").as_array().size(), 2u);
+}
+
+// A sample reads what the shards have applied, not an older round: once
+// every batch is applied, one sample_health() shows each shard's published
+// counters in health_json().
+TEST(ClusterHealthTest, OneSampleReadsEveryAppliedBatch) {
+  const auto stream = simulate_stream(74);
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 256);
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ClusterConfig config = cluster_config(shards, 1);
+    config.health = stream::StreamHealthConfig{};
+    ClusterRuntime runtime(std::move(config));
+    std::istringstream binary_is(binary_os.str());
+    trace::for_each_block(
+        binary_is, [&runtime](const dns::LookupColumns& columns,
+                              std::span<const std::string_view> table) {
+          runtime.ingest_block(columns, table);
+        });
+    runtime.flush();
+
+    // Wait (bounded) until the shards' published counts cover the input.
+    const auto applied = [&runtime] {
+      std::uint64_t ingested = 0;
+      for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+        ingested += runtime.shard_stats(i).ingested;
+      }
+      return ingested;
+    };
+    for (int i = 0; i < 5000 && applied() < stream.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(applied(), stream.size());
+
+    (void)runtime.sample_health(1000.0);
+    const json::Value health = runtime.health_json();
+    const json::Array& entries = health.at("shards").as_array();
+    ASSERT_EQ(entries.size(), shards);
+    for (std::size_t i = 0; i < shards; ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i));
+      const ShardStats stats = runtime.shard_stats(i);
+      EXPECT_GT(stats.ingested, 0u);
+      EXPECT_EQ(entries[i].at("ingested").as_int(),
+                static_cast<std::int64_t>(stats.ingested));
+      EXPECT_EQ(entries[i].at("matched").as_int(),
+                static_cast<std::int64_t>(stats.matched));
+      EXPECT_EQ(entries[i].at("late_dropped").as_int(),
+                static_cast<std::int64_t>(stats.late_dropped));
+      EXPECT_EQ(entries[i].at("epochs_closed").as_int(),
+                static_cast<std::int64_t>(stats.epochs_closed));
+    }
+    (void)runtime.finish();
+  }
+}
+
+// Any one thread may sample, at any shard count, and a sample never waits
+// on a shard: a sampler thread loops over what /healthz and /metrics read
+// while the producer ingests blocks against backpressure. At one shard the
+// engine runs on the producer thread itself. Sampling may change timing,
+// never bits (the TSan target).
+TEST(ClusterHealthTest, AnyThreadSamplesWhileTheProducerIngests) {
+  const auto stream = simulate_stream(73);
+  const Reference ref = single_engine_reference(stream);
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, stream, 256);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ClusterConfig config = cluster_config(shards, 1);
+    config.health = stream::StreamHealthConfig{};
+    config.flush_tuples = 64;
+    config.queue_capacity = 2;
+    ClusterRuntime runtime(std::move(config));
+
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> samples{0};
+    std::thread sampler([&runtime, &done, &samples] {
+      double now_ms = 0.0;
+      while (!done.load(std::memory_order_relaxed)) {
+        (void)runtime.sample_health(now_ms += 1.0);
+        (void)json::write(runtime.health_json());
+        for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+          (void)runtime.shard_stats(i);
+        }
+        samples.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::yield();
+      }
+    });
+    // Ingest only once the sampler runs, so the two overlap.
+    while (samples.load(std::memory_order_relaxed) == 0) {
+      std::this_thread::yield();
+    }
+    std::istringstream binary_is(binary_os.str());
+    trace::for_each_block(
+        binary_is, [&runtime](const dns::LookupColumns& columns,
+                              std::span<const std::string_view> table) {
+          runtime.ingest_block(columns, table);
+        });
+    const std::string landscape = landscape_bytes(runtime.finish());
+    done.store(true, std::memory_order_relaxed);
+    sampler.join();
+
+    EXPECT_EQ(landscape, ref.landscape);
+    std::uint64_t ingested = 0;
+    for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+      ingested += runtime.shard_stats(i).ingested;
+    }
+    EXPECT_EQ(ingested, ref.ingested);
+  }
 }
 
 // A server past the routed width is a ConfigError at every shard count and

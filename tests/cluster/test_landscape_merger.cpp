@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "cluster/landscape_merger.hpp"
@@ -65,6 +66,30 @@ TEST(LandscapeMergerTest, MergesOnlyWhenEveryShardClosedAndEmitsAscending) {
   EXPECT_EQ(report.estimator_name, "poisson");
   ASSERT_EQ(report.servers.size(), 4u);
   EXPECT_EQ(report.servers[2].per_epoch.size(), 3u);
+}
+
+// Each offer's close time and flow id are the one record of that close:
+// the merged epoch carries every shard's arrival and the flow of the offer
+// that completed the row — also for a row completed before an earlier
+// epoch's laggard lets it publish.
+TEST(LandscapeMergerTest, MergedEpochCarriesEachArrivalAndTheCompletingFlow) {
+  const ShardRouter router = ShardRouter::by_range(4, 2);
+  LandscapeMerger merger(router, 0, 2);
+  std::vector<MergedEpoch> merged;
+  merger.on_merge([&merged](const MergedEpoch& m) { merged.push_back(m); });
+
+  merger.offer(0, 0, row(0, 2, 1.0), 10.0, 101);
+  merger.offer(0, 1, row(1, 2, 1.0), 12.0, 102);
+  merger.offer(1, 0, row(0, 2, 1.0));  // an untimed close
+  merger.offer(1, 1, row(1, 2, 1.0), 15.0, 104);
+  ASSERT_EQ(merged.size(), 2u);
+  EXPECT_EQ(merged[0].closed_ms,
+            (std::vector<std::optional<double>>{10.0, std::nullopt}));
+  EXPECT_EQ(merged[0].flow, 0u);  // the completing offer carried none
+  EXPECT_EQ(merged[1].closed_ms,
+            (std::vector<std::optional<double>>{12.0, 15.0}));
+  EXPECT_EQ(merged[1].flow, 104u);
+  EXPECT_TRUE(merger.merged_epoch(1).closed_ms.empty());
 }
 
 TEST(LandscapeMergerTest, RejectsProtocolViolations) {

@@ -5,13 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
 
 namespace botmeter::obs {
 namespace {
+
+using Arrivals = std::vector<std::optional<double>>;
 
 TEST(LagTracker, RecordAccumulatesPerShardAndStage) {
   LagTracker tracker(2);
@@ -41,10 +45,7 @@ TEST(LagTracker, RecordAccumulatesPerShardAndStage) {
 TEST(LagTracker, StragglerTableNamesTheLastCloser) {
   LagTracker tracker(3);
   // Epoch 40: shard 1 closes last, 7 ms after the first close.
-  tracker.note_shard_close(40, 0, 10.0);
-  tracker.note_shard_close(40, 2, 12.0);
-  tracker.note_shard_close(40, 1, 17.0);
-  tracker.note_merge(40, 20.0);
+  tracker.note_merge(40, Arrivals{10.0, 17.0, 12.0}, 20.0);
 
   const auto rows = tracker.stragglers();
   ASSERT_EQ(rows.size(), 1u);
@@ -63,16 +64,23 @@ TEST(LagTracker, StragglerTableNamesTheLastCloser) {
   EXPECT_DOUBLE_EQ(
       tracker.stage_sample(2, LagStage::kMergePublish).total_ms, 8.0);
 
-  // A merge with no recorded closes is a no-op, not a phantom row.
-  tracker.note_merge(41, 30.0);
+  // A merge with no timed close is a no-op, not a phantom row; an untimed
+  // shard is skipped, and more arrivals than shards is a wiring bug.
+  tracker.note_merge(41, Arrivals(3), 30.0);
   EXPECT_EQ(tracker.stragglers().size(), 1u);
+  tracker.note_merge(42, Arrivals{std::nullopt, 31.0, std::nullopt}, 33.0);
+  ASSERT_EQ(tracker.stragglers().size(), 2u);
+  EXPECT_EQ(tracker.stragglers()[1].straggler_shard, 1u);
+  EXPECT_DOUBLE_EQ(tracker.stragglers()[1].straggle_ms, 0.0);
+  EXPECT_EQ(tracker.stage_sample(0, LagStage::kMergePublish).count, 1u);
+  EXPECT_THROW(tracker.note_merge(43, Arrivals(4, 1.0), 2.0), ConfigError);
 }
 
 TEST(LagTracker, StragglerTableIsBounded) {
   LagTracker tracker(1, 2);
   for (std::int64_t epoch = 0; epoch < 4; ++epoch) {
-    tracker.note_shard_close(epoch, 0, static_cast<double>(epoch));
-    tracker.note_merge(epoch, static_cast<double>(epoch) + 1.0);
+    tracker.note_merge(epoch, Arrivals{static_cast<double>(epoch)},
+                       static_cast<double>(epoch) + 1.0);
   }
   const auto rows = tracker.stragglers();
   ASSERT_EQ(rows.size(), 2u);
@@ -105,9 +113,7 @@ TEST(LagTracker, AttributionPicksSlowestStageAndShard) {
 TEST(LagTracker, ToJsonIsTheCanonicalLagDocument) {
   LagTracker tracker(2);
   tracker.record(0, LagStage::kShardIngest, 4.0);
-  tracker.note_shard_close(7, 0, 1.0);
-  tracker.note_shard_close(7, 1, 2.0);
-  tracker.note_merge(7, 3.0);
+  tracker.note_merge(7, Arrivals{1.0, 2.0}, 3.0);
 
   const json::Value root = tracker.to_json();
   EXPECT_EQ(root.at("schema").as_string(), "botmeter.lag.v1");

@@ -65,7 +65,7 @@ StreamEngineConfig engine_config(const Scenario& s,
   config.first_epoch = s.first_epoch;
   config.epoch_count = s.epochs;
   config.server_count = s.servers;
-  config.worker_threads = threads;
+  config.meter.analyze_threads = threads;
   return config;
 }
 

@@ -123,22 +123,22 @@ TEST(StreamHealthMonitor, SampleDerivesWatermarkLagFromWallTime) {
   StreamHealthMonitor monitor(tight_config());
 
   // First sample seeds the reference point: lag 0, state ok.
-  EXPECT_EQ(monitor.sample(engine, 1000.0), HealthState::kOk);
+  EXPECT_EQ(monitor.sample(engine.stats(), 1000.0), HealthState::kOk);
   EXPECT_EQ(monitor.last_signals().watermark_lag_ms, 0.0);
 
   // No watermark movement while the wall clock runs: lag grows and crosses
   // both thresholds.
-  EXPECT_EQ(monitor.sample(engine, 1150.0), HealthState::kDegraded);
+  EXPECT_EQ(monitor.sample(engine.stats(), 1150.0), HealthState::kDegraded);
   EXPECT_EQ(monitor.last_signals().watermark_lag_ms, 150.0);
-  EXPECT_EQ(monitor.sample(engine, 2500.0), HealthState::kUnhealthy);
+  EXPECT_EQ(monitor.sample(engine.stats(), 2500.0), HealthState::kUnhealthy);
 
   // The watermark advancing resets the lag; after the recovery hold the
   // state walks back to ok.
   engine.advance(TimePoint{1});
-  EXPECT_EQ(monitor.sample(engine, 2600.0), HealthState::kUnhealthy);
+  EXPECT_EQ(monitor.sample(engine.stats(), 2600.0), HealthState::kUnhealthy);
   EXPECT_EQ(monitor.last_signals().watermark_lag_ms, 0.0);
   engine.advance(TimePoint{2});
-  EXPECT_EQ(monitor.sample(engine, 3200.0), HealthState::kOk);
+  EXPECT_EQ(monitor.sample(engine.stats(), 3200.0), HealthState::kOk);
 }
 
 TEST(StreamHealthMonitor, SampleReadsCloseProgressFromTheEngine) {
@@ -160,8 +160,8 @@ TEST(StreamHealthMonitor, SampleReadsCloseProgressFromTheEngine) {
   engine.ingest(observable);
   (void)engine.finish();  // closes both epochs
 
-  monitor.sample(engine, 0.0);
-  monitor.sample(engine, 1.0);
+  monitor.sample(engine.stats(), 0.0);
+  monitor.sample(engine.stats(), 1.0);
 
   // Close progress and the late-rate signal come straight from the engine.
   EXPECT_EQ(monitor.last_signals().matched, engine.matched());
@@ -171,6 +171,21 @@ TEST(StreamHealthMonitor, SampleReadsCloseProgressFromTheEngine) {
   // The close-latency histogram is the engine's (recorded at each close);
   // the monitor publishes gauges only.
   EXPECT_TRUE(metrics.snapshot().histograms.empty());
+
+  // The record the monitor evaluates is the engine's accessors, field for
+  // field.
+  const StreamStats stats = engine.stats();
+  EXPECT_EQ(stats.ingested, engine.ingested());
+  EXPECT_EQ(stats.matched, engine.matched());
+  EXPECT_EQ(stats.unmatched, engine.unmatched());
+  EXPECT_EQ(stats.late_dropped, engine.late_dropped());
+  EXPECT_EQ(stats.next_epoch_to_close, engine.next_epoch_to_close());
+  EXPECT_EQ(stats.epochs_closed, engine.close_latencies_ms().size());
+  EXPECT_EQ(stats.watermark, engine.watermark());
+  EXPECT_EQ(stats.open_buffer_bytes, engine.open_buffer_bytes());
+  EXPECT_EQ(stats.peak_open_buffer_bytes, engine.peak_open_buffer_bytes());
+  EXPECT_GT(stats.peak_open_buffer_bytes, stats.open_buffer_bytes);
+  EXPECT_EQ(stats.compact_spills, engine.compact_spills());
 }
 
 TEST(HealthStateName, NamesAllStates) {

@@ -51,7 +51,7 @@ StreamEngineConfig engine_config(std::size_t servers, std::int64_t epochs,
   config.first_epoch = 0;
   config.epoch_count = epochs;
   config.server_count = servers;
-  config.worker_threads = threads;
+  config.meter.analyze_threads = threads;
   return config;
 }
 

@@ -75,7 +75,7 @@ StreamEngineConfig engine_config(const Scenario& s,
   config.first_epoch = s.first_epoch;
   config.epoch_count = s.epochs;
   config.server_count = s.servers;
-  config.worker_threads = threads;
+  config.meter.analyze_threads = threads;
   return config;
 }
 
@@ -266,10 +266,10 @@ TEST(StreamEngineTest, CloseLatencyObservedExactlyOncePerClose) {
   StreamEngine engine(config);
   StreamHealthMonitor monitor(StreamHealthConfig{}, &metrics);
   engine.ingest(stream);
-  monitor.sample(engine, 0.0);
+  monitor.sample(engine.stats(), 0.0);
   (void)engine.finish();
-  monitor.sample(engine, 1.0);
-  monitor.sample(engine, 2.0);
+  monitor.sample(engine.stats(), 1.0);
+  monitor.sample(engine.stats(), 2.0);
 
   const auto snapshot = metrics.snapshot();
   ASSERT_EQ(snapshot.histograms.size(), 1u);

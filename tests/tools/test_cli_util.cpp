@@ -81,6 +81,31 @@ TEST(CliArgsTest, MalformedNumbersRejected) {
             4294967295u);
 }
 
+// Pools honour any worker count, so the tools bound the threads a command
+// line may start: shards, and shards × workers per shard. Nothing here
+// builds a pool.
+TEST(CliArgsTest, ThreadCountsAreBounded) {
+  const auto threads = [](const char* value, std::size_t copies) {
+    return parse({"--bots", value}).threads_or("--bots", 1, copies);
+  };
+  EXPECT_EQ(parse({}).threads_or("--bots", 1), 1u);
+  EXPECT_EQ(threads("1024", 1), 1024u);
+  EXPECT_EQ(threads("32", 32), 32u);
+  // A typo such as --threads 100000 used to start 10^5 threads.
+  EXPECT_THROW((void)threads("100000", 1), UsageError);
+  EXPECT_THROW((void)threads("1025", 1), UsageError);
+  EXPECT_THROW((void)threads("33", 32), UsageError);
+  EXPECT_THROW((void)threads("-1", 1), UsageError);
+  // 0 is one per hardware thread, counted as such.
+  EXPECT_EQ(threads("0", 1), 0u);
+  EXPECT_THROW((void)threads("0", static_cast<std::size_t>(kMaxThreads) + 1),
+               UsageError);
+  // The shard count itself is bounded by the same constant.
+  EXPECT_THROW(
+      (void)parse({"--bots", "1025"}).count_or("--bots", 1, kMaxThreads),
+      UsageError);
+}
+
 TEST(CliArgsTest, UnknownArgumentRejected) {
   EXPECT_THROW(parse({"--nope", "1"}), ConfigError);
   EXPECT_THROW(parse({"stray"}), ConfigError);

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
     if (auto assume = args.value("--assume-miss")) {
       config.assumed_miss_rate = args.double_or("--assume-miss", 0.0);
     }
-    config.analyze_threads = args.count_or("--threads", 1);
+    config.analyze_threads = args.threads_or("--threads", 1);
 
     std::vector<dns::ForwardedLookup> stream;
     if (auto path = args.value("--trace")) {

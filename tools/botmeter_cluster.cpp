@@ -120,7 +120,7 @@ botmeter::json::Value config_echo(const botmeter::cluster::ClusterConfig& c,
   o.emplace("servers", Value(static_cast<double>(c.router.server_count())));
   o.emplace("shards", Value(static_cast<double>(c.router.shard_count())));
   o.emplace("shard_worker_threads",
-            Value(static_cast<double>(c.shard_worker_threads)));
+            Value(static_cast<double>(c.meter.analyze_threads)));
   o.emplace("epochs", Value(static_cast<double>(c.epoch_count)));
   o.emplace("first_epoch", Value(static_cast<double>(c.first_epoch)));
   o.emplace("flush_tuples", Value(static_cast<double>(c.flush_tuples)));
@@ -171,9 +171,11 @@ int main(int argc, char** argv) {
                                                                          : 0);
     config.epoch_count = args.int_or("--epochs", 1);
     const std::size_t servers = args.count_or("--servers", 1);
-    const std::size_t shard_count = args.count_or("--shards", 1);
+    const std::size_t shard_count =
+        args.count_or("--shards", 1, tools::kMaxThreads);
     config.router = cluster::ShardRouter::by_range(servers, shard_count);
-    config.shard_worker_threads = args.count_or("--shard-threads", 1);
+    config.meter.analyze_threads =
+        args.threads_or("--shard-threads", 1, shard_count);
     config.flush_tuples = args.count_or("--flush-tuples", config.flush_tuples);
     config.queue_capacity =
         args.count_or("--queue-capacity", config.queue_capacity);
@@ -367,10 +369,10 @@ int main(int argc, char** argv) {
 
     // Ingest: a replayed trace (stdin / --trace) or a simulation feeding the
     // runtime through the vantage-point sink — either way never a
-    // materialised stream. Health samples ride the ingest thread (an inline
-    // shard's engine is not synchronized against ingest): one every 4096
-    // tuples, or one per block (<= 64k tuples) on the binary path; merged
-    // epoch lines print at the same cadence.
+    // materialised stream. The ingest thread samples health (from the
+    // counters each shard publishes; any thread could) once every 4096
+    // tuples, or once per block (<= 64k tuples) on the binary path, and
+    // prints merged epoch lines at the same cadence.
     const bool simulate_mode = args.flag("--simulate");
     const auto poll = [&] {
       if (listen_port) (void)runtime.sample_health(wall_ms());
@@ -405,7 +407,7 @@ int main(int argc, char** argv) {
       // The generator shares the run's worker budget and telemetry sinks,
       // so its per-chunk spans land on the worker tracks of the same
       // Perfetto trace and its counters appear in the live /metrics page.
-      sim.worker_threads = cfg.shard_worker_threads;
+      sim.worker_threads = cfg.meter.analyze_threads;
       sim.telemetry = cfg.meter.telemetry;
       sim.observable_sink = ingest_one;
       (void)botnet::simulate(sim);

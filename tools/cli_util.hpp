@@ -16,6 +16,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -41,6 +42,11 @@ class UsageError : public ConfigError {
  public:
   using ConfigError::ConfigError;
 };
+
+/// The most threads a command line may start (shards, or shards × workers):
+/// pools honour counts above the cores, so `--threads 100000` would start
+/// 10^5 threads.
+inline constexpr std::int64_t kMaxThreads = 1024;
 
 /// Report a failed run on stderr and return the tool's exit status (1): one
 /// "error:" line, followed by the usage text only for a UsageError.
@@ -119,6 +125,22 @@ class CliArgs {
                        std::to_string(max) + "], got '" + *value(name) + "'");
     }
     return static_cast<std::size_t>(parsed);
+  }
+
+  /// A worker count (0: one per hardware thread) for each of `copies`
+  /// pipelines; more than kMaxThreads in all is a UsageError.
+  [[nodiscard]] std::size_t threads_or(const std::string& name,
+                                       std::size_t fallback,
+                                       std::size_t copies = 1) const {
+    const std::size_t threads = count_or(name, fallback, kMaxThreads);
+    const std::size_t total =
+        copies * (threads != 0 ? threads : std::thread::hardware_concurrency());
+    if (total > static_cast<std::size_t>(kMaxThreads)) {
+      throw UsageError("argument " + name + " would start " +
+                       std::to_string(total) + " threads; at most " +
+                       std::to_string(kMaxThreads) + " are allowed");
+    }
+    return threads;
   }
 
   [[nodiscard]] double double_or(const std::string& name, double fallback) const {
