@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "trace/io.hpp"
 
 namespace botmeter::trace {
 
@@ -116,6 +117,9 @@ std::uint32_t BlockWriter::intern(std::string_view domain) {
   }
   const auto it = intern_.find(domain);
   if (it != intern_.end()) return it->second;
+  // Once per distinct domain: a separator in a domain would turn into extra
+  // records or fields when the trace is converted to text.
+  check_text_domain(domain, "BlockWriter: tuple", tuples_written_ + 1);
   if (table_size_ == std::numeric_limits<std::uint32_t>::max()) {
     throw DataError("BlockWriter: domain table overflow");
   }
@@ -131,9 +135,10 @@ std::uint32_t BlockWriter::intern(std::string_view domain) {
 void BlockWriter::append(TimePoint t, dns::ServerId server,
                          std::string_view domain) {
   if (finished_) throw DataError("BlockWriter: append after finish()");
+  const std::uint32_t id = intern(domain);  // may throw: nothing appended
   t_ms_.push_back(t.millis());
   server_.push_back(server.value());
-  domain_.push_back(intern(domain));
+  domain_.push_back(id);
   ++tuples_written_;
   if (t_ms_.size() >= block_tuples_) flush_block();
 }

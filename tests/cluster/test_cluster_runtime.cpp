@@ -495,6 +495,46 @@ TEST(ClusterRuntimeTest, SingleShardPublishesSynchronously) {
   EXPECT_EQ(runtime.merge_frontier(), kEpochs);
 }
 
+// drain() waits, through each shard's queue, until every batch sent before
+// it is applied: the merged epochs are then exactly those the front closed
+// (what botmeter_cluster --no-final prints), and the shard counters cover
+// the whole input. Right after flush() alone the shard threads are usually
+// still applying the last close.
+TEST(ClusterRuntimeTest, DrainAppliesEveryBatchSentBeforeIt) {
+  const auto stream = simulate_stream(78);
+  stream::StreamEngineConfig ec;
+  ec.meter = meter_config();
+  ec.first_epoch = 0;
+  ec.epoch_count = kEpochs;
+  ec.server_count = kServers;
+  stream::StreamEngine engine(std::move(ec));
+  for (const dns::ForwardedLookup& lookup : stream) engine.ingest(lookup);
+  const std::int64_t closed = engine.next_epoch_to_close();
+  ASSERT_GT(closed, 0) << "the trace must close an epoch mid-feed";
+  ASSERT_LT(closed, kEpochs);
+
+  for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    for (int run = 0; run < 4; ++run) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " run=" + std::to_string(run));
+      ClusterRuntime runtime(cluster_config(shards, 1));
+      for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
+      runtime.drain();
+      EXPECT_EQ(runtime.merge_frontier(), closed);
+      std::uint64_t ingested = 0;
+      for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+        ingested += runtime.shard_stats(i).ingested;
+      }
+      EXPECT_EQ(ingested, stream.size());
+      runtime.drain();  // nothing new sent: returns with the same cut
+      EXPECT_EQ(runtime.merge_frontier(), closed);
+      (void)runtime.finish();
+      runtime.drain();  // sealed: nothing to wait for
+      EXPECT_EQ(runtime.merge_frontier(), kEpochs);
+    }
+  }
+}
+
 TEST(ClusterRuntimeTest, FrontierLagDegradesClusterHealth) {
   // Two shards; only shard 0 receives traffic, so its closes race ahead of
   // the frontier — the merged landscape is held back and the cluster must

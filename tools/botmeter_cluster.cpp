@@ -425,7 +425,6 @@ int main(int argc, char** argv) {
       (void)trace::for_each_observable(std::cin, ingest_one);
     }
     runtime.flush();
-    if (listen_port) (void)runtime.sample_health(wall_ms());
     const double ingest_ms =
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - ingest_start)
@@ -433,6 +432,12 @@ int main(int argc, char** argv) {
     if (cfg.meter.telemetry.trace != nullptr) {
       cfg.meter.telemetry.trace->record("cluster.ingest", ingest_ms);
     }
+    // Once every shard has applied every batch sent, the merged epochs are
+    // all the ones the front closed (--no-final prints no others), and the
+    // counters below are exact at every shard count.
+    runtime.drain();
+    print_merged();
+    if (listen_port) (void)runtime.sample_health(wall_ms());
 
     if (auto checkpoint_path = args.value("--checkpoint-out")) {
       std::ofstream file(*checkpoint_path);
@@ -468,9 +473,7 @@ int main(int argc, char** argv) {
       if (listen_port) (void)runtime.sample_health(wall_ms());
     }
 
-    // Per-shard counters: exact after the final close (every queue drained)
-    // and on an inline shard; with --no-final and several shards they are
-    // the point-in-time mirrors of applied batches.
+    // Per-shard counters: every queue was drained above.
     std::uint64_t ingested = 0, matched = 0, unmatched = 0, late = 0,
                   spills = 0, peak_open = 0;
     for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
