@@ -1,13 +1,14 @@
 // bench_cluster_throughput — multi-border cluster scaling characterisation.
 //
 // Simulates one union border feed, serialises it once in the binary columnar
-// codec, pre-splits it into per-vantage sub-streams with trace::split_blocks
-// (the multi-border deployment shape: one capture per border), then measures
-// ingest throughput of cluster::ClusterRuntime at 1 / 2 / 4 / 8 shards with
-// one producer thread per shard driving its ShardFeed through the zero-copy
-// block path. Best-of-3 per shard count. The 1-shard lane is the inline
-// single-shard runtime (the engine on the producer's thread, no queue); from
-// 2 shards on every shard runs on its own thread behind a bounded queue.
+// codec, then measures ingest throughput of cluster::ClusterRuntime at
+// 1 / 2 / 4 / 8 shards: one producer thread decodes the union bytes and
+// drives ClusterRuntime::ingest_block, the zero-copy block path
+// botmeter_cluster runs, whose one front matches every tuple and ships each
+// shard its evidence. Best-of-3 per shard count. The 1-shard lane is the
+// inline single-shard runtime (the engine on the producer's thread, no
+// queue); from 2 shards on every shard runs on its own thread behind a
+// bounded queue.
 //
 // Three guards:
 //   - byte identity (always enforced): every shard count's final
@@ -17,8 +18,8 @@
 //     must sustain at least kScalingFloor x the 2-shard throughput — the
 //     smallest threaded lane, so the ratio measures thread scaling rather
 //     than the inline lane's missing queue hop (8 vs 1 is still reported).
-//     On smaller hosts the producers and shard threads time-share cores, so the
-//     measured ratio is scheduler behaviour, not cluster behaviour — the
+//     On smaller hosts the producer and shard threads time-share cores, so
+//     the measured ratio is scheduler behaviour, not cluster behaviour — the
 //     numbers are still reported;
 //   - instrumentation overhead (enforced only with >= 8 hardware threads):
 //     a 4-shard run with the full observability layer attached (LagTracker
@@ -26,9 +27,9 @@
 //     the plain 4-shard throughput, and its report must still be
 //     byte-identical — "provably free" as a regression gate, not a slogan.
 //
-// The timed window covers decode + scatter + queue + shard-engine ingest:
-// producers join, then the clock stops when every shard's applied-tuple
-// mirror reaches the expected total (the queues are drained). Lateness is
+// The timed window covers decode + match + scatter + queue + shard-engine
+// ingest: the clock stops when drain() returns, once every shard has applied
+// every batch. Lateness is
 // stretched past the horizon so epoch closes (estimator work, identical at
 // every shard count) run inside the untimed finish(), exactly as
 // bench_stream_throughput times its codec lanes.
@@ -67,7 +68,6 @@
 #include "stream/stream_engine.hpp"
 #include "support/rss.hpp"
 #include "trace/block.hpp"
-#include "trace/split.hpp"
 
 namespace {
 
@@ -287,29 +287,11 @@ int main(int argc, char** argv) {
   std::printf("%-7s %9s %10s %12s %8s %6s\n", "shards", "tuples", "best_ms",
               "tuples/s", "speedup", "bytes");
 
-  // One lane: best-of-kReps ingest of the pre-split feed at `shard_count`
+  // One lane: best-of-kReps ingest of the union feed at `shard_count`
   // shards, optionally with the full observability layer attached. The timed
   // window is identical either way — instrumentation must pay for itself
   // inside it.
   const auto measure = [&](std::size_t shard_count, bool instrumented) {
-    const cluster::ShardRouter router =
-        cluster::ShardRouter::by_range(kServers, shard_count);
-
-    // Pre-split the union feed into per-vantage binary sub-streams — the
-    // deployment shape (one collector per border), and what lets each
-    // producer decode its own stream without a fan-out bottleneck.
-    std::vector<std::ostringstream> sub_os(shard_count);
-    std::vector<std::ostream*> outs;
-    for (std::ostringstream& os : sub_os) outs.push_back(&os);
-    {
-      std::istringstream is(union_bytes);
-      (void)trace::split_blocks(
-          is, outs, [&router](std::uint32_t s) { return router.shard_of(s); });
-    }
-    std::vector<std::string> sub_bytes;
-    sub_bytes.reserve(shard_count);
-    for (std::ostringstream& os : sub_os) sub_bytes.push_back(os.str());
-
     Measurement m;
     m.shards = shard_count;
     m.tuples = tuples;
@@ -321,7 +303,7 @@ int main(int argc, char** argv) {
       config.meter.dga = family;
       config.first_epoch = 0;
       config.epoch_count = kEpochs;
-      config.router = router;
+      config.router = cluster::ShardRouter::by_range(kServers, shard_count);
       config.allowed_lateness = lateness;
       if (instrumented) {
         lag.emplace(shard_count);
@@ -334,33 +316,13 @@ int main(int argc, char** argv) {
       cluster::ClusterRuntime runtime(std::move(config));
 
       const auto start = std::chrono::steady_clock::now();
-      std::vector<std::thread> producers;
-      producers.reserve(shard_count);
-      for (std::size_t i = 0; i < shard_count; ++i) {
-        producers.emplace_back([&runtime, &sub_bytes, i] {
-          cluster::ShardFeed feed = runtime.shard_feed(i);
-          std::istringstream is(sub_bytes[i]);
-          (void)trace::for_each_block(
-              is, [&feed](const dns::LookupColumns& block,
-                          std::span<const std::string_view> table) {
-                feed.ingest_block(block, table);
-              });
-          feed.flush();
-        });
-      }
-      for (std::thread& producer : producers) producer.join();
-      // Clock stops when the queues are drained: every shard's applied-tuple
-      // mirror has reached the sub-stream totals.
-      const auto drained = [&runtime, tuples] {
-        std::uint64_t applied = 0;
-        for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
-          applied += runtime.shard_stats(i).ingested;
-        }
-        return applied == tuples;
-      };
-      while (!drained()) {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+      std::istringstream is(union_bytes);
+      (void)trace::for_each_block(
+          is, [&runtime](const dns::LookupColumns& block,
+                         std::span<const std::string_view> table) {
+            runtime.ingest_block(block, table);
+          });
+      runtime.drain();
       m.best_ms = std::min(m.best_ms, wall_ms_since(start));
 
       const std::string report =
@@ -423,7 +385,7 @@ int main(int argc, char** argv) {
       scaling_pass ? "pass"
       : enforced   ? "FAIL"
                    : "below floor (not enforced: fewer than 8 hardware "
-                     "threads — producers and shards time-share cores)",
+                     "threads — the producer and shards time-share cores)",
       scaling_vs_inline);
   const bool overhead_pass = overhead_ratio >= kOverheadFloor;
   std::printf(

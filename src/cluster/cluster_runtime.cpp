@@ -16,12 +16,6 @@ namespace {
 
 constexpr const char* kCheckpointSchema = "botmeter.cluster_checkpoint.v1";
 constexpr const char* kHealthSchema = "botmeter.cluster_health.v1";
-/// route()'s owner for cluster-level ingest: any shard may own the server.
-constexpr std::size_t kAnyShard = static_cast<std::size_t>(-1);
-/// Which kind of front has fed a multi-shard runtime (producer_).
-constexpr int kUnclaimed = 0;
-constexpr int kClusterFront = 1;
-constexpr int kFeedFronts = 2;
 
 template <typename T>
 json::Value number(T v) {
@@ -61,29 +55,6 @@ void ClusterConfig::validate() const {
   }
 }
 
-// --- ShardFeed (thin forwarding handles) ------------------------------------
-
-void ShardFeed::ingest(const dns::ForwardedLookup& lookup) {
-  runtime_->route(lookup, shard_);
-}
-
-void ShardFeed::ingest(std::span<const dns::ForwardedLookup> batch) {
-  for (const dns::ForwardedLookup& lookup : batch) {
-    runtime_->route(lookup, shard_);
-  }
-}
-
-void ShardFeed::ingest_block(const dns::LookupColumns& block,
-                             std::span<const std::string_view> domains) {
-  runtime_->route_block(block, domains, shard_);
-}
-
-void ShardFeed::advance(TimePoint watermark) {
-  runtime_->route_advance(watermark, shard_);
-}
-
-void ShardFeed::flush() { runtime_->flush_shard(shard_); }
-
 // --- construction -----------------------------------------------------------
 
 ClusterRuntime::ClusterRuntime(ClusterConfig config)
@@ -93,7 +64,7 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
   merger_.on_merge([this](const MergedEpoch& merged) { handle_merge(merged); });
 
   if (!inline_) {
-    // One meter for the producer fronts and every shard's back, built once
+    // One meter for the producer front and every shard's back, built once
     // with no sinks (shard engines' series would collide across shards; the
     // runtime records merged rows, journals and lag stages itself).
     core::BotMeterConfig shared = config_.meter;
@@ -136,11 +107,6 @@ ClusterRuntime::ClusterRuntime(ClusterConfig config)
     shard->monitor = std::make_unique<stream::StreamHealthMonitor>(
         config_.health.value_or(stream::StreamHealthConfig{}),
         inline_ ? telemetry().metrics : nullptr);
-    if (!inline_) {
-      shard->feed_front = std::make_unique<stream::MatchFront>(
-          meter_->matcher(), config_.first_epoch, config_.epoch_count,
-          config_.allowed_lateness);
-    }
     shard->next_epoch.store(config_.first_epoch, std::memory_order_relaxed);
     shards_.push_back(std::move(shard));
   }
@@ -213,18 +179,11 @@ void ClusterRuntime::handle_merge(const MergedEpoch& merged) {
 // --- shard threads ----------------------------------------------------------
 
 void ClusterRuntime::ensure_started() {
-  if (finished_.load(std::memory_order_acquire)) {
-    throw ConfigError("ClusterRuntime: ingest after finish()");
-  }
-  if (started_.load(std::memory_order_acquire)) return;
-  // Per-shard feeds may race here from different producer threads; exactly
-  // one spawns the shard threads.
-  std::lock_guard<std::mutex> lock(start_mu_);
-  if (started_.load(std::memory_order_relaxed)) return;
+  if (started_) return;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     shards_[i]->thread = std::thread([this, i] { shard_main(i); });
   }
-  started_.store(true, std::memory_order_release);
+  started_ = true;
 }
 
 void ClusterRuntime::shard_main(std::size_t index) {
@@ -335,22 +294,19 @@ void ClusterRuntime::stop_threads() {
   started_ = false;
 }
 
-// --- producer-side fronts ---------------------------------------------------
+// --- producer-side front ----------------------------------------------------
 
-/// The sink of a front on a multi-shard runtime. `owner` is kAnyShard for
-/// the cluster-level front (it scatters over, and closes, every shard) or
-/// the feed's shard (misrouted servers are a ConfigError; closes close only
-/// that shard).
+/// The front's sink on a multi-shard runtime: scatters each tuple's outcome
+/// to the shard owning its server and closes every shard.
 struct ClusterRuntime::Scatter {
   ClusterRuntime& runtime;
-  std::size_t owner;
 
   [[nodiscard]] ShardBatch& pending_of(std::uint32_t server) const {
     return runtime.shards_[runtime.config_.router.shard_of(server)]->pending;
   }
 
   void admit(std::uint32_t server, std::int64_t t_ms) const {
-    const std::size_t shard = runtime.owning_shard(server, owner);
+    const std::size_t shard = runtime.config_.router.shard_of(server);
     ShardBatch& pending = runtime.shards_[shard]->pending;
     stream::EvidenceBatch& evidence = pending.evidence;
     // A full batch leaves when the shard's next tuple arrives, so its last
@@ -380,60 +336,33 @@ struct ClusterRuntime::Scatter {
         runtime.config_.router.local_index(server), epoch, lookup});
   }
 
-  /// A close marker on every shard in scope, flushed at once: each back
-  /// closes the epoch right after the evidence that preceded the boundary.
+  /// A close marker on every shard, flushed at once: each back closes the
+  /// epoch right after the evidence that preceded the boundary.
   void close(std::int64_t epoch) const {
-    const auto mark = [this, epoch](std::size_t shard) {
-      runtime.shards_[shard]->pending.evidence.close_through = epoch;
-      runtime.flush_shard(shard);
-    };
-    if (owner != kAnyShard) {
-      mark(owner);
-      return;
+    for (std::size_t i = 0; i < runtime.shards_.size(); ++i) {
+      runtime.shards_[i]->pending.evidence.close_through = epoch;
+      runtime.flush_shard(i);
     }
-    for (std::size_t i = 0; i < runtime.shards_.size(); ++i) mark(i);
   }
 };
 
-std::size_t ClusterRuntime::owning_shard(std::uint32_t server,
-                                         std::size_t owner) const {
-  const std::size_t shard = config_.router.shard_of(server);
-  if (owner != kAnyShard && shard != owner) {
-    throw ConfigError("ShardFeed: server " + std::to_string(server) +
-                      " is not owned by shard " + std::to_string(owner));
-  }
-  return shard;
-}
-
-stream::MatchFront& ClusterRuntime::claim_front(std::size_t owner) {
+stream::MatchFront& ClusterRuntime::live_front() {
   if (finished_.load(std::memory_order_acquire)) {
     throw ConfigError("ClusterRuntime: ingest after finish()");
   }
-  // Feeds of different shards may race to claim; every loser sees the
-  // winner's kind.
-  const int want = owner == kAnyShard ? kClusterFront : kFeedFronts;
-  int seen = producer_.load(std::memory_order_relaxed);
-  if (seen == kUnclaimed && producer_.compare_exchange_strong(seen, want)) {
-    seen = want;
-  }
-  if (seen != want) {
-    throw ConfigError(
-        "ClusterRuntime: a multi-shard runtime is fed either through its "
-        "cluster-level ingest calls or through shard feeds, not both");
-  }
-  if (owner != kAnyShard) return *shards_[owner]->feed_front;
   if (catch_up_through_) {
-    Scatter scatter{*this, kAnyShard};
+    Scatter scatter{*this};
     front_->close_through(*catch_up_through_, scatter);
     catch_up_through_.reset();
   }
   return *front_;
 }
 
-void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
-                           std::size_t owner) {
+void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
   if (inline_) {
-    (void)owning_shard(lookup.forwarder.value(), owner);
+    // The router rejects a server past the routed width, as it does for
+    // the front's scatter.
+    (void)config_.router.shard_of(lookup.forwarder.value());
     // Per-tuple calls read no clock: the shard_ingest stage is timed per
     // block and per advance only.
     Shard& only = *shards_.front();
@@ -441,20 +370,22 @@ void ClusterRuntime::route(const dns::ForwardedLookup& lookup,
     mirror_counters(only);
     return;
   }
-  Scatter scatter{*this, owner};
-  claim_front(owner).ingest(lookup, scatter);
+  Scatter scatter{*this};
+  live_front().ingest(lookup, scatter);
 }
 
-void ClusterRuntime::route_block(const dns::LookupColumns& block,
-                                 std::span<const std::string_view> domains,
-                                 std::size_t owner) {
+void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
+  for (const dns::ForwardedLookup& lookup : batch) ingest(lookup);
+}
+
+void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
+                                  std::span<const std::string_view> domains) {
   if (inline_) {
-    // Every routed server belongs to the lone shard, so checking the
-    // largest id checks the whole column (the engine checks its shape).
+    // Every server belongs to the lone shard, so checking the largest id
+    // checks the whole column (the engine checks its shape).
     if (!block.server.empty()) {
-      (void)owning_shard(*std::max_element(block.server.begin(),
-                                           block.server.end()),
-                         owner);
+      (void)config_.router.shard_of(
+          *std::max_element(block.server.begin(), block.server.end()));
     }
     Shard& only = *shards_.front();
     const obs::Telemetry& tel = telemetry();
@@ -468,21 +399,8 @@ void ClusterRuntime::route_block(const dns::LookupColumns& block,
     mirror_counters(only);
     return;
   }
-  Scatter scatter{*this, owner};
-  claim_front(owner).ingest_block(block, domains, scatter);
-}
-
-void ClusterRuntime::ingest(const dns::ForwardedLookup& lookup) {
-  route(lookup, kAnyShard);
-}
-
-void ClusterRuntime::ingest(std::span<const dns::ForwardedLookup> batch) {
-  for (const dns::ForwardedLookup& lookup : batch) route(lookup, kAnyShard);
-}
-
-void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
-                                  std::span<const std::string_view> domains) {
-  route_block(block, domains, kAnyShard);
+  Scatter scatter{*this};
+  live_front().ingest_block(block, domains, scatter);
 }
 
 void ClusterRuntime::flush_shard(std::size_t shard) {
@@ -518,19 +436,6 @@ void ClusterRuntime::drain() {
 }
 
 void ClusterRuntime::advance(TimePoint watermark) {
-  route_advance(watermark, kAnyShard);
-}
-
-ShardFeed ClusterRuntime::shard_feed(std::size_t shard) {
-  if (shard >= shards_.size()) {
-    throw ConfigError("ClusterRuntime: shard " + std::to_string(shard) +
-                      " outside the shard count " +
-                      std::to_string(shards_.size()));
-  }
-  return ShardFeed(this, shard);
-}
-
-void ClusterRuntime::route_advance(TimePoint watermark, std::size_t owner) {
   if (inline_) {
     Shard& only = *shards_.front();
     const obs::Telemetry& tel = telemetry();
@@ -547,18 +452,15 @@ void ClusterRuntime::route_advance(TimePoint watermark, std::size_t owner) {
     mirror_counters(only);
     return;
   }
-  stream::MatchFront& front = claim_front(owner);
-  const std::size_t first = owner == kAnyShard ? 0 : owner;
-  const std::size_t last = owner == kAnyShard ? shards_.size() : owner + 1;
-  for (std::size_t i = first; i < last; ++i) {
-    ShardBatch& pending = shards_[i]->pending;
-    std::optional<TimePoint>& mark = pending.evidence.watermark;
+  stream::MatchFront& front = live_front();
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    std::optional<TimePoint>& mark = shard->pending.evidence.watermark;
     if (!mark || watermark > *mark) mark = watermark;
-    pending.advance = watermark;
+    shard->pending.advance = watermark;
   }
-  Scatter scatter{*this, owner};
+  Scatter scatter{*this};
   front.advance(watermark, scatter);
-  for (std::size_t i = first; i < last; ++i) flush_shard(i);
+  flush();
 }
 
 // --- finish -----------------------------------------------------------------
@@ -751,7 +653,9 @@ json::Value ClusterRuntime::checkpoint() {
 }
 
 void ClusterRuntime::restore(const json::Value& checkpoint) {
-  if (started_ || finished_ || producer_.load() != kUnclaimed) {
+  // A front holding a watermark has seen an ingest or an advance (an
+  // inline shard's engine refuses a restore on the same grounds).
+  if (started_ || finished_ || (front_ && front_->watermark())) {
     throw ConfigError("ClusterRuntime::restore: runtime already used");
   }
   if (merger_.merged_count() != 0) {
@@ -789,8 +693,7 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
     shards_[i]->engine->restore(shards[i]);
   }
   if (!inline_) {
-    // The fronts resume from the shard entries: each feed's front from its
-    // shard, the cluster-level front from their union — the maximum
+    // The front resumes from the shard entries' union — the maximum
     // watermark and the summed counters, exactly a single engine's over the
     // union trace.
     stream::FrontCounters total;
@@ -799,21 +702,17 @@ void ClusterRuntime::restore(const json::Value& checkpoint) {
     std::int64_t closed_max = config_.first_epoch;
     for (const std::unique_ptr<Shard>& shard : shards_) {
       const stream::StreamEngine& engine = *shard->engine;
-      const stream::FrontCounters counters{engine.ingested(), engine.matched(),
-                                           engine.unmatched(),
-                                           engine.late_dropped()};
-      shard->feed_front->resume(counters, engine.watermark(),
-                                engine.next_epoch_to_close());
-      total += counters;
+      total += stream::FrontCounters{engine.ingested(), engine.matched(),
+                                     engine.unmatched(), engine.late_dropped()};
       watermark = std::max(watermark, engine.watermark());
       closed_min = std::min(closed_min, engine.next_epoch_to_close());
       closed_max = std::max(closed_max, engine.next_epoch_to_close());
     }
     front_->resume(total, watermark, closed_min);
-    // Shards that closed different epochs (fed by feeds, or cut from a
-    // runtime whose shards closed on their own watermarks) have crossed
-    // boundaries the union watermark crossed too: should cluster-level
-    // ingest resume them, the front first closes those epochs everywhere.
+    // Shards that closed different epochs (cut from a runtime whose shards
+    // closed on their own watermarks) have crossed boundaries the union
+    // watermark crossed too: before its next tuple or advance, the front
+    // closes those epochs everywhere.
     if (closed_max > closed_min) catch_up_through_ = closed_max - 1;
   }
 

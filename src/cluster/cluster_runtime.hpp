@@ -34,36 +34,17 @@
 // checkpoint/finish barriers; a full queue blocks the producer —
 // backpressure, never loss.
 //
-// Pre-split feeds. When the feed is already divided by border (one capture
-// per vantage), shard_feed(i) returns a direct handle bound to shard i with
-// its own front over its own string table — one producer thread per shard,
-// no global fan-out bottleneck. That front's watermark closes only its own
-// shard. A multi-shard runtime is fed either through its cluster-level
-// ingest calls or through feeds, never both (ConfigError): the two kinds of
-// front would close the same shard at different points.
-//
 // Inline single shard. A one-shard router is the single-border deployment,
-// and there the runtime is a plain engine: ingest, ingest_block, advance and
-// shard_feed(0) call the shard's StreamEngine — front and back — directly on
-// the caller's thread with the producer's own string table (under a
-// one-shard router a server's local index is its id). No shard thread
-// starts and no batch is formed; each engine close offers to the merger
-// synchronously, so merge_frontier() has advanced by the time the call that
+// and there the runtime is a plain engine: ingest, ingest_block and advance
+// call the shard's StreamEngine — front and back — directly on the caller's
+// thread with the producer's own string table (under a one-shard router a
+// server's local index is its id). No shard thread starts and no batch is
+// formed; each engine close offers to the merger synchronously, so merge_frontier() has advanced by the time the call that
 // crossed the close boundary returns, and flush() has nothing to do. With
 // one shard no series can collide, so the engine and its health monitor
 // keep the telemetry bundle's metrics and trace (stream.* series beside the
 // cluster.* ones). The producer publishes the engine's counters after every
 // call, as a shard thread does after every batch.
-//
-// Lateness caveat (feeds only): a feed's front closes its shard on that
-// feed's own watermark, so a shard fed through a feed is more lenient about
-// late tuples than a single engine over the interleaved union would be —
-// and when feeds race, which union order that would be is not defined.
-// Byte-identity through feeds therefore holds whenever nothing is dropped
-// late on either side. The cluster-level ingest calls have no such caveat:
-// their one front decides lateness against the global watermark, so the
-// landscape, history and late counts equal a single engine's even when
-// tuples are dropped.
 //
 // Checkpointing generalizes the engine envelope: botmeter.cluster_checkpoint.v1
 // = router + merge frontier + one botmeter.stream_checkpoint.v1 per shard.
@@ -73,11 +54,11 @@
 // every pending batch, then waits until each running shard thread has
 // counted down a request sent through its queue, after every earlier item)
 // and serializes the idle engines on the calling thread. restore() loads each
-// shard engine, resumes the fronts from them (the global watermark is the
+// shard engine, resumes the front from them (the global watermark is the
 // maximum of the shard watermarks — a single engine's watermark over the
-// union — and shards that closed fewer epochs than the furthest one are
-// closed up to it before cluster-level ingest resumes), replays their
-// closed rows into a fresh merger (silently — history only records
+// union — and shards that closed fewer epochs than the furthest one, as in a
+// document whose shards closed on their own watermarks, are closed up to it
+// before ingest resumes), replays their closed rows into a fresh merger (silently — history only records
 // post-restore merges, mirroring StreamEngine::restore), and cross-checks
 // the stored frontier.
 //
@@ -188,45 +169,6 @@ struct ClusterConfig {
 /// shard applies the counts with its evidence).
 using ShardStats = stream::StreamStats;
 
-class ClusterRuntime;
-
-/// Direct ingest handle bound to one shard, for feeds already split by
-/// border vantage. Obtain via ClusterRuntime::shard_feed(). One producer
-/// thread per feed; each feed runs its own front, whose watermark closes
-/// only its shard. On a multi-shard runtime, feeds and the cluster-level
-/// ingest calls exclude each other (the first one used wins; the other
-/// throws ConfigError).
-class ShardFeed {
- public:
-  /// `lookup.forwarder` must be a *global* server id owned by this feed's
-  /// shard (ConfigError otherwise — a misrouted tuple is a wiring bug, never
-  /// silently re-routed).
-  void ingest(const dns::ForwardedLookup& lookup);
-  void ingest(std::span<const dns::ForwardedLookup> batch);
-
-  /// Columnar ingest; `domains` is this feed's producer table (one interning
-  /// lineage per feed, as for StreamEngine::ingest_block). Server column
-  /// holds global ids owned by this shard.
-  void ingest_block(const dns::LookupColumns& block,
-                    std::span<const std::string_view> domains);
-
-  /// Advance this shard's watermark without data.
-  void advance(TimePoint watermark);
-
-  /// Enqueue any pending partial batch (none on an inline shard).
-  void flush();
-
-  [[nodiscard]] std::size_t shard() const { return shard_; }
-
- private:
-  friend class ClusterRuntime;
-  ShardFeed(ClusterRuntime* runtime, std::size_t shard)
-      : runtime_(runtime), shard_(shard) {}
-
-  ClusterRuntime* runtime_;
-  std::size_t shard_;
-};
-
 class ClusterRuntime {
  public:
   explicit ClusterRuntime(ClusterConfig config);
@@ -262,14 +204,10 @@ class ClusterRuntime {
   /// running, or after finish(). Producers must not ingest concurrently.
   void drain();
 
-  /// Per-shard direct handle (see ShardFeed). Valid for the runtime's
-  /// lifetime.
-  [[nodiscard]] ShardFeed shard_feed(std::size_t shard);
-
   /// Drain queues, stop the shard threads, close every remaining epoch, and
   /// return the merged global landscape — byte-identical to a single
-  /// engine's finish() over the union trace (feed caveat above). The
-  /// runtime is sealed afterwards.
+  /// engine's finish() over the union trace. The runtime is sealed
+  /// afterwards.
   [[nodiscard]] core::LandscapeReport finish();
 
   // --- introspection (any thread) ------------------------------------------
@@ -315,8 +253,8 @@ class ClusterRuntime {
   /// with checkpoint(), so the envelope is a consistent cut.
   [[nodiscard]] json::Value checkpoint();
 
-  /// Load a cluster checkpoint into a freshly constructed runtime (nothing
-  /// ingested, threads not yet started). The stored router must equal the
+  /// Load a cluster checkpoint into a freshly constructed runtime (no
+  /// ingest or advance yet: ConfigError otherwise). The stored router must equal the
   /// configured one — a different routing would scatter resumed traffic onto
   /// the wrong engines — and the stored frontier must match the replayed
   /// merger's. Throws DataError on any mismatch; on failure the runtime may
@@ -324,8 +262,6 @@ class ClusterRuntime {
   void restore(const json::Value& checkpoint);
 
  private:
-  friend class ShardFeed;
-
   /// One unit of shard-thread work: the front's delivery to the shard's
   /// engine (evidence records with engine-local servers, counter deltas,
   /// watermark, close marker), or a drain() request.
@@ -356,15 +292,12 @@ class ClusterRuntime {
       std::numeric_limits<std::int64_t>::min();
 
   /// One shard: the producer's pending batch, the bounded queue and the
-  /// back-only engine (plus, for feeds, the feed's own front on the
-  /// producer side).
+  /// back-only engine.
   struct Shard {
     std::size_t index = 0;
     std::unique_ptr<stream::StreamEngine> engine;
     std::unique_ptr<stream::StreamHealthMonitor> monitor;
-    std::unique_ptr<stream::MatchFront> feed_front;
-    /// The batch being formed, owned by whichever single producer currently
-    /// feeds the shard.
+    /// The batch the producer is forming.
     ShardBatch pending;
 
     std::mutex mu;
@@ -389,8 +322,8 @@ class ClusterRuntime {
     std::thread thread;
   };
 
-  /// A front's sink on a multi-shard runtime: routes each tuple's outcome to
-  /// the shard owning its server (defined in the .cpp).
+  /// The front's sink on a multi-shard runtime: routes each tuple's outcome
+  /// to the shard owning its server (defined in the .cpp).
   struct Scatter;
 
   void ensure_started();
@@ -401,21 +334,9 @@ class ClusterRuntime {
   static void mirror_counters(Shard& shard);
   void enqueue(std::size_t shard, ShardBatch batch);
   void flush_shard(std::size_t shard);
-  /// The shard owning `server`; when `owner` names a feed's shard, a server
-  /// another shard owns is a ConfigError (kAnyShard: cluster-level ingest).
-  [[nodiscard]] std::size_t owning_shard(std::uint32_t server,
-                                         std::size_t owner) const;
-  /// The front serving `owner` (the cluster-level front for kAnyShard, else
-  /// the feed's), after checking the runtime is unsealed and not already
-  /// fed the other way.
-  [[nodiscard]] stream::MatchFront& claim_front(std::size_t owner);
-  /// The one ingest path behind ingest/ingest_block/advance and the feed
-  /// handles; `owner` is the only difference between the two.
-  void route(const dns::ForwardedLookup& lookup, std::size_t owner);
-  void route_block(const dns::LookupColumns& block,
-                   std::span<const std::string_view> domains,
-                   std::size_t owner);
-  void route_advance(TimePoint watermark, std::size_t owner);
+  /// The producer front, after checking the runtime is unsealed and closing
+  /// every shard through catch_up_through_.
+  [[nodiscard]] stream::MatchFront& live_front();
   void handle_close(std::size_t shard, std::int64_t epoch);
   void handle_merge(const MergedEpoch& merged);
   void stop_threads();
@@ -427,29 +348,23 @@ class ClusterRuntime {
   std::string estimator_name_;
   LandscapeMerger merger_;
   /// One-shard router: the engine runs on the caller's thread (see the
-  /// header comment); the shard thread, queue, fronts and scatter are never
+  /// header comment); the shard thread, queue, front and scatter are never
   /// used.
   bool inline_ = false;
-  /// The prepared meter every front and shard engine shares (N >= 2; an
+  /// The prepared meter the front and every shard engine share (N >= 2; an
   /// inline engine prepares its own). Read-only once built.
   std::shared_ptr<const core::BotMeter> meter_;
-  /// The cluster-level producer front (N >= 2).
+  /// The producer front (N >= 2).
   std::unique_ptr<stream::MatchFront> front_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  /// Which kind of front has fed a multi-shard runtime (kUnclaimed until
-  /// the first ingest; see claim_front).
-  std::atomic<int> producer_{0};
-  /// Set by restore() when the shards closed different epochs: the
-  /// cluster-level front closes every shard through this epoch before its
-  /// first tuple (producer thread only).
+  /// Set by restore() when the shards closed different epochs: the front
+  /// closes every shard through this epoch before its first tuple.
   std::optional<std::int64_t> catch_up_through_;
   /// Previous health states (the sampling thread only): journal transitions.
   std::vector<int> prev_shard_state_;
   int prev_cluster_state_ = 0;
-  /// Guards the one-time thread spawn: feeds for different shards may ingest
-  /// concurrently, and whichever enqueues first starts the threads.
-  std::mutex start_mu_;
-  std::atomic<bool> started_{false};
+  /// The shard threads run (the producer starts them at its first enqueue).
+  bool started_ = false;
   std::atomic<bool> finished_{false};
   /// Suppresses history recording while restore() replays closed rows.
   bool replaying_ = false;

@@ -457,7 +457,10 @@ json::Value StreamEngine::checkpoint() const {
 }
 
 void StreamEngine::restore(const json::Value& checkpoint) {
-  if (ingested() != 0 || !closed_.empty() || resident_ != 0 || finished_) {
+  // An advance alone leaves only a watermark behind; restoring over it
+  // would silently move time backwards.
+  if (ingested() != 0 || watermark() || !closed_.empty() || resident_ != 0 ||
+      finished_) {
     throw ConfigError("StreamEngine::restore: engine already used");
   }
   if (checkpoint.at("schema").as_string() != kCheckpointSchema) {

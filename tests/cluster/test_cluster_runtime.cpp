@@ -1,13 +1,12 @@
 // Cluster determinism: an N-shard ClusterRuntime must chart byte-for-byte
 // the landscape a single StreamEngine charts over the union trace — for
 // shard counts {1, 2, 4, 8}, for the per-tuple and binary-block ingest
-// paths, for per-shard feed handles, across estimation thread counts, and
-// under aggressive batching/backpressure settings — and drop exactly the
-// tuples the single engine drops as late. The recorded landscape_series.v1
-// history must be byte-equal too. Three tests drive producers against live
-// queries (the TSan targets): per-shard feeds, one cluster-level front
-// sharing its prepared meter with every shard, and a health sampler on its
-// own thread at one and two shards.
+// paths, across estimation thread counts, and under aggressive
+// batching/backpressure settings — and drop exactly the tuples the single
+// engine drops as late. The recorded landscape_series.v1 history must be
+// byte-equal too. Two tests drive the producer against live queries (the
+// TSan targets): one front sharing its prepared meter with every shard, and
+// a health sampler on its own thread at one and two shards.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -186,88 +185,6 @@ TEST(ClusterRuntimeTest, ThreadCountsAndBatchingNeverChangeBits) {
   }
 }
 
-TEST(ClusterRuntimeTest, ShardFeedsMatchAndRejectMisroutedTraffic) {
-  const auto stream = simulate_stream(74);
-  const Reference ref = single_engine_reference(stream);
-
-  obs::LandscapeHistory history;
-  ClusterConfig config = cluster_config(4, 1);
-  config.meter.telemetry.history = &history;
-  ClusterRuntime runtime(std::move(config));
-
-  // Pre-split the union trace by router, then feed per-shard handles.
-  std::vector<std::vector<dns::ForwardedLookup>> per_shard(4);
-  for (const dns::ForwardedLookup& lookup : stream) {
-    per_shard[runtime.router().shard_of(lookup.forwarder.value())].push_back(
-        lookup);
-  }
-  for (std::size_t i = 0; i < 4; ++i) {
-    ShardFeed feed = runtime.shard_feed(i);
-    feed.ingest(per_shard[i]);
-    feed.flush();
-  }
-  expect_cluster_matches(ref, runtime, history);
-
-  // A tuple whose server another shard owns is a loud wiring error.
-  ClusterRuntime other(cluster_config(4, 1));
-  ShardFeed feed = other.shard_feed(0);
-  EXPECT_THROW(
-      feed.ingest(dns::ForwardedLookup{TimePoint{0}, dns::ServerId{7}, "x"}),
-      ConfigError);
-  EXPECT_THROW((void)other.shard_feed(9), ConfigError);
-}
-
-// The TSan target: per-shard producer threads drive their feeds while a
-// query thread polls the merged view, health, and stats. The final
-// landscape must still be byte-identical — concurrency is allowed to change
-// timing, never bits.
-TEST(ClusterRuntimeTest, ConcurrentProducersAndQueriesStayByteIdentical) {
-  const auto stream = simulate_stream(75);
-  const Reference ref = single_engine_reference(stream);
-
-  constexpr std::size_t kShards = 4;
-  obs::LandscapeHistory history;
-  ClusterConfig config = cluster_config(kShards, 1);
-  config.flush_tuples = 256;  // plenty of queue traffic
-  config.meter.telemetry.history = &history;
-  ClusterRuntime runtime(std::move(config));
-
-  std::vector<std::vector<dns::ForwardedLookup>> per_shard(kShards);
-  for (const dns::ForwardedLookup& lookup : stream) {
-    per_shard[runtime.router().shard_of(lookup.forwarder.value())].push_back(
-        lookup);
-  }
-
-  std::atomic<bool> done{false};
-  std::thread query([&runtime, &history, &done] {
-    while (!done.load(std::memory_order_relaxed)) {
-      (void)runtime.merge_frontier();
-      (void)runtime.max_shard_progress();
-      (void)json::write(runtime.health_json());
-      for (std::size_t i = 0; i < kShards; ++i) (void)runtime.shard_stats(i);
-      (void)history.latest();
-      std::this_thread::yield();
-    }
-  });
-
-  std::vector<std::thread> producers;
-  producers.reserve(kShards);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    producers.emplace_back([&runtime, &per_shard, i] {
-      ShardFeed feed = runtime.shard_feed(i);
-      for (const dns::ForwardedLookup& lookup : per_shard[i]) {
-        feed.ingest(lookup);
-      }
-      feed.flush();
-    });
-  }
-  for (std::thread& producer : producers) producer.join();
-  done.store(true, std::memory_order_relaxed);
-  query.join();
-
-  expect_cluster_matches(ref, runtime, history);
-}
-
 /// A union trace with one straggler: an epoch-0 DGA lookup of the last
 /// server (owned by the last shard at 2, 4 and 8 shards), inserted right
 /// after a first-shard server's tuple crossed epoch 0's close boundary —
@@ -348,41 +265,77 @@ TEST(ClusterRuntimeTest, TupleLateToTheUnionIsDroppedAsTheSingleEngineDropsIt) {
   }
 }
 
-// A checkpoint whose shards closed different epochs — cut from per-shard
-// feeds, each closing on its own watermark — resumes under cluster-level
-// ingest at the union watermark: the lagging shards first close what the
-// furthest one closed, so the straggler after the cut is dropped exactly as
-// the single engine over the whole trace drops it.
+/// A two-shard cluster checkpoint of `prefix`, cut through cluster-level
+/// ingest.
+json::Value checkpoint_of(std::span<const dns::ForwardedLookup> prefix) {
+  ClusterRuntime runtime(cluster_config(2, 1));
+  runtime.ingest(prefix);
+  return runtime.checkpoint();
+}
+
+/// A document whose shards closed different epochs, as one written by a
+/// runtime whose shards closed on their own watermarks: shard 0's entry
+/// from `ahead`, shard 1's from `behind`, nothing merged.
+json::Value splice(const json::Value& ahead, const json::Value& behind) {
+  json::Array shards = ahead.at("shards").as_array();
+  shards[1] = behind.at("shards").as_array()[1];
+  json::Object root = ahead.as_object();
+  root["shards"] = json::Value(std::move(shards));
+  root["merge_frontier"] = json::Value(0.0);
+  return json::Value(std::move(root));
+}
+
+// A checkpoint whose shards closed different epochs resumes at the union
+// watermark: the lagging shard first closes what the furthest one closed,
+// so the straggler after the cut is dropped exactly as the single engine
+// over the whole trace drops it. Shard 0 closed epoch 0 on the
+// boundary-crossing tuple; shard 1, cut just before it, closed nothing.
 TEST(ClusterRuntimeTest, RestoreOfDivergedShardsResumesAtTheUnionWatermark) {
   std::size_t crossing = 0;
   const std::vector<dns::ForwardedLookup> stream =
       stream_with_union_straggler(78, &crossing);
   const Reference ref = single_engine_reference(stream);
   ASSERT_EQ(ref.late_dropped, 1u);
-  const auto before_straggler =
-      std::span<const dns::ForwardedLookup>(stream).first(crossing + 1);
+  const auto trace = std::span<const dns::ForwardedLookup>(stream);
+  ASSERT_EQ(trace[crossing].forwarder.value(), 0u);
 
-  json::Value checkpoint;
-  {
-    ClusterRuntime fed(cluster_config(2, 1));
-    for (const dns::ForwardedLookup& lookup : before_straggler) {
-      fed.shard_feed(fed.router().shard_of(lookup.forwarder.value()))
-          .ingest(lookup);
-    }
-    fed.flush();
-    checkpoint = fed.checkpoint();
-    ASSERT_EQ(fed.shard_stats(0).next_epoch_to_close, 1);
-    ASSERT_EQ(fed.shard_stats(1).next_epoch_to_close, 0);
-  }
-
+  const json::Value checkpoint =
+      splice(checkpoint_of(trace.first(crossing + 1)),
+             checkpoint_of(trace.first(crossing)));
   obs::LandscapeHistory history;
   ClusterConfig config = cluster_config(2, 1);
   config.meter.telemetry.history = &history;
   ClusterRuntime resumed(std::move(config));
   resumed.restore(checkpoint);
-  resumed.ingest(
-      std::span<const dns::ForwardedLookup>(stream).subspan(crossing + 1));
+  ASSERT_EQ(resumed.shard_stats(0).next_epoch_to_close, 1);
+  ASSERT_EQ(resumed.shard_stats(1).next_epoch_to_close, 0);
+  EXPECT_EQ(resumed.merge_frontier(), 0);
+  resumed.ingest(trace.subspan(crossing + 1));
   expect_cluster_matches(ref, resumed, history);
+}
+
+// What the runtime refuses to restore over: any ingest or advance, at one
+// shard (the engine holds the tuple or the watermark) and at two (the front
+// does, with the tuple still in a pending batch and no shard thread started).
+TEST(ClusterRuntimeTest, RestoreRejectsARuntimeThatAlreadyIngested) {
+  const dns::ForwardedLookup lookup{TimePoint{0}, dns::ServerId{0}, "x"};
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    const json::Value checkpoint =
+        ClusterRuntime(cluster_config(shards, 1)).checkpoint();
+    {
+      ClusterRuntime runtime(cluster_config(shards, 1));
+      runtime.ingest(lookup);
+      EXPECT_THROW(runtime.restore(checkpoint), ConfigError);
+    }
+    {
+      ClusterRuntime runtime(cluster_config(shards, 1));
+      runtime.advance(TimePoint{1});
+      EXPECT_THROW(runtime.restore(checkpoint), ConfigError);
+    }
+    ClusterRuntime fresh(cluster_config(shards, 1));
+    EXPECT_NO_THROW(fresh.restore(checkpoint));
+  }
 }
 
 // The TSan target for matching at the producer: one cluster-level front
@@ -426,37 +379,6 @@ TEST(ClusterRuntimeTest, ClusterLevelBlocksAndQueriesStayByteIdentical) {
   expect_cluster_matches(ref, runtime, history);
 }
 
-// A multi-shard runtime has one kind of front: the cluster-level one, or
-// one per feed. Whichever feeds it first excludes the other, since the two
-// would close the same shard at different points.
-TEST(ClusterRuntimeTest, FeedsAndClusterLevelIngestDoNotMix) {
-  const dns::ForwardedLookup lookup{TimePoint{0}, dns::ServerId{0}, "x"};
-  {
-    ClusterRuntime runtime(cluster_config(2, 1));
-    runtime.ingest(lookup);
-    EXPECT_THROW(runtime.shard_feed(0).ingest(lookup), ConfigError);
-    EXPECT_THROW(runtime.shard_feed(1).advance(TimePoint{1}), ConfigError);
-    runtime.advance(TimePoint{1});  // the cluster-level calls still work
-  }
-  {
-    ClusterRuntime runtime(cluster_config(2, 1));
-    runtime.shard_feed(1).advance(TimePoint{1});
-    runtime.shard_feed(0).ingest(lookup);  // any feed may join
-    EXPECT_THROW(runtime.ingest(lookup), ConfigError);
-    EXPECT_THROW(runtime.advance(TimePoint{2}), ConfigError);
-    EXPECT_THROW(
-        runtime.ingest_block(dns::LookupColumns{}, std::span<const std::string_view>{}),
-        ConfigError);
-  }
-  {
-    // One shard: the feed and the runtime drive the same inline engine.
-    ClusterRuntime runtime(cluster_config(1, 1));
-    runtime.ingest(lookup);
-    runtime.shard_feed(0).ingest(lookup);
-    EXPECT_EQ(runtime.shard_stats(0).ingested, 2u);
-  }
-}
-
 // A one-shard runtime is a plain engine on the caller's thread: every close
 // is merged and published before the ingest call that crossed its boundary
 // returns — no flush(), no pending batch, no shard thread to wait for. The
@@ -489,9 +411,8 @@ TEST(ClusterRuntimeTest, SingleShardPublishesSynchronously) {
       });
   ASSERT_GT(crossed, 0) << "the trace must cross a close boundary mid-feed";
 
-  // A watermark past the horizon closes everything on the spot, and the
-  // per-shard feed handle is the same direct path.
-  runtime.shard_feed(0).advance(TimePoint{days(365).millis()});
+  // A watermark past the horizon closes everything on the spot.
+  runtime.advance(TimePoint{days(365).millis()});
   EXPECT_EQ(runtime.merge_frontier(), kEpochs);
 }
 
@@ -535,30 +456,24 @@ TEST(ClusterRuntimeTest, DrainAppliesEveryBatchSentBeforeIt) {
   }
 }
 
+// A shard that closed every epoch while the other closed none holds the
+// merged landscape back by the whole horizon: the cluster must say so even
+// though each shard is individually healthy.
 TEST(ClusterRuntimeTest, FrontierLagDegradesClusterHealth) {
-  // Two shards; only shard 0 receives traffic, so its closes race ahead of
-  // the frontier — the merged landscape is held back and the cluster must
-  // say so even though each shard is individually healthy.
   const auto stream = simulate_stream(76);
+  ClusterRuntime closed_all(cluster_config(2, 1));
+  closed_all.ingest(stream);
+  closed_all.advance(TimePoint{days(365).millis()});
+  const json::Value checkpoint =
+      splice(closed_all.checkpoint(),
+             ClusterRuntime(cluster_config(2, 1)).checkpoint());
+
   ClusterConfig config = cluster_config(2, 1);
   config.health = stream::StreamHealthConfig{};
   config.degraded_frontier_lag = 1;
   config.unhealthy_frontier_lag = 100;
   ClusterRuntime runtime(std::move(config));
-
-  ShardFeed feed = runtime.shard_feed(0);
-  for (const dns::ForwardedLookup& lookup : stream) {
-    if (runtime.router().shard_of(lookup.forwarder.value()) == 0) {
-      feed.ingest(lookup);
-    }
-  }
-  feed.advance(TimePoint{days(365).millis()});  // close shard 0's horizon
-  feed.flush();
-
-  // Wait (bounded) for the shard thread to drain and close.
-  for (int i = 0; i < 2000 && runtime.max_shard_progress() < kEpochs; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  runtime.restore(checkpoint);
   ASSERT_EQ(runtime.max_shard_progress(), kEpochs);
   EXPECT_EQ(runtime.merge_frontier(), 0);
 

@@ -136,6 +136,10 @@ botmeter::json::Value config_echo(const botmeter::cluster::ClusterConfig& c,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Unsynced, std::cin keeps a buffer of its own, which the text reader
+  // takes in chunks (a synced one is read one getline per line). Stdout is
+  // written through stdio only, so nothing interleaves with std::cout.
+  std::ios::sync_with_stdio(false);
   using namespace botmeter;
   try {
     tools::CliArgs args(

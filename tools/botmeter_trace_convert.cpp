@@ -39,6 +39,11 @@ constexpr const char* kUsage =
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Unsynced, std::cin keeps a buffer of its own, which the text reader
+  // takes in chunks (a synced one is read one getline per line). Converted
+  // records go through std::cout only; stdio writes stdout only for --help,
+  // which writes nothing else.
+  std::ios::sync_with_stdio(false);
   using namespace botmeter;
   try {
     tools::CliArgs args(argc, argv, {"--to", "--in", "--out", "--block-tuples"},
