@@ -17,6 +17,11 @@ namespace {
 constexpr const char* kCheckpointSchema = "botmeter.cluster_checkpoint.v1";
 constexpr const char* kHealthSchema = "botmeter.cluster_health.v1";
 
+/// Merge-frontier lag, in epochs the fastest shard is ahead of the slowest,
+/// at which the cluster degrades / turns unhealthy.
+constexpr std::int64_t kDegradedFrontierLag = 2;
+constexpr std::int64_t kUnhealthyFrontierLag = 8;
+
 template <typename T>
 json::Value number(T v) {
   return json::Value(static_cast<double>(v));
@@ -31,19 +36,13 @@ void ClusterConfig::validate() const {
   }
   if (router.shard_count() == 0) {
     throw ConfigError("ClusterConfig: router is empty — build one via "
-                      "ShardRouter::by_range or explicit_assignment");
+                      "ShardRouter::by_range");
   }
   if (queue_capacity == 0) {
     throw ConfigError("ClusterConfig: queue_capacity must be > 0");
   }
   if (flush_tuples == 0) {
     throw ConfigError("ClusterConfig: flush_tuples must be > 0");
-  }
-  if (degraded_frontier_lag < 1 ||
-      unhealthy_frontier_lag < degraded_frontier_lag) {
-    throw ConfigError(
-        "ClusterConfig: need 1 <= degraded_frontier_lag <= "
-        "unhealthy_frontier_lag");
   }
   if (health) health->validate();
   const obs::LagTracker* lag = meter.telemetry.lag;
@@ -220,11 +219,6 @@ void ClusterRuntime::apply_batch(Shard& shard, ShardBatch& batch) {
   }
 
   shard.engine->ingest_evidence(batch.evidence);
-  if (batch.advance) {
-    tel.log(obs::EventKind::kWatermarkAdvance,
-            static_cast<std::int32_t>(shard.index), obs::JournalEvent::kNoEpoch,
-            static_cast<double>(batch.advance->millis()));
-  }
 
   if (tracked) {
     tel.record_stage(shard.index, obs::LagStage::kShardIngest,
@@ -445,7 +439,7 @@ void ClusterRuntime::advance(TimePoint watermark) {
       const double end_ms = tel.now_ms();
       tel.record_stage(0, obs::LagStage::kShardIngest, nullptr, start_ms,
                        end_ms);
-      tel.log_at(end_ms, obs::EventKind::kWatermarkAdvance, 0,
+      tel.log_at(end_ms, obs::EventKind::kWatermarkAdvance, -1,
                  obs::JournalEvent::kNoEpoch,
                  static_cast<double>(watermark.millis()));
     }
@@ -453,14 +447,18 @@ void ClusterRuntime::advance(TimePoint watermark) {
     return;
   }
   stream::MatchFront& front = live_front();
+  // Every shard's pending batch carries the advance, so each one reaches its
+  // shard even with no tuple behind it.
   for (const std::unique_ptr<Shard>& shard : shards_) {
     std::optional<TimePoint>& mark = shard->pending.evidence.watermark;
     if (!mark || watermark > *mark) mark = watermark;
-    shard->pending.advance = watermark;
   }
   Scatter scatter{*this};
   front.advance(watermark, scatter);
   flush();
+  telemetry().log(obs::EventKind::kWatermarkAdvance, -1,
+                  obs::JournalEvent::kNoEpoch,
+                  static_cast<double>(watermark.millis()));
 }
 
 // --- finish -----------------------------------------------------------------
@@ -525,9 +523,9 @@ stream::HealthState ClusterRuntime::sample_health(double now_ms) {
   }
   const std::int64_t frontier = merger_.merge_frontier();
   const std::int64_t lag = merger_.max_shard_progress() - frontier;
-  if (lag >= config_.unhealthy_frontier_lag) {
+  if (lag >= kUnhealthyFrontierLag) {
     worst = std::max(worst, stream::HealthState::kUnhealthy);
-  } else if (lag >= config_.degraded_frontier_lag) {
+  } else if (lag >= kDegradedFrontierLag) {
     worst = std::max(worst, stream::HealthState::kDegraded);
   }
   cluster_state_.store(static_cast<int>(worst), std::memory_order_relaxed);

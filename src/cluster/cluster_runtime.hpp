@@ -1,13 +1,13 @@
-// The multi-border cluster runtime: N sharded stream engines behind one
-// global landscape.
+// The cluster runtime: N sharded stream engines behind one global
+// landscape.
 //
-// A large network taps several border vantage points at once (§II, Fig. 2:
-// one collector per border resolver). One StreamEngine cannot ingest every
-// border's feed — it is single-threaded by contract — so the cluster runtime
-// owns one engine per shard, each on its own worker thread behind a bounded
-// ingest queue, routes evidence by server ownership (ShardRouter), and merges
-// per-shard epoch closes into the global landscape through a
-// watermark-aligned LandscapeMerger. The merged LandscapeReport, the
+// BotMeter charts one landscape from one border log (§II, Fig. 2). One
+// StreamEngine does that log's back-end work — buckets, spills, closes and
+// estimates — on one thread, by contract, so the cluster runtime splits it
+// by server: it owns one engine per shard, each a slice of the log's
+// evidence (the servers the ShardRouter gives it) on its own worker thread
+// behind a bounded ingest queue, and merges per-shard epoch closes into the
+// global landscape through a LandscapeMerger. The merged LandscapeReport, the
 // recorded landscape_series.v1 history, and the canonical landscape JSON are
 // all **byte-identical** to a single engine analyzing the union trace — for
 // every shard count, every per-shard worker count, and both codec paths —
@@ -34,8 +34,8 @@
 // checkpoint/finish barriers; a full queue blocks the producer —
 // backpressure, never loss.
 //
-// Inline single shard. A one-shard router is the single-border deployment,
-// and there the runtime is a plain engine: ingest, ingest_block and advance
+// Inline single shard. Under a one-shard router the runtime is a plain
+// engine: ingest, ingest_block and advance
 // call the shard's StreamEngine — front and back — directly on the caller's
 // thread with the producer's own string table (under a one-shard router a
 // server's local index is its id). No shard thread starts and no batch is
@@ -154,12 +154,6 @@ struct ClusterConfig {
   /// health — the batch/single-engine-compatible mode determinism tests use).
   std::optional<stream::StreamHealthConfig> health;
 
-  /// Merge-frontier lag (epochs the fastest shard is ahead of the slowest)
-  /// at which the *cluster* degrades even if every shard is individually ok:
-  /// the global landscape is being held back.
-  std::int64_t degraded_frontier_lag = 2;
-  std::int64_t unhealthy_frontier_lag = 8;
-
   void validate() const;
 };
 
@@ -187,9 +181,10 @@ class ClusterRuntime {
   void ingest_block(const dns::LookupColumns& block,
                     std::span<const std::string_view> domains);
 
-  /// Advance the global watermark (a quiet border still makes time pass):
+  /// Advance the global watermark (a quiet feed still makes time pass):
   /// closes what it matured on every shard and raises every shard's
-  /// watermark. Flushes every pending batch.
+  /// watermark. Flushes every pending batch. Journaled once, as a
+  /// cluster-level event.
   void advance(TimePoint watermark);
 
   /// Enqueue all pending partial batches (none on an inline shard).
@@ -231,7 +226,9 @@ class ClusterRuntime {
 
   // --- health --------------------------------------------------------------
   /// Evaluate every shard's monitor from shard_stats() and fold the states
-  /// plus the current frontier lag into the cluster state; also publishes
+  /// plus the current frontier lag into the cluster state (a lag of 2 epochs
+  /// degrades it and 8 make it unhealthy, even when every shard is
+  /// individually ok: the global landscape is being held back); also publishes
   /// cluster.* gauges when a metrics registry is attached. Never waits on a
   /// shard. Call periodically with monotonic wall milliseconds, from any one
   /// thread at a time, at any shard count.
@@ -267,8 +264,6 @@ class ClusterRuntime {
   /// watermark, close marker), or a drain() request.
   struct ShardBatch {
     stream::EvidenceBatch evidence;
-    /// An explicit watermark advance reached the shard (journaled).
-    std::optional<TimePoint> advance;
     /// A drain() request: counted down once every earlier item is applied.
     std::latch* drained = nullptr;
 
@@ -283,7 +278,7 @@ class ClusterRuntime {
 
     [[nodiscard]] bool empty() const {
       return evidence.counts.ingested == 0 && evidence.records.empty() &&
-             !evidence.close_through && !advance;
+             !evidence.close_through && !evidence.watermark;
     }
   };
 

@@ -1,9 +1,10 @@
 // Watermark-aligned merge of per-shard epoch closes into the global
 // landscape.
 //
-// Every shard engine closes its epochs independently, driven by its own
-// watermark; the cluster's global statement about epoch e is only final once
-// *every* shard has closed e. The merger is the synchronisation point: shard
+// Every shard engine closes an epoch on its own thread, when the producer
+// front's close marker for it reaches the shard; the cluster's global
+// statement about epoch e is only final once *every* shard has closed e.
+// The merger is the synchronisation point: shard
 // threads offer their closed rows as they happen (any arrival order across
 // shards, ascending epochs within one shard), cells are scattered into the
 // global (epoch × server) grid through the router, and once an epoch's row
@@ -12,8 +13,8 @@
 // the order a single engine would close them.
 //
 // The *merge frontier* is the first epoch not yet fully merged: the min over
-// shards of their close progress. A lagging shard (stalled feed, slow
-// worker) holds the frontier back — later epochs pile up as partial rows and
+// shards of their close progress. A lagging shard (a slow worker, a long
+// queue) holds the frontier back — later epochs pile up as partial rows and
 // the global report simply stays silent about them — rather than ever
 // publishing a row some shard could still contribute to. Frontier lag
 // (max shard progress − frontier) is the cluster health monitor's signal for

@@ -10,7 +10,6 @@ namespace botmeter::cluster {
 namespace {
 
 constexpr const char* kModeRange = "range";
-constexpr const char* kModeExplicit = "explicit";
 
 }  // namespace
 
@@ -25,55 +24,23 @@ ShardRouter ShardRouter::by_range(std::size_t server_count,
                       " servers would leave a shard empty");
   }
   ShardRouter router;
-  router.range_mode_ = true;
   router.shard_of_server_.resize(server_count);
+  router.local_index_.resize(server_count);
+  router.servers_of_.resize(shard_count);
   const std::size_t base = server_count / shard_count;
   const std::size_t extra = server_count % shard_count;
-  std::size_t server = 0;
+  std::uint32_t server = 0;
   for (std::size_t shard = 0; shard < shard_count; ++shard) {
     const std::size_t width = base + (shard < extra ? 1 : 0);
-    for (std::size_t i = 0; i < width; ++i) {
-      router.shard_of_server_[server++] = static_cast<std::uint32_t>(shard);
-    }
-  }
-  router.build_inverse(shard_count);
-  return router;
-}
-
-ShardRouter ShardRouter::explicit_assignment(
-    std::vector<std::uint32_t> shard_of_server, std::size_t shard_count) {
-  if (shard_of_server.empty() || shard_count == 0) {
-    throw ConfigError("ShardRouter: assignment and shard_count must be non-empty");
-  }
-  for (std::size_t s = 0; s < shard_of_server.size(); ++s) {
-    if (shard_of_server[s] >= shard_count) {
-      throw ConfigError("ShardRouter: server " + std::to_string(s) +
-                        " assigned to shard " +
-                        std::to_string(shard_of_server[s]) + " of only " +
-                        std::to_string(shard_count));
-    }
-  }
-  ShardRouter router;
-  router.range_mode_ = false;
-  router.shard_of_server_ = std::move(shard_of_server);
-  router.build_inverse(shard_count);
-  for (std::size_t shard = 0; shard < shard_count; ++shard) {
-    if (router.servers_of_[shard].empty()) {
-      throw ConfigError("ShardRouter: shard " + std::to_string(shard) +
-                        " owns no servers");
+    std::vector<std::uint32_t>& owned = router.servers_of_[shard];
+    owned.reserve(width);
+    for (std::size_t i = 0; i < width; ++i, ++server) {
+      router.shard_of_server_[server] = static_cast<std::uint32_t>(shard);
+      router.local_index_[server] = static_cast<std::uint32_t>(i);
+      owned.push_back(server);
     }
   }
   return router;
-}
-
-void ShardRouter::build_inverse(std::size_t shard_count) {
-  servers_of_.assign(shard_count, {});
-  local_index_.resize(shard_of_server_.size());
-  for (std::uint32_t server = 0; server < shard_of_server_.size(); ++server) {
-    std::vector<std::uint32_t>& owned = servers_of_[shard_of_server_[server]];
-    local_index_[server] = static_cast<std::uint32_t>(owned.size());
-    owned.push_back(server);  // ascending: servers visited in id order
-  }
 }
 
 std::size_t ShardRouter::shard_of(std::uint32_t server) const {
@@ -109,27 +76,17 @@ json::Value ShardRouter::to_json() const {
   o.emplace("server_count",
             json::Value(static_cast<double>(shard_of_server_.size())));
   o.emplace("shard_count", json::Value(static_cast<double>(servers_of_.size())));
-  if (range_mode_) {
-    o.emplace("mode", json::Value(std::string(kModeRange)));
-  } else {
-    o.emplace("mode", json::Value(std::string(kModeExplicit)));
-    json::Array assignment;
-    assignment.reserve(shard_of_server_.size());
-    for (const std::uint32_t shard : shard_of_server_) {
-      assignment.push_back(json::Value(static_cast<double>(shard)));
-    }
-    o.emplace("assignment", json::Value(std::move(assignment)));
-  }
+  o.emplace("mode", json::Value(std::string(kModeRange)));
   return json::Value(std::move(o));
 }
 
 ShardRouter ShardRouter::from_json(const json::Value& value) {
   const std::string mode = value.at("mode").as_string();
-  if (mode != kModeRange && mode != kModeExplicit) {
+  if (mode != kModeRange) {
     throw DataError("ShardRouter: unknown router mode '" + mode + "'");
   }
   // Counts outside the u32 id range are corrupt data, and must be rejected
-  // before either factory sizes a table by them.
+  // before by_range sizes a table by them.
   const auto stored_count = [&value](const char* key) {
     const std::int64_t count = value.at(key).as_int();
     if (count < 1 || count > std::numeric_limits<std::uint32_t>::max()) {
@@ -140,30 +97,8 @@ ShardRouter ShardRouter::from_json(const json::Value& value) {
   };
   const std::size_t server_count = stored_count("server_count");
   const std::size_t shard_count = stored_count("shard_count");
-  std::vector<std::uint32_t> shard_of_server;
-  if (mode == kModeExplicit) {
-    const json::Array& assignment = value.at("assignment").as_array();
-    if (assignment.size() != server_count) {
-      throw DataError("ShardRouter: assignment length " +
-                      std::to_string(assignment.size()) +
-                      " does not match server_count " +
-                      std::to_string(server_count));
-    }
-    shard_of_server.reserve(assignment.size());
-    for (const json::Value& entry : assignment) {
-      const std::int64_t shard = entry.as_int();
-      if (shard < 0 || static_cast<std::uint64_t>(shard) >= shard_count) {
-        throw DataError("ShardRouter: stored shard id " +
-                        std::to_string(shard) + " outside the shard count " +
-                        std::to_string(shard_count));
-      }
-      shard_of_server.push_back(static_cast<std::uint32_t>(shard));
-    }
-  }
   try {
-    return mode == kModeRange
-               ? by_range(server_count, shard_count)
-               : explicit_assignment(std::move(shard_of_server), shard_count);
+    return by_range(server_count, shard_count);
   } catch (const ConfigError& e) {
     // A structurally invalid stored router is corrupt data, not a caller
     // configuration mistake.

@@ -1,19 +1,17 @@
-// Routing of border traffic onto cluster shards.
+// Routing of one border log's evidence onto cluster shards.
 //
-// A multi-border deployment runs one StreamEngine per vantage point; the
-// router is the single authority on which shard owns which local DNS server.
-// It is a *total, static* map: every global server id belongs to exactly one
-// shard, fixed for the lifetime of the cluster, so a (server, epoch) bucket
-// accumulates on exactly one engine and the merged landscape is the disjoint
-// union of per-shard landscapes — the property that makes an N-shard cluster
-// byte-identical to a single engine over the union trace.
+// BotMeter charts one landscape from one border log (§II, Fig. 2). A shard
+// is a slice of that log's back-end work — the buckets, spills, closes and
+// estimates of the servers it owns — not a vantage point of its own, so the
+// router is a *total, static* partition of the server ids: every global
+// server id belongs to exactly one shard, fixed for the lifetime of the
+// cluster, so a (server, epoch) bucket accumulates on exactly one engine and
+// the merged landscape is the disjoint union of per-shard landscapes — the
+// property that makes an N-shard cluster byte-identical to a single engine
+// over the same trace.
 //
-// Two construction modes:
-//   - by_range: contiguous, balanced server ranges (shard 0 gets the first
-//     ceil(n/s) servers, ...) — the default for homogeneous networks;
-//   - explicit_assignment: an arbitrary server→shard vector, for deployments
-//     whose vantage points see hand-picked server sets (e.g. one shard per
-//     branch office concentrator).
+// The partition is by_range: contiguous, balanced server ranges (shard 0
+// gets the first ceil(n/s) servers, ...).
 //
 // Within a shard, servers are addressed by their *local index* — the rank of
 // the global id among the shard's servers in ascending order. Shard engines
@@ -38,8 +36,7 @@ namespace botmeter::cluster {
 class ShardRouter {
  public:
   /// An empty router (no shards, no servers) — a placeholder for config
-  /// structs; every query on it throws. Build real routers via the
-  /// factories.
+  /// structs; every query on it throws. Build real routers via by_range.
   ShardRouter() = default;
 
   /// Balanced contiguous ranges: the first `server_count % shard_count`
@@ -48,11 +45,6 @@ class ShardRouter {
   /// engine with nothing to estimate).
   [[nodiscard]] static ShardRouter by_range(std::size_t server_count,
                                             std::size_t shard_count);
-
-  /// Explicit map: `shard_of_server[s]` names the shard owning global server
-  /// s. Every shard in [0, shard_count) must own at least one server.
-  [[nodiscard]] static ShardRouter explicit_assignment(
-      std::vector<std::uint32_t> shard_of_server, std::size_t shard_count);
 
   [[nodiscard]] std::size_t shard_count() const { return servers_of_.size(); }
   [[nodiscard]] std::size_t server_count() const {
@@ -75,15 +67,13 @@ class ShardRouter {
   friend bool operator==(const ShardRouter&, const ShardRouter&) = default;
 
   // --- checkpoint envelope serialisation -----------------------------------
-  /// Range routers serialize compactly ({"mode":"range",...}); explicit ones
-  /// carry the full assignment vector. from_json(to_json(r)) == r.
+  /// {"mode":"range","server_count":n,"shard_count":s};
+  /// from_json(to_json(r)) == r. from_json rejects any other mode, and any
+  /// count outside [1, 2^32-1], as DataError.
   [[nodiscard]] json::Value to_json() const;
   [[nodiscard]] static ShardRouter from_json(const json::Value& value);
 
  private:
-  void build_inverse(std::size_t shard_count);
-
-  bool range_mode_ = false;
   std::vector<std::uint32_t> shard_of_server_;  // size == server_count
   std::vector<std::uint32_t> local_index_;      // size == server_count
   std::vector<std::vector<std::uint32_t>> servers_of_;  // size == shard_count

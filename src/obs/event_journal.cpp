@@ -44,33 +44,16 @@ EventKind event_kind_from_name(std::string_view name) {
   throw DataError("unknown event kind: " + std::string(name));
 }
 
-void EventJournalConfig::validate() const {
-  if (capacity == 0) {
-    throw ConfigError("EventJournalConfig.capacity must be positive");
-  }
-}
-
-EventJournal::EventJournal(EventJournalConfig config)
-    : config_(config), origin_(std::chrono::steady_clock::now()) {
-  config_.validate();
-}
-
 std::uint64_t EventJournal::append(JournalEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
   event.seq = next_seq_++;
   const std::uint64_t seq = event.seq;
   ring_.push_back(std::move(event));
-  if (ring_.size() > config_.capacity) {
+  if (ring_.size() > kJournalCapacity) {
     ring_.pop_front();
     ++dropped_;
   }
   return seq;
-}
-
-std::uint64_t EventJournal::log(EventKind kind, std::int32_t shard,
-                                std::int64_t epoch, double value,
-                                std::string message) {
-  return log_at(now_ms(), kind, shard, epoch, value, std::move(message));
 }
 
 std::uint64_t EventJournal::log_at(double t_ms, EventKind kind,
@@ -84,12 +67,6 @@ std::uint64_t EventJournal::log_at(double t_ms, EventKind kind,
   event.value = value;
   event.message = std::move(message);
   return append(std::move(event));
-}
-
-double EventJournal::now_ms() const {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - origin_)
-      .count();
 }
 
 std::vector<JournalEvent> EventJournal::events_since(

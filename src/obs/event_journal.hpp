@@ -5,15 +5,15 @@
 // before*. The journal is the post-hoc explainability layer: every
 // state-changing moment of the pipeline — health transitions, epoch closes,
 // watermark advances, checkpoint/restore, queue saturation, merge publishes
-// — is appended as one small structured event into a fixed-capacity ring.
-// Old events fall off the far end (the drop count is reported), so the
-// journal's memory is bounded regardless of run length, and it is cheap
-// enough to leave on in production.
+// — is appended as one small structured event into a ring of
+// kJournalCapacity events. Old events fall off the far end (the drop count
+// is reported), so the journal's memory is bounded regardless of run
+// length, and it is cheap enough to leave on in production.
 //
 // Events carry a monotonic sequence number (assigned at append, never
-// reused), a wall-time stamp (the appending pipeline's obs::Telemetry clock,
-// or for log() the offset from the journal's construction), an optional
-// shard index (-1 = cluster / engine level), a kind, and small details
+// reused), a wall-time stamp on the appending pipeline's obs::Telemetry
+// clock (the journal keeps no clock of its own), an optional shard index
+// (-1 = cluster / engine level), a kind, and small details
 // (epoch, numeric value, free-text message). `events_since(seq)` plus the
 // seq cursor give pollers (`/events?from=&shard=`) exactly-once delivery
 // without the journal tracking consumers.
@@ -32,7 +32,6 @@
 // byte-identical with the recorder on or off.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -60,12 +59,15 @@ enum class EventKind : int {
 /// Inverse of event_kind_name; throws DataError on an unknown word.
 [[nodiscard]] EventKind event_kind_from_name(std::string_view name);
 
+/// Ring capacity in events. Appends beyond it evict the oldest event
+/// (counted in EventJournal::dropped()).
+inline constexpr std::size_t kJournalCapacity = 4096;
+
 /// One journal entry. `seq` is assigned by append(); everything else is the
 /// caller's statement about what happened.
 struct JournalEvent {
   std::uint64_t seq = 0;
-  /// Wall milliseconds: since the journal was constructed when stamped by
-  /// log(), on the caller's clock for log_at() and explicit appends.
+  /// Wall milliseconds on the caller's clock.
   double t_ms = 0.0;
   /// Shard index the event belongs to; -1 = cluster / engine level.
   std::int32_t shard = -1;
@@ -82,37 +84,22 @@ struct JournalEvent {
       std::numeric_limits<std::int64_t>::min();
 };
 
-struct EventJournalConfig {
-  /// Ring capacity in events. Appends beyond it evict the oldest event
-  /// (counted in dropped()).
-  std::size_t capacity = 4096;
-
-  void validate() const;
-};
-
 class EventJournal {
  public:
-  explicit EventJournal(EventJournalConfig config = {});
+  EventJournal() = default;
 
   EventJournal(const EventJournal&) = delete;
   EventJournal& operator=(const EventJournal&) = delete;
 
-  /// Append one event with caller-supplied time (simulated-time test path).
-  /// Returns the assigned sequence number.
+  /// Append one event as given (its t_ms on the caller's clock). Returns
+  /// the assigned sequence number.
   std::uint64_t append(JournalEvent event);
 
-  /// Convenience append stamping the journal's own monotonic clock.
-  std::uint64_t log(EventKind kind, std::int32_t shard,
-                    std::int64_t epoch = JournalEvent::kNoEpoch,
-                    double value = 0.0, std::string message = {});
   /// Convenience append stamped `t_ms` on the caller's clock (a pipeline's
   /// obs::Telemetry clock, so its events line up with its spans).
   std::uint64_t log_at(double t_ms, EventKind kind, std::int32_t shard,
                        std::int64_t epoch, double value,
                        std::string message = {});
-
-  /// Wall milliseconds since construction (the t_ms clock log() stamps).
-  [[nodiscard]] double now_ms() const;
 
   /// Retained events with seq >= from, oldest first; with `shard` set, only
   /// that shard's events (cluster-level events carry shard -1 and are
@@ -145,9 +132,6 @@ class EventJournal {
   [[nodiscard]] std::string dump_path() const;
 
  private:
-  EventJournalConfig config_;
-  std::chrono::steady_clock::time_point origin_;
-
   mutable std::mutex mu_;
   std::deque<JournalEvent> ring_;
   std::uint64_t next_seq_ = 0;

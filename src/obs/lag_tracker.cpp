@@ -41,13 +41,9 @@ const std::vector<double>& LagTracker::bounds() {
   return kBounds;
 }
 
-LagTracker::LagTracker(std::size_t shard_count, std::size_t straggler_capacity)
-    : shard_count_(shard_count), straggler_capacity_(straggler_capacity) {
+LagTracker::LagTracker(std::size_t shard_count) : shard_count_(shard_count) {
   if (shard_count_ == 0) {
     throw ConfigError("LagTracker shard_count must be positive");
-  }
-  if (straggler_capacity_ == 0) {
-    throw ConfigError("LagTracker straggler_capacity must be positive");
   }
   stages_.resize(shard_count_ * kLagStageCount);
   for (StageAcc& acc : stages_) {
@@ -95,7 +91,7 @@ void LagTracker::note_merge(std::int64_t epoch,
   row.straggle_ms = row.last_close_ms - row.first_close_ms;
   std::lock_guard<std::mutex> lock(mu_);
   stragglers_.push_back(row);
-  if (stragglers_.size() > straggler_capacity_) stragglers_.pop_front();
+  if (stragglers_.size() > kStragglerRows) stragglers_.pop_front();
 }
 
 LagStageSample LagTracker::stage_sample(std::size_t shard,

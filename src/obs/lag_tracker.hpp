@@ -19,10 +19,11 @@
 // Each (shard, stage) pair keeps an exponential-bucket histogram (bounds
 // from obs::exponential_bounds) plus count/total/max accumulators — one
 // mutex, locked per *batch*/close, never per tuple. On top of the
-// histograms, a bounded per-epoch straggler table records, for every merged
-// epoch, which shard's close arrived last and by how much — "which border
-// is holding the frontier back" as a first-class answer. The close arrival
-// times come with the merge, so the tracker keeps no per-close state.
+// histograms, a per-epoch straggler table of the last kStragglerRows merged
+// epochs records which shard's close arrived last and by how much — "which
+// shard is holding the frontier back" as a first-class answer. The close
+// arrival times come with the merge, so the tracker keeps no per-close
+// state.
 //
 // `attribution()` folds the table down to the slowest stage and slowest
 // shard by accumulated wall time, which ClusterRuntime::health_json embeds
@@ -55,6 +56,9 @@ enum class LagStage : int {
 };
 
 inline constexpr std::size_t kLagStageCount = 5;
+
+/// Straggler rows retained; older rows fall off as epochs merge.
+inline constexpr std::size_t kStragglerRows = 256;
 
 [[nodiscard]] std::string_view lag_stage_name(LagStage stage);
 
@@ -95,8 +99,7 @@ struct LagAttribution {
 
 class LagTracker {
  public:
-  explicit LagTracker(std::size_t shard_count,
-                      std::size_t straggler_capacity = 256);
+  explicit LagTracker(std::size_t shard_count);
 
   LagTracker(const LagTracker&) = delete;
   LagTracker& operator=(const LagTracker&) = delete;
@@ -117,7 +120,7 @@ class LagTracker {
 
   [[nodiscard]] LagStageSample stage_sample(std::size_t shard,
                                             LagStage stage) const;
-  /// Straggler rows in merge order, oldest first (bounded retention).
+  /// Straggler rows in merge order, oldest first (the last kStragglerRows).
   [[nodiscard]] std::vector<StragglerRow> stragglers() const;
 
   [[nodiscard]] LagAttribution attribution() const;
@@ -139,7 +142,6 @@ class LagTracker {
   };
 
   std::size_t shard_count_;
-  std::size_t straggler_capacity_;
 
   mutable std::mutex mu_;
   /// shard_count_ x kLagStageCount, row-major by shard.

@@ -75,9 +75,6 @@ void LandscapeHistoryConfig::validate() const {
   if (retain_recent < 1) {
     throw ConfigError("landscape history retain_recent must be >= 1");
   }
-  if (coarse_stride < 1) {
-    throw ConfigError("landscape history coarse_stride must be >= 1");
-  }
 }
 
 double LandscapeSnapshot::total_population() const {
@@ -145,13 +142,13 @@ void LandscapeHistory::evict_locked() {
   while (recent_.size() > config_.retain_recent) {
     Entry& front = recent_.front();
     apply_cells(front.cells, base_);
-    if (front.epoch % config_.coarse_stride == 0) {
+    if (front.epoch % kCoarseStride == 0) {
       Entry coarse;
       coarse.epoch = front.epoch;
       coarse.health = std::move(front.health);
       coarse.cells = sparse_of(base_);
       coarse_.push_back(std::move(coarse));
-      while (coarse_.size() > config_.retain_coarse) {
+      while (coarse_.size() > kRetainCoarse) {
         coarse_.pop_front();
       }
     }
@@ -274,9 +271,9 @@ json::Value LandscapeHistory::series_header_locked() const {
               json::Value(static_cast<double>(epochs_recorded_)));
   json::Object retention;
   retention.emplace("coarse_stride",
-                    json::Value(static_cast<double>(config_.coarse_stride)));
+                    json::Value(static_cast<double>(kCoarseStride)));
   retention.emplace("retain_coarse",
-                    json::Value(static_cast<double>(config_.retain_coarse)));
+                    json::Value(static_cast<double>(kRetainCoarse)));
   retention.emplace("retain_recent",
                     json::Value(static_cast<double>(config_.retain_recent)));
   doc.emplace("retention", json::Value(std::move(retention)));

@@ -16,8 +16,8 @@
 //     the previous epoch (sparse landscapes — few infected servers in a large
 //     network — collapse to a handful of cells per epoch);
 //   - epochs evicted from the recent ring are *coarsened*: only epochs
-//     divisible by `coarse_stride` survive, as sparse full rows, up to
-//     `retain_coarse` of them. Older history keeps its shape at reduced
+//     divisible by kCoarseStride survive, as sparse full rows, up to
+//     kRetainCoarse of them. Older history keeps its shape at reduced
 //     temporal resolution instead of vanishing.
 //
 // Serialization is the canonical `botmeter.landscape_series.v1` document via
@@ -77,14 +77,14 @@ struct LandscapeEpochRecord {
   std::optional<std::string> health;
 };
 
+/// Coarsened older epochs retained beyond the recent ring.
+inline constexpr std::size_t kRetainCoarse = 512;
+/// Only epochs divisible by this stride survive coarsening.
+inline constexpr std::int64_t kCoarseStride = 16;
+
 struct LandscapeHistoryConfig {
   /// Full-resolution epochs retained (the delta-encoded recent ring).
   std::size_t retain_recent = 4096;
-  /// Coarsened older epochs retained beyond the recent ring.
-  std::size_t retain_coarse = 512;
-  /// Only epochs divisible by this stride survive coarsening. 1 keeps every
-  /// evicted epoch (until retain_coarse evicts it for good).
-  std::int64_t coarse_stride = 16;
 
   void validate() const;
 };

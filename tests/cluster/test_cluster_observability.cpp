@@ -90,12 +90,17 @@ Reference single_engine_reference(
   return ref;
 }
 
-std::size_t count_kind(const obs::EventJournal& journal, obs::EventKind kind) {
-  std::size_t count = 0;
+std::vector<obs::JournalEvent> events_of(const obs::EventJournal& journal,
+                                         obs::EventKind kind) {
+  std::vector<obs::JournalEvent> events;
   for (const obs::JournalEvent& event : journal.events_since(0)) {
-    if (event.kind == kind) ++count;
+    if (event.kind == kind) events.push_back(event);
   }
-  return count;
+  return events;
+}
+
+std::size_t count_kind(const obs::EventJournal& journal, obs::EventKind kind) {
+  return events_of(journal, kind).size();
 }
 
 // The byte-identity guarantee with the full observability layer attached:
@@ -188,7 +193,14 @@ TEST(ClusterObservability, JournalAndLagObserveTheEpochLifecycle) {
     } else {
       for (const dns::ForwardedLookup& lookup : stream) runtime.ingest(lookup);
     }
+    // The watermark is there already: no close, one journal event.
+    runtime.advance(stream.back().timestamp);
     (void)landscape_bytes(runtime.finish());
+
+    // One explicit advance is one cluster-level event.
+    const auto advances = events_of(journal, obs::EventKind::kWatermarkAdvance);
+    ASSERT_EQ(advances.size(), 1u);
+    EXPECT_EQ(advances[0].shard, -1);
 
     // Every shard closed every epoch, each close journaled once; every
     // merged epoch published once.
@@ -324,8 +336,12 @@ TEST(ClusterObservability, StragglerTableNamesTheLastCloser) {
     EXPECT_GE(row.merge_ms, row.last_close_ms);
   }
 
-  // The explicit advance is journaled once per shard.
-  EXPECT_EQ(count_kind(journal, obs::EventKind::kWatermarkAdvance), kShards);
+  // The explicit advance is one fact: journaled once, at cluster level.
+  const auto advances = events_of(journal, obs::EventKind::kWatermarkAdvance);
+  ASSERT_EQ(advances.size(), 1u);
+  EXPECT_EQ(advances[0].shard, -1);
+  EXPECT_DOUBLE_EQ(advances[0].value,
+                   static_cast<double>(stream.back().timestamp.millis()));
 }
 
 // The TSan target: one producer drives cluster-level ingest while a query
@@ -390,8 +406,9 @@ json::Value diverged_checkpoint(std::span<const dns::ForwardedLookup> stream) {
 
 TEST(ClusterObservability, JournalAutoDumpsWhenClusterTurnsUnhealthy) {
   // Shard 0 closed every epoch, shard 1 none: the frontier lags by the
-  // whole horizon, past the threshold that flips the cluster unhealthy —
-  // the moment the flight recorder must hit the disk on its own.
+  // whole horizon (3 epochs), which degrades the cluster. Five minutes with
+  // no watermark movement then turn it unhealthy — the moment the flight
+  // recorder must hit the disk on its own.
   const auto stream = simulate_stream(85);
   obs::LagTracker lag(2);
   obs::EventJournal journal;
@@ -402,16 +419,18 @@ TEST(ClusterObservability, JournalAutoDumpsWhenClusterTurnsUnhealthy) {
 
   ClusterConfig config = cluster_config(2, 1);
   config.health = stream::StreamHealthConfig{};
-  config.degraded_frontier_lag = 1;
-  config.unhealthy_frontier_lag = 2;
   config.meter.telemetry.lag = &lag;
   config.meter.telemetry.journal = &journal;
   ClusterRuntime runtime(std::move(config));
   runtime.restore(diverged_checkpoint(stream));
   ASSERT_EQ(runtime.max_shard_progress() - runtime.merge_frontier(), kEpochs);
 
-  const stream::HealthState state = runtime.sample_health(1000.0);
-  ASSERT_EQ(state, stream::HealthState::kUnhealthy);
+  ASSERT_EQ(runtime.sample_health(1000.0), stream::HealthState::kDegraded);
+  EXPECT_FALSE(std::ifstream(dump_path).good()) << "dumped while degraded";
+  const double stalled_ms =
+      1000.0 + stream::StreamHealthConfig{}.unhealthy_watermark_lag_ms;
+  ASSERT_EQ(runtime.sample_health(stalled_ms),
+            stream::HealthState::kUnhealthy);
 
   // The transition was journaled and the black box written.
   EXPECT_GE(count_kind(journal, obs::EventKind::kHealthTransition), 1u);

@@ -1,7 +1,7 @@
-// ShardRouter: the server-ownership map must be total, balanced (range
-// mode), invertible (local_index / servers_of agree), loud on every
-// out-of-range query, and exactly round-trippable through the checkpoint
-// envelope serialisation.
+// ShardRouter: the server-ownership map must be total, balanced,
+// invertible (local_index / servers_of agree), loud on every out-of-range
+// query, and exactly round-trippable through the checkpoint envelope
+// serialisation, which holds one form.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -41,26 +41,11 @@ TEST(ShardRouterTest, SingleShardOwnsEverything) {
   }
 }
 
-TEST(ShardRouterTest, ExplicitAssignmentInvertsByAscendingServerId) {
-  // Interleaved ownership: locals are ranks among owned ids, ascending.
-  const ShardRouter router =
-      ShardRouter::explicit_assignment({1, 0, 1, 0, 1}, 2);
-  EXPECT_EQ(router.servers_of(0), (std::vector<std::uint32_t>{1, 3}));
-  EXPECT_EQ(router.servers_of(1), (std::vector<std::uint32_t>{0, 2, 4}));
-  EXPECT_EQ(router.local_index(3), 1u);
-  EXPECT_EQ(router.local_index(4), 2u);
-}
-
 TEST(ShardRouterTest, RejectsDegenerateConfigurations) {
   EXPECT_THROW((void)ShardRouter::by_range(0, 1), ConfigError);
   EXPECT_THROW((void)ShardRouter::by_range(4, 0), ConfigError);
   // More shards than servers would leave an engine with nothing to estimate.
   EXPECT_THROW((void)ShardRouter::by_range(2, 3), ConfigError);
-  // Shard 2 owns no servers.
-  EXPECT_THROW((void)ShardRouter::explicit_assignment({0, 1, 0}, 3),
-               ConfigError);
-  // Assignment names a shard outside the count.
-  EXPECT_THROW((void)ShardRouter::explicit_assignment({0, 5}, 2), ConfigError);
 }
 
 TEST(ShardRouterTest, QueriesRejectOutOfRangeIds) {
@@ -76,70 +61,38 @@ TEST(ShardRouterTest, JsonRoundTripIsExact) {
   // Byte-stable through the canonical writer too.
   EXPECT_EQ(json::write(ShardRouter::from_json(range.to_json()).to_json()),
             json::write(range.to_json()));
-
-  const ShardRouter assigned =
-      ShardRouter::explicit_assignment({2, 0, 1, 2, 0}, 3);
-  EXPECT_EQ(ShardRouter::from_json(assigned.to_json()), assigned);
-
-  // The two construction modes are distinguishable even when equivalent.
-  const ShardRouter as_range = ShardRouter::by_range(4, 2);
-  const ShardRouter as_explicit =
-      ShardRouter::explicit_assignment({0, 0, 1, 1}, 2);
-  EXPECT_FALSE(as_range == as_explicit);
+  EXPECT_EQ(json::write(range.to_json()),
+            R"({"mode":"range","server_count":11,"shard_count":4})");
 }
 
-TEST(ShardRouterTest, FromJsonRejectsCorruptDocuments) {
-  const ShardRouter router = ShardRouter::explicit_assignment({0, 1}, 2);
-  {
-    json::Object broken = router.to_json().as_object();
-    broken["mode"] = json::Value(std::string("hashed"));
-    EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
-                 DataError);
-  }
-  {
-    json::Object broken = router.to_json().as_object();
-    broken["server_count"] = json::Value(7.0);  // assignment length is 2
-    EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
-                 DataError);
-  }
-  {
-    // A stored shard id outside the shard count.
-    json::Object broken = router.to_json().as_object();
-    broken["assignment"] =
-        json::Value(json::Array{json::Value(0.0), json::Value(4294967297.0)});
-    EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
-                 DataError);
-  }
-  {
-    // Structurally invalid stored assignment (shard 1 empty) is DataError,
-    // not ConfigError: the document is corrupt, the caller did nothing wrong.
-    json::Object broken = router.to_json().as_object();
-    broken["assignment"] =
-        json::Value(json::Array{json::Value(0.0), json::Value(0.0)});
+TEST(ShardRouterTest, FromJsonRejectsUnknownModes) {
+  // A stored router has one form; any other mode — including the
+  // hand-assigned "explicit" form older documents could name — is corrupt
+  // data, not a caller configuration mistake.
+  for (const char* mode : {"hashed", "explicit"}) {
+    SCOPED_TRACE(mode);
+    json::Object broken = ShardRouter::by_range(4, 2).to_json().as_object();
+    broken["mode"] = json::Value(std::string(mode));
     EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),
                  DataError);
   }
 }
 
 TEST(ShardRouterTest, FromJsonRejectsCountsOutsideTheIdRange) {
-  // Both modes: a count below 1 or past the u32 id range is corrupt data,
-  // rejected before any table is sized by it.
-  for (const ShardRouter& router : {ShardRouter::by_range(4, 2),
-                                    ShardRouter::explicit_assignment(
-                                        {0, 1, 0, 1}, 2)}) {
-    for (const char* key : {"server_count", "shard_count"}) {
-      for (const double count : {-1.0, 0.0, 4294967296.0, 1e12}) {
-        SCOPED_TRACE(json::write(router.to_json()) + " " + key + "=" +
-                     std::to_string(count));
-        json::Object broken = router.to_json().as_object();
-        broken[key] = json::Value(count);
-        EXPECT_THROW(
-            (void)ShardRouter::from_json(json::Value(std::move(broken))),
-            DataError);
-      }
+  // A count below 1 or past the u32 id range is corrupt data, rejected
+  // before any table is sized by it.
+  const ShardRouter router = ShardRouter::by_range(4, 2);
+  for (const char* key : {"server_count", "shard_count"}) {
+    for (const double count : {-1.0, 0.0, 4294967296.0, 1e12}) {
+      SCOPED_TRACE(std::string(key) + "=" + std::to_string(count));
+      json::Object broken = router.to_json().as_object();
+      broken[key] = json::Value(count);
+      EXPECT_THROW(
+          (void)ShardRouter::from_json(json::Value(std::move(broken))),
+          DataError);
     }
   }
-  // A range router with more shards than servers is corrupt data too.
+  // A router with more shards than servers is corrupt data too.
   json::Object broken = ShardRouter::by_range(4, 2).to_json().as_object();
   broken["shard_count"] = json::Value(5.0);
   EXPECT_THROW((void)ShardRouter::from_json(json::Value(std::move(broken))),

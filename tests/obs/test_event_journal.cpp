@@ -20,27 +20,26 @@ namespace botmeter::obs {
 namespace {
 
 TEST(EventJournal, AppendAssignsMonotonicSeqAndRingEvictsOldest) {
-  EventJournalConfig config;
-  config.capacity = 4;
-  EventJournal journal(config);
-
-  for (int i = 0; i < 6; ++i) {
+  EventJournal journal;
+  constexpr std::size_t kAppends = kJournalCapacity + 2;
+  for (std::size_t i = 0; i < kAppends; ++i) {
     JournalEvent event;
     event.t_ms = static_cast<double>(i);
     event.kind = EventKind::kEpochClose;
-    event.epoch = i;
+    event.epoch = static_cast<std::int64_t>(i);
     const std::uint64_t seq = journal.append(event);
-    EXPECT_EQ(seq, static_cast<std::uint64_t>(i));
+    EXPECT_EQ(seq, i);
   }
-  EXPECT_EQ(journal.next_seq(), 6u);
-  EXPECT_EQ(journal.size(), 4u);
+  EXPECT_EQ(journal.next_seq(), kAppends);
+  EXPECT_EQ(journal.size(), kJournalCapacity);
   EXPECT_EQ(journal.dropped(), 2u);
 
   // The oldest two fell off; what remains starts at seq 2, oldest first.
   const std::vector<JournalEvent> events = journal.events_since(0);
-  ASSERT_EQ(events.size(), 4u);
+  ASSERT_EQ(events.size(), kJournalCapacity);
   EXPECT_EQ(events.front().seq, 2u);
-  EXPECT_EQ(events.back().seq, 5u);
+  EXPECT_EQ(events.front().epoch, 2);
+  EXPECT_EQ(events.back().seq, kAppends - 1);
   for (std::size_t i = 1; i < events.size(); ++i) {
     EXPECT_LT(events[i - 1].seq, events[i].seq);
   }
@@ -48,10 +47,10 @@ TEST(EventJournal, AppendAssignsMonotonicSeqAndRingEvictsOldest) {
 
 TEST(EventJournal, EventsSinceFiltersBySeqAndShard) {
   EventJournal journal;
-  journal.log(EventKind::kEpochClose, 0, 10);
-  journal.log(EventKind::kEpochClose, 1, 10);
-  journal.log(EventKind::kMergePublish, -1, 10);
-  journal.log(EventKind::kEpochClose, 0, 11);
+  journal.log_at(1.0, EventKind::kEpochClose, 0, 10, 0.0);
+  journal.log_at(2.0, EventKind::kEpochClose, 1, 10, 0.0);
+  journal.log_at(3.0, EventKind::kMergePublish, -1, 10, 0.0);
+  journal.log_at(4.0, EventKind::kEpochClose, 0, 11, 0.0);
 
   EXPECT_EQ(journal.events_since(2).size(), 2u);
   EXPECT_EQ(journal.events_since(99).size(), 0u);
@@ -60,21 +59,12 @@ TEST(EventJournal, EventsSinceFiltersBySeqAndShard) {
   ASSERT_EQ(shard0.size(), 2u);
   EXPECT_EQ(shard0[0].epoch, 10);
   EXPECT_EQ(shard0[1].epoch, 11);
+  EXPECT_DOUBLE_EQ(shard0[1].t_ms, 4.0);
 
   // Cluster-level events (-1) are matched only by asking for -1 explicitly.
   const auto cluster = journal.events_since(0, -1);
   ASSERT_EQ(cluster.size(), 1u);
   EXPECT_EQ(cluster[0].kind, EventKind::kMergePublish);
-}
-
-TEST(EventJournal, LogStampsNonDecreasingTime) {
-  EventJournal journal;
-  journal.log(EventKind::kCheckpoint, -1);
-  journal.log(EventKind::kRestore, -1);
-  const auto events = journal.events_since(0);
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_GE(events[0].t_ms, 0.0);
-  EXPECT_LE(events[0].t_ms, events[1].t_ms);
 }
 
 TEST(EventJournal, KindNamesRoundTrip) {
@@ -90,8 +80,9 @@ TEST(EventJournal, KindNamesRoundTrip) {
 
 TEST(EventJournal, ToJsonIsTheCanonicalEventsDocument) {
   EventJournal journal;
-  journal.log(EventKind::kEpochClose, 2, 40, 1.5, "closed");
-  journal.log(EventKind::kCheckpoint, -1);
+  journal.log_at(12.5, EventKind::kEpochClose, 2, 40, 1.5, "closed");
+  journal.log_at(13.0, EventKind::kCheckpoint, -1, JournalEvent::kNoEpoch,
+                 0.0);
 
   const json::Value root = journal.to_json();
   EXPECT_EQ(root.at("schema").as_string(), "botmeter.events.v1");
@@ -102,6 +93,7 @@ TEST(EventJournal, ToJsonIsTheCanonicalEventsDocument) {
 
   const json::Value& close = events[0];
   EXPECT_EQ(close.at("seq").as_int(), 0);
+  EXPECT_DOUBLE_EQ(close.at("t_ms").as_double(), 12.5);
   EXPECT_EQ(close.at("shard").as_int(), 2);
   EXPECT_EQ(close.at("kind").as_string(), "epoch_close");
   EXPECT_EQ(close.at("epoch").as_int(), 40);
@@ -120,8 +112,8 @@ TEST(EventJournal, ToJsonIsTheCanonicalEventsDocument) {
 
 TEST(EventJournal, DumpWritesParseableDocumentAndAutoDumpIsSafe) {
   EventJournal journal;
-  journal.log(EventKind::kHealthTransition, -1, JournalEvent::kNoEpoch, 2.0,
-              "degraded->unhealthy");
+  journal.log_at(7.0, EventKind::kHealthTransition, -1, JournalEvent::kNoEpoch,
+                 2.0, "degraded->unhealthy");
 
   // No configured path: auto_dump is a no-op, never an error.
   EXPECT_FALSE(journal.auto_dump());
@@ -148,12 +140,6 @@ TEST(EventJournal, DumpWritesParseableDocumentAndAutoDumpIsSafe) {
   EXPECT_FALSE(journal.auto_dump());
 }
 
-TEST(EventJournal, ConfigValidates) {
-  EventJournalConfig config;
-  config.capacity = 0;
-  EXPECT_THROW(EventJournal{config}, ConfigError);
-}
-
 // The TSan target: several producer threads append while a reader polls
 // events_since and the JSON document (the /events handler's exact calls).
 // Every sequence number must be assigned exactly once and every query must
@@ -161,9 +147,9 @@ TEST(EventJournal, ConfigValidates) {
 TEST(EventJournal, ConcurrentAppendsAndQueriesStayConsistent) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 500;
-  EventJournalConfig config;
-  config.capacity = kProducers * kPerProducer;  // retain everything
-  EventJournal journal(config);
+  static_assert(std::size_t{kProducers * kPerProducer} <= kJournalCapacity,
+                "the ring retains every event");
+  EventJournal journal;
 
   std::atomic<bool> done{false};
   std::thread reader([&journal, &done] {
@@ -182,7 +168,8 @@ TEST(EventJournal, ConcurrentAppendsAndQueriesStayConsistent) {
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&journal, p] {
       for (int i = 0; i < kPerProducer; ++i) {
-        journal.log(EventKind::kEpochClose, p, i);
+        journal.log_at(static_cast<double>(i), EventKind::kEpochClose, p, i,
+                       0.0);
       }
     });
   }

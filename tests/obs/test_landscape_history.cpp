@@ -97,40 +97,45 @@ TEST(LandscapeHistory, WindowAndSeriesFilterByEpoch) {
 TEST(LandscapeHistory, EvictionCoarsensByStride) {
   LandscapeHistoryConfig config;
   config.retain_recent = 3;
-  config.retain_coarse = 2;
-  config.coarse_stride = 2;
   LandscapeHistory history(config);
-  for (std::int64_t e = 0; e < 10; ++e) {
+  // Enough epochs for kRetainCoarse + 2 stride multiples to leave the
+  // recent ring.
+  constexpr std::int64_t kRecorded =
+      (static_cast<std::int64_t>(kRetainCoarse) + 2) * kCoarseStride + 3;
+  for (std::int64_t e = 0; e < kRecorded; ++e) {
     history.record(row_of(e, {cell(10.0 + static_cast<double>(e), 100)}));
   }
 
-  // Epochs 0..6 were evicted; only even ones survive, bounded to the last 2.
-  const auto window = history.window(0, 99);
-  std::vector<std::int64_t> epochs;
-  std::vector<std::string> tiers;
-  for (const LandscapeSnapshot& snap : window) {
-    epochs.push_back(snap.epoch);
-    tiers.push_back(snap.tier);
+  // Epochs before the last 3 were evicted; only stride multiples survive,
+  // bounded to the last kRetainCoarse of them (0 and kCoarseStride fell
+  // off).
+  const auto window = history.window(0, kRecorded);
+  ASSERT_EQ(window.size(), kRetainCoarse + 3);
+  for (std::size_t i = 0; i < kRetainCoarse; ++i) {
+    EXPECT_EQ(window[i].tier, "coarse");
+    EXPECT_EQ(window[i].epoch,
+              (static_cast<std::int64_t>(i) + 2) * kCoarseStride);
   }
-  EXPECT_EQ(epochs, (std::vector<std::int64_t>{4, 6, 7, 8, 9}));
-  EXPECT_EQ(tiers, (std::vector<std::string>{"coarse", "coarse", "recent",
-                                             "recent", "recent"}));
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(window[kRetainCoarse + i].tier, "recent");
+    EXPECT_EQ(window[kRetainCoarse + i].epoch,
+              kRecorded - 3 + static_cast<std::int64_t>(i));
+  }
   // Coarse rows are full reconstructions, not bare deltas.
-  EXPECT_DOUBLE_EQ(window[0].servers[0].population, 14.0);
+  EXPECT_DOUBLE_EQ(window[0].servers[0].population,
+                   10.0 + static_cast<double>(2 * kCoarseStride));
 
   const auto summary = history.summary();
   ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->epochs_recorded, 10u);
-  EXPECT_EQ(summary->epochs_retained, 5u);
-  EXPECT_EQ(summary->first_retained_epoch, 4);
-  EXPECT_EQ(summary->last_epoch, 9);
+  EXPECT_EQ(summary->epochs_recorded, static_cast<std::uint64_t>(kRecorded));
+  EXPECT_EQ(summary->epochs_retained, kRetainCoarse + 3);
+  EXPECT_EQ(summary->first_retained_epoch, 2 * kCoarseStride);
+  EXPECT_EQ(summary->last_epoch, kRecorded - 1);
 }
 
 TEST(LandscapeHistory, ToJsonParsesBackToTheRetainedWindow) {
   LandscapeHistoryConfig config;
   config.retain_recent = 4;
-  config.retain_coarse = 8;
-  config.coarse_stride = 2;
   LandscapeHistory history(config);
   for (std::int64_t e = 0; e < 9; ++e) {
     std::optional<std::string> health =
@@ -147,7 +152,14 @@ TEST(LandscapeHistory, ToJsonParsesBackToTheRetainedWindow) {
   EXPECT_EQ(doc.at("schema").as_string(), "botmeter.landscape_series.v1");
   EXPECT_EQ(doc.at("family").as_string(), "newGoZ");
   EXPECT_EQ(doc.at("server_count").as_int(), 2);
-  EXPECT_EQ(doc.at("retention").at("coarse_stride").as_int(), 2);
+  // Epochs 0..4 left the recent ring; epoch 0 survived coarsening.
+  EXPECT_EQ(doc.at("entries").as_array().front().at("tier").as_string(),
+            "coarse");
+  // The retention object every landscape_series.v1 document carries.
+  const json::Value& retention = doc.at("retention");
+  EXPECT_EQ(retention.at("coarse_stride").as_int(), 16);
+  EXPECT_EQ(retention.at("retain_coarse").as_int(), 512);
+  EXPECT_EQ(retention.at("retain_recent").as_int(), 4);
   // Byte-stable writer: same state, same bytes.
   EXPECT_EQ(json::write(doc), json::write(history.to_json()));
 
@@ -219,9 +231,6 @@ TEST(LandscapeHistory, RejectsIdentityAndOrderViolations) {
 
   LandscapeHistoryConfig bad;
   bad.retain_recent = 0;
-  EXPECT_THROW(LandscapeHistory{bad}, ConfigError);
-  bad.retain_recent = 1;
-  bad.coarse_stride = 0;
   EXPECT_THROW(LandscapeHistory{bad}, ConfigError);
 }
 

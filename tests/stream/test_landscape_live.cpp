@@ -117,7 +117,6 @@ TEST(LandscapeLive, ConcurrentQueriesDuringRecordingStayConsistent) {
   // while the "ingest" thread records rows. Run under TSan in CI.
   obs::LandscapeHistoryConfig config;
   config.retain_recent = 64;
-  config.coarse_stride = 4;
   obs::LandscapeHistory history(config);
 
   constexpr std::int64_t kRows = 400;
@@ -159,7 +158,7 @@ TEST(LandscapeLive, ConcurrentQueriesDuringRecordingStayConsistent) {
     // configured bounds, and — because the retained count never shrinks in
     // this configuration — the later window read sees at least as much.
     EXPECT_LE(full.snapshots.size(),
-              config.retain_recent + config.retain_coarse);
+              config.retain_recent + obs::kRetainCoarse);
     EXPECT_GE(window.snapshots.size(), full.snapshots.size());
     (void)history.summary();
     observed = full.epochs_recorded;
