@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -33,17 +34,6 @@ std::string_view event_kind_name(EventKind kind) {
   throw DataError("unknown EventKind ordinal");
 }
 
-EventKind event_kind_from_name(std::string_view name) {
-  for (const EventKind kind :
-       {EventKind::kHealthTransition, EventKind::kEpochClose,
-        EventKind::kWatermarkAdvance, EventKind::kCheckpoint,
-        EventKind::kRestore, EventKind::kQueueSaturation,
-        EventKind::kMergePublish}) {
-    if (event_kind_name(kind) == name) return kind;
-  }
-  throw DataError("unknown event kind: " + std::string(name));
-}
-
 std::uint64_t EventJournal::append(JournalEvent event) {
   std::lock_guard<std::mutex> lock(mu_);
   event.seq = next_seq_++;
@@ -69,37 +59,22 @@ std::uint64_t EventJournal::log_at(double t_ms, EventKind kind,
   return append(std::move(event));
 }
 
-std::vector<JournalEvent> EventJournal::events_since(
-    std::uint64_t from, std::optional<std::int32_t> shard) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<JournalEvent> out;
-  for (const JournalEvent& event : ring_) {
-    if (event.seq < from) continue;
-    if (shard && event.shard != *shard) continue;
-    out.push_back(event);
-  }
-  return out;
-}
-
-std::uint64_t EventJournal::next_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return next_seq_;
-}
-
-std::uint64_t EventJournal::dropped() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dropped_;
-}
-
-std::size_t EventJournal::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
 json::Value EventJournal::to_json(std::uint64_t from,
                                   std::optional<std::int32_t> shard) const {
   using json::Value;
-  const std::vector<JournalEvent> events = events_since(from, shard);
+  std::vector<JournalEvent> events;
+  std::uint64_t next_seq = 0;
+  std::uint64_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const JournalEvent& event : ring_) {
+      if (event.seq < from) continue;
+      if (shard && event.shard != *shard) continue;
+      events.push_back(event);
+    }
+    next_seq = next_seq_;
+    dropped = dropped_;
+  }
   json::Array rows;
   rows.reserve(events.size());
   for (const JournalEvent& event : events) {
@@ -115,15 +90,12 @@ json::Value EventJournal::to_json(std::uint64_t from,
     if (!event.message.empty()) {
       row.emplace("message", Value(event.message));
     }
-    rows.push_back(Value(std::move(row)));
+    rows.emplace_back(std::move(row));
   }
   json::Object root;
   root.emplace("schema", Value(std::string(kSchema)));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    root.emplace("next_seq", Value(static_cast<double>(next_seq_)));
-    root.emplace("dropped", Value(static_cast<double>(dropped_)));
-  }
+  root.emplace("next_seq", Value(static_cast<double>(next_seq)));
+  root.emplace("dropped", Value(static_cast<double>(dropped)));
   root.emplace("events", Value(std::move(rows)));
   return Value(std::move(root));
 }
@@ -157,11 +129,6 @@ bool EventJournal::auto_dump() const {
     return false;
   }
   return true;
-}
-
-std::string EventJournal::dump_path() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return dump_path_;
 }
 
 }  // namespace botmeter::obs

@@ -14,15 +14,18 @@
 // reused), a wall-time stamp on the appending pipeline's obs::Telemetry
 // clock (the journal keeps no clock of its own), an optional shard index
 // (-1 = cluster / engine level), a kind, and small details
-// (epoch, numeric value, free-text message). `events_since(seq)` plus the
-// seq cursor give pollers (`/events?from=&shard=`) exactly-once delivery
-// without the journal tracking consumers.
+// (epoch, numeric value, free-text message).
 //
-// Serialization is the canonical `botmeter.events.v1` document via the
-// byte-stable common/json writer. `dump()` writes it to disk; callers that
-// configure `set_dump_path()` can invoke `auto_dump()` at the moment a
-// health monitor turns unhealthy — the flight recorder hits the ground
-// with the black box already written.
+// The canonical `botmeter.events.v1` document (byte-stable common/json
+// writer) is the journal's read path. `to_json(from, shard)` copies the
+// matching events, `next_seq` and `dropped` in one critical section, so a
+// poller (`/events?from=&shard=`) that resumes at the document's `next_seq`
+// gets every event exactly once without the journal tracking consumers:
+// nothing appended before that cut is missing from the document, and
+// nothing after it is in it. `dump()` writes the document to disk; callers
+// that configure `set_dump_path()` can invoke `auto_dump()` at the moment a
+// health monitor turns unhealthy — the flight recorder hits the ground with
+// the black box already written.
 //
 // Thread-safety and cost: one mutex, short critical sections (a push +
 // possible pop per append; queries copy under the lock). Appends happen per
@@ -39,7 +42,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/json.hpp"
 
@@ -56,11 +58,9 @@ enum class EventKind : int {
 };
 
 [[nodiscard]] std::string_view event_kind_name(EventKind kind);
-/// Inverse of event_kind_name; throws DataError on an unknown word.
-[[nodiscard]] EventKind event_kind_from_name(std::string_view name);
 
 /// Ring capacity in events. Appends beyond it evict the oldest event
-/// (counted in EventJournal::dropped()).
+/// (counted in the document's `dropped`).
 inline constexpr std::size_t kJournalCapacity = 4096;
 
 /// One journal entry. `seq` is assigned by append(); everything else is the
@@ -101,20 +101,13 @@ class EventJournal {
                        std::int64_t epoch, double value,
                        std::string message = {});
 
-  /// Retained events with seq >= from, oldest first; with `shard` set, only
-  /// that shard's events (cluster-level events carry shard -1 and are
-  /// matched by filtering for -1 explicitly, not implicitly included).
-  [[nodiscard]] std::vector<JournalEvent> events_since(
-      std::uint64_t from,
-      std::optional<std::int32_t> shard = std::nullopt) const;
-
-  /// Sequence number the next append will receive (== total ever appended).
-  [[nodiscard]] std::uint64_t next_seq() const;
-  /// Events evicted from the ring so far.
-  [[nodiscard]] std::uint64_t dropped() const;
-  [[nodiscard]] std::size_t size() const;
-
-  /// Canonical botmeter.events.v1 document over events_since(from, shard).
+  /// Canonical botmeter.events.v1 document: the retained events with
+  /// seq >= from, oldest first; with `shard` set, only that shard's events
+  /// (cluster-level events carry shard -1 and are matched by filtering for
+  /// -1 explicitly, not implicitly included). `next_seq` is the sequence
+  /// number the next append will receive (== total ever appended), the
+  /// cursor a poller resumes from; `dropped` counts events evicted from the
+  /// ring so far.
   [[nodiscard]] json::Value to_json(
       std::uint64_t from = 0,
       std::optional<std::int32_t> shard = std::nullopt) const;
@@ -129,7 +122,6 @@ class EventJournal {
   /// recorder must never take the pipeline down with it). Returns true when
   /// a dump was written. No-op without a configured path.
   bool auto_dump() const;
-  [[nodiscard]] std::string dump_path() const;
 
  private:
   mutable std::mutex mu_;

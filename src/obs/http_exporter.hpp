@@ -25,13 +25,18 @@
 #pragma once
 
 #include <atomic>
+#include <charconv>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
+
+#include "common/error.hpp"
 
 namespace botmeter::obs {
 
@@ -56,6 +61,26 @@ struct HttpRequest {
   /// percent-decoded with '+' as space; nullopt when absent. A bare key
   /// with no '=' yields an empty string.
   [[nodiscard]] std::optional<std::string> param(std::string_view key) const;
+
+  /// The integer query parameter `key`, parsed whole as a decimal `Int`;
+  /// nullopt when absent or empty. Throws DataError naming the key when the
+  /// value carries anything else (`1e3`, ` 1`, `+1`) or lies outside Int's
+  /// range, so a handler never serves a prefix or a wrapped value.
+  template <typename Int>
+  [[nodiscard]] std::optional<Int> int_param(std::string_view key) const {
+    const std::optional<std::string> text = param(key);
+    if (!text || text->empty()) return std::nullopt;
+    Int value{};
+    const char* end = text->data() + text->size();
+    const auto [ptr, ec] = std::from_chars(text->data(), end, value);
+    if (ec != std::errc{} || ptr != end) {
+      throw DataError("query parameter '" + std::string(key) + "': '" +
+                      *text + "' is not an integer in [" +
+                      std::to_string(std::numeric_limits<Int>::min()) + ", " +
+                      std::to_string(std::numeric_limits<Int>::max()) + "]");
+    }
+    return value;
+  }
 };
 
 /// One HTTP response. Handlers fill status/content_type/body; the exporter

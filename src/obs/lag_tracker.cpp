@@ -94,113 +94,94 @@ void LagTracker::note_merge(std::int64_t epoch,
   if (stragglers_.size() > kStragglerRows) stragglers_.pop_front();
 }
 
-LagStageSample LagTracker::stage_sample(std::size_t shard,
-                                        LagStage stage) const {
-  if (shard >= shard_count_) {
-    throw ConfigError("LagTracker.stage_sample: shard index out of range");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const StageAcc& acc =
-      stages_[shard * kLagStageCount + static_cast<std::size_t>(stage)];
-  LagStageSample sample;
-  sample.count = acc.count;
-  sample.total_ms = acc.total_ms;
-  sample.max_ms = acc.max_ms;
-  sample.bucket_counts = acc.buckets;
-  return sample;
-}
-
-std::vector<StragglerRow> LagTracker::stragglers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {stragglers_.begin(), stragglers_.end()};
-}
-
-LagAttribution LagTracker::attribution() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  LagAttribution out;
-  out.stage_total_ms.assign(kLagStageCount, 0.0);
+json::Value LagTracker::attribution_of(
+    const std::vector<StageAcc>& stages) const {
+  using json::Value;
+  std::vector<double> stage_total(kLagStageCount, 0.0);
   std::vector<double> shard_total(shard_count_, 0.0);
+  std::uint64_t samples = 0;
   for (std::size_t shard = 0; shard < shard_count_; ++shard) {
     for (std::size_t s = 0; s < kLagStageCount; ++s) {
-      const StageAcc& acc = stages_[shard * kLagStageCount + s];
-      out.stage_total_ms[s] += acc.total_ms;
+      const StageAcc& acc = stages[shard * kLagStageCount + s];
+      stage_total[s] += acc.total_ms;
       shard_total[shard] += acc.total_ms;
+      samples += acc.count;
     }
   }
-  std::uint64_t samples = 0;
-  for (const StageAcc& acc : stages_) samples += acc.count;
-  if (samples == 0) return out;
-  const std::size_t stage_idx = static_cast<std::size_t>(
-      std::max_element(out.stage_total_ms.begin(), out.stage_total_ms.end()) -
-      out.stage_total_ms.begin());
-  out.slowest_stage = kAllStages[stage_idx];
-  out.slowest_stage_total_ms = out.stage_total_ms[stage_idx];
-  const std::size_t shard_idx = static_cast<std::size_t>(
-      std::max_element(shard_total.begin(), shard_total.end()) -
-      shard_total.begin());
-  out.slowest_shard = shard_idx;
-  out.slowest_shard_total_ms = shard_total[shard_idx];
-  return out;
-}
-
-json::Value LagTracker::attribution_json() const {
-  using json::Value;
-  const LagAttribution a = attribution();
   json::Object o;
   json::Object totals;
   for (std::size_t s = 0; s < kLagStageCount; ++s) {
     totals.emplace(std::string(lag_stage_name(kAllStages[s])),
-                   Value(a.stage_total_ms[s]));
+                   Value(stage_total[s]));
   }
   o.emplace("stage_total_ms", Value(std::move(totals)));
-  if (a.slowest_stage) {
+  if (samples > 0) {
+    const std::size_t stage_idx = static_cast<std::size_t>(
+        std::max_element(stage_total.begin(), stage_total.end()) -
+        stage_total.begin());
     o.emplace("slowest_stage",
-              Value(std::string(lag_stage_name(*a.slowest_stage))));
-    o.emplace("slowest_stage_total_ms", Value(a.slowest_stage_total_ms));
-  }
-  if (a.slowest_shard) {
-    o.emplace("slowest_shard",
-              Value(static_cast<double>(*a.slowest_shard)));
-    o.emplace("slowest_shard_total_ms", Value(a.slowest_shard_total_ms));
+              Value(std::string(lag_stage_name(kAllStages[stage_idx]))));
+    o.emplace("slowest_stage_total_ms", Value(stage_total[stage_idx]));
+    const std::size_t shard_idx = static_cast<std::size_t>(
+        std::max_element(shard_total.begin(), shard_total.end()) -
+        shard_total.begin());
+    o.emplace("slowest_shard", Value(static_cast<double>(shard_idx)));
+    o.emplace("slowest_shard_total_ms", Value(shard_total[shard_idx]));
   }
   return Value(std::move(o));
 }
 
+json::Value LagTracker::attribution_json() const {
+  std::vector<StageAcc> stages;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stages = stages_;
+  }
+  return attribution_of(stages);
+}
+
 json::Value LagTracker::to_json() const {
   using json::Value;
+  std::vector<StageAcc> stages;
+  std::vector<StragglerRow> stragglers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stages = stages_;
+    stragglers.assign(stragglers_.begin(), stragglers_.end());
+  }
+
   json::Array bound_values;
-  for (const double b : bounds()) bound_values.push_back(Value(b));
+  for (const double b : bounds()) bound_values.emplace_back(b);
 
   json::Array shard_rows;
   for (std::size_t shard = 0; shard < shard_count_; ++shard) {
-    json::Object stages;
+    json::Object stage_objects;
     for (std::size_t s = 0; s < kLagStageCount; ++s) {
-      const LagStageSample sample = stage_sample(shard, kAllStages[s]);
+      const StageAcc& acc = stages[shard * kLagStageCount + s];
       json::Object stage;
-      stage.emplace("count", Value(static_cast<double>(sample.count)));
-      stage.emplace("total_ms", Value(sample.total_ms));
-      stage.emplace("max_ms", Value(sample.max_ms));
+      stage.emplace("count", Value(static_cast<double>(acc.count)));
+      stage.emplace("total_ms", Value(acc.total_ms));
+      stage.emplace("max_ms", Value(acc.max_ms));
       stage.emplace("mean_ms",
-                    Value(sample.count > 0
-                              ? sample.total_ms /
-                                    static_cast<double>(sample.count)
+                    Value(acc.count > 0
+                              ? acc.total_ms / static_cast<double>(acc.count)
                               : 0.0));
       json::Array buckets;
-      for (const std::uint64_t c : sample.bucket_counts) {
-        buckets.push_back(Value(static_cast<double>(c)));
+      for (const std::uint64_t c : acc.buckets) {
+        buckets.emplace_back(static_cast<double>(c));
       }
       stage.emplace("buckets", Value(std::move(buckets)));
-      stages.emplace(std::string(lag_stage_name(kAllStages[s])),
-                     Value(std::move(stage)));
+      stage_objects.emplace(std::string(lag_stage_name(kAllStages[s])),
+                            Value(std::move(stage)));
     }
     json::Object row;
     row.emplace("shard", Value(static_cast<double>(shard)));
-    row.emplace("stages", Value(std::move(stages)));
-    shard_rows.push_back(Value(std::move(row)));
+    row.emplace("stages", Value(std::move(stage_objects)));
+    shard_rows.emplace_back(std::move(row));
   }
 
   json::Array straggler_rows;
-  for (const StragglerRow& row : stragglers()) {
+  for (const StragglerRow& row : stragglers) {
     json::Object o;
     o.emplace("epoch", Value(static_cast<double>(row.epoch)));
     o.emplace("straggler_shard",
@@ -209,7 +190,7 @@ json::Value LagTracker::to_json() const {
     o.emplace("last_close_ms", Value(row.last_close_ms));
     o.emplace("straggle_ms", Value(row.straggle_ms));
     o.emplace("merge_ms", Value(row.merge_ms));
-    straggler_rows.push_back(Value(std::move(o)));
+    straggler_rows.emplace_back(std::move(o));
   }
 
   json::Object root;
@@ -218,7 +199,7 @@ json::Value LagTracker::to_json() const {
   root.emplace("bucket_bounds_ms", Value(std::move(bound_values)));
   root.emplace("shards", Value(std::move(shard_rows)));
   root.emplace("stragglers", Value(std::move(straggler_rows)));
-  root.emplace("attribution", attribution_json());
+  root.emplace("attribution", attribution_of(stages));
   return Value(std::move(root));
 }
 

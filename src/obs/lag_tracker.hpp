@@ -25,10 +25,13 @@
 // arrival times come with the merge, so the tracker keeps no per-close
 // state.
 //
-// `attribution()` folds the table down to the slowest stage and slowest
-// shard by accumulated wall time, which ClusterRuntime::health_json embeds
-// so a "degraded" verdict names its suspect. `to_json()` is the full
-// canonical `botmeter.lag.v1` document served at `/debug/lag`.
+// The documents are the read path. `to_json()` is the full canonical
+// `botmeter.lag.v1` document served at `/debug/lag`; `attribution_json()`
+// folds the accumulators down to the slowest stage and slowest shard by
+// accumulated wall time, which ClusterRuntime::health_json embeds so a
+// "degraded" verdict names its suspect. Each document is rendered from one
+// copy of the tracker's state, taken under one lock, so its parts agree:
+// `attribution.stage_total_ms` is the sum of the stages it lists.
 //
 // Like every observability sink in this codebase, the tracker is attached
 // through obs::Telemetry: absent means no clock reads and no-ops, keeping
@@ -62,41 +65,6 @@ inline constexpr std::size_t kStragglerRows = 256;
 
 [[nodiscard]] std::string_view lag_stage_name(LagStage stage);
 
-/// One row of the per-epoch straggler table.
-struct StragglerRow {
-  std::int64_t epoch = 0;
-  /// Shard whose epoch close arrived last at the merger.
-  std::size_t straggler_shard = 0;
-  double first_close_ms = 0.0;
-  double last_close_ms = 0.0;
-  /// last_close_ms - first_close_ms: how long the merge frontier waited on
-  /// the straggler after the first shard was ready.
-  double straggle_ms = 0.0;
-  /// When the merged row was published.
-  double merge_ms = 0.0;
-};
-
-/// Accumulated view of one (shard, stage) histogram.
-struct LagStageSample {
-  std::uint64_t count = 0;
-  double total_ms = 0.0;
-  double max_ms = 0.0;
-  std::vector<std::uint64_t> bucket_counts;  // bounds.size() + 1 (overflow)
-};
-
-/// attribution(): the fold health_json embeds.
-struct LagAttribution {
-  /// Stage with the largest accumulated wall time across all shards, and
-  /// that total. Unset (nullopt) until at least one sample was recorded.
-  std::optional<LagStage> slowest_stage;
-  double slowest_stage_total_ms = 0.0;
-  /// Shard with the largest accumulated wall time across all stages.
-  std::optional<std::size_t> slowest_shard;
-  double slowest_shard_total_ms = 0.0;
-  /// Accumulated wall time per stage, summed over shards (kLagStageCount).
-  std::vector<double> stage_total_ms;
-};
-
 class LagTracker {
  public:
   explicit LagTracker(std::size_t shard_count);
@@ -118,16 +86,13 @@ class LagTracker {
                   std::span<const std::optional<double>> closed_ms,
                   double now_ms);
 
-  [[nodiscard]] LagStageSample stage_sample(std::size_t shard,
-                                            LagStage stage) const;
-  /// Straggler rows in merge order, oldest first (the last kStragglerRows).
-  [[nodiscard]] std::vector<StragglerRow> stragglers() const;
-
-  [[nodiscard]] LagAttribution attribution() const;
-
-  /// Canonical botmeter.lag.v1 document for /debug/lag.
+  /// Canonical botmeter.lag.v1 document for /debug/lag: every (shard,
+  /// stage) histogram, the straggler rows in merge order (oldest first, the
+  /// last kStragglerRows) and the attribution fold.
   [[nodiscard]] json::Value to_json() const;
-  /// The compact object health_json embeds under "lag".
+  /// The compact object health_json embeds under "lag": per-stage totals
+  /// summed over shards, and the slowest stage and shard once any sample was
+  /// recorded.
   [[nodiscard]] json::Value attribution_json() const;
 
   /// Shared histogram bounds (milliseconds).
@@ -138,8 +103,26 @@ class LagTracker {
     std::uint64_t count = 0;
     double total_ms = 0.0;
     double max_ms = 0.0;
-    std::vector<std::uint64_t> buckets;  // bounds().size() + 1
+    std::vector<std::uint64_t> buckets;  // bounds().size() + 1 (overflow)
   };
+
+  /// One row of the per-epoch straggler table.
+  struct StragglerRow {
+    std::int64_t epoch = 0;
+    /// Shard whose epoch close arrived last at the merger.
+    std::size_t straggler_shard = 0;
+    double first_close_ms = 0.0;
+    double last_close_ms = 0.0;
+    /// last_close_ms - first_close_ms: how long the merge frontier waited on
+    /// the straggler after the first shard was ready.
+    double straggle_ms = 0.0;
+    /// When the merged row was published.
+    double merge_ms = 0.0;
+  };
+
+  /// The attribution object of one copy of `stages_`.
+  [[nodiscard]] json::Value attribution_of(
+      const std::vector<StageAcc>& stages) const;
 
   std::size_t shard_count_;
 

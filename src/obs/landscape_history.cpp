@@ -77,18 +77,6 @@ void LandscapeHistoryConfig::validate() const {
   }
 }
 
-double LandscapeSnapshot::total_population() const {
-  double total = 0.0;
-  for (const LandscapeCell& cell : servers) total += cell.population;
-  return total;
-}
-
-std::uint64_t LandscapeSnapshot::total_matched() const {
-  std::uint64_t total = 0;
-  for (const LandscapeCell& cell : servers) total += cell.matched;
-  return total;
-}
-
 LandscapeHistory::LandscapeHistory(LandscapeHistoryConfig config)
     : config_(config) {
   config_.validate();
@@ -156,17 +144,6 @@ void LandscapeHistory::evict_locked() {
   }
 }
 
-std::optional<LandscapeSnapshot> LandscapeHistory::latest() const {
-  std::lock_guard lock(mu_);
-  if (epochs_recorded_ == 0) return std::nullopt;
-  LandscapeSnapshot snap;
-  snap.epoch = recent_.back().epoch;
-  snap.tier = "recent";
-  snap.servers = last_;
-  snap.health = last_health_;
-  return snap;
-}
-
 std::vector<LandscapeSnapshot> LandscapeHistory::window_locked(
     std::int64_t from, std::int64_t to) const {
   std::vector<LandscapeSnapshot> out;
@@ -192,67 +169,6 @@ std::vector<LandscapeSnapshot> LandscapeHistory::window_locked(
     out.push_back(std::move(snap));
   }
   return out;
-}
-
-std::vector<LandscapeSnapshot> LandscapeHistory::window(std::int64_t from,
-                                                        std::int64_t to) const {
-  std::lock_guard lock(mu_);
-  return window_locked(from, to);
-}
-
-std::vector<LandscapeSeriesPoint> LandscapeHistory::series(
-    std::uint32_t server, std::int64_t from, std::int64_t to) const {
-  std::lock_guard lock(mu_);
-  if (epochs_recorded_ > 0 && server >= server_count_) {
-    throw ConfigError("landscape history: server " + std::to_string(server) +
-                      " outside recorded width " +
-                      std::to_string(server_count_));
-  }
-  std::vector<LandscapeSeriesPoint> out;
-  for (LandscapeSnapshot& snap : window_locked(from, to)) {
-    out.push_back({snap.epoch, snap.servers[server]});
-  }
-  return out;
-}
-
-LandscapeSummary LandscapeHistory::summary_locked() const {
-  LandscapeSummary s;
-  s.family = family_;
-  s.estimator = estimator_;
-  s.server_count = server_count_;
-  s.epochs_recorded = epochs_recorded_;
-  s.epochs_retained = recent_.size() + coarse_.size();
-  s.first_retained_epoch =
-      !coarse_.empty() ? coarse_.front().epoch
-                       : (!recent_.empty() ? recent_.front().epoch : 0);
-  s.last_epoch = !recent_.empty() ? recent_.back().epoch : 0;
-  s.latest_health = last_health_;
-  std::size_t with_interval = 0;
-  double width_sum = 0.0;
-  for (const LandscapeCell& cell : last_) {
-    s.latest_total_population += cell.population;
-    s.latest_total_matched += cell.matched;
-    if (cell.interval90.has_value()) {
-      ++with_interval;
-      width_sum += cell.interval90->second - cell.interval90->first;
-    }
-  }
-  if (server_count_ > 0) {
-    s.interval_coverage =
-        static_cast<double>(with_interval) / static_cast<double>(server_count_);
-  }
-  if (with_interval > 0) {
-    s.mean_ci_width = width_sum / static_cast<double>(with_interval);
-  }
-  for (const Entry& entry : recent_) s.stored_cells += entry.cells.size();
-  for (const Entry& entry : coarse_) s.stored_cells += entry.cells.size();
-  return s;
-}
-
-std::optional<LandscapeSummary> LandscapeHistory::summary() const {
-  std::lock_guard lock(mu_);
-  if (epochs_recorded_ == 0) return std::nullopt;
-  return summary_locked();
 }
 
 std::uint64_t LandscapeHistory::epochs_recorded() const {
@@ -353,31 +269,58 @@ json::Value LandscapeHistory::window_json(std::optional<std::uint32_t> server,
 
 json::Value LandscapeHistory::summary_json() const {
   std::lock_guard lock(mu_);
-  LandscapeSummary s = summary_locked();
+  const std::size_t retained = recent_.size() + coarse_.size();
+  const std::int64_t first_retained =
+      !coarse_.empty() ? coarse_.front().epoch
+                       : (!recent_.empty() ? recent_.front().epoch : 0);
+  double total_population = 0.0;
+  std::uint64_t total_matched = 0;
+  std::size_t with_interval = 0;
+  double width_sum = 0.0;
+  for (const LandscapeCell& cell : last_) {
+    total_population += cell.population;
+    total_matched += cell.matched;
+    if (cell.interval90.has_value()) {
+      ++with_interval;
+      width_sum += cell.interval90->second - cell.interval90->first;
+    }
+  }
+  std::uint64_t stored_cells = 0;
+  for (const Entry& entry : recent_) stored_cells += entry.cells.size();
+  for (const Entry& entry : coarse_) stored_cells += entry.cells.size();
+
   json::Object doc;
   doc.emplace("schema", json::Value(std::string(kSummarySchema)));
-  doc.emplace("family", json::Value(s.family));
-  doc.emplace("estimator", json::Value(s.estimator));
-  doc.emplace("server_count", json::Value(static_cast<double>(s.server_count)));
+  doc.emplace("family", json::Value(family_));
+  doc.emplace("estimator", json::Value(estimator_));
+  doc.emplace("server_count", json::Value(static_cast<double>(server_count_)));
   doc.emplace("epochs_recorded",
-              json::Value(static_cast<double>(s.epochs_recorded)));
-  doc.emplace("epochs_retained",
-              json::Value(static_cast<double>(s.epochs_retained)));
+              json::Value(static_cast<double>(epochs_recorded_)));
+  doc.emplace("epochs_retained", json::Value(static_cast<double>(retained)));
   doc.emplace("first_retained_epoch",
-              json::Value(static_cast<double>(s.first_retained_epoch)));
-  doc.emplace("last_epoch", json::Value(static_cast<double>(s.last_epoch)));
-  doc.emplace("total_population", json::Value(s.latest_total_population));
+              json::Value(static_cast<double>(first_retained)));
+  doc.emplace("last_epoch",
+              json::Value(static_cast<double>(
+                  !recent_.empty() ? recent_.back().epoch : 0)));
+  doc.emplace("total_population", json::Value(total_population));
   doc.emplace("total_matched",
-              json::Value(static_cast<double>(s.latest_total_matched)));
-  if (s.latest_health.has_value()) {
-    doc.emplace("health", json::Value(*s.latest_health));
+              json::Value(static_cast<double>(total_matched)));
+  if (last_health_.has_value()) {
+    doc.emplace("health", json::Value(*last_health_));
   }
-  doc.emplace("interval_coverage", json::Value(s.interval_coverage));
-  doc.emplace("mean_ci_width", json::Value(s.mean_ci_width));
-  doc.emplace("stored_cells", json::Value(static_cast<double>(s.stored_cells)));
+  doc.emplace("interval_coverage",
+              json::Value(server_count_ > 0
+                              ? static_cast<double>(with_interval) /
+                                    static_cast<double>(server_count_)
+                              : 0.0));
+  doc.emplace("mean_ci_width",
+              json::Value(with_interval > 0
+                              ? width_sum / static_cast<double>(with_interval)
+                              : 0.0));
+  doc.emplace("stored_cells", json::Value(static_cast<double>(stored_cells)));
   doc.emplace("dense_cells",
-              json::Value(static_cast<double>(s.epochs_retained) *
-                          static_cast<double>(s.server_count)));
+              json::Value(static_cast<double>(retained) *
+                          static_cast<double>(server_count_)));
   return json::Value(std::move(doc));
 }
 

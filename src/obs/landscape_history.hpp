@@ -26,11 +26,16 @@
 // batch pipelines — which hand over bit-identical rows — produce byte-equal
 // files for the same trace (provided neither or both record health states).
 //
-// Thread-safety: every public method takes the internal mutex and returns
-// copies, so the ingest thread may `record()` while the HTTP exporter thread
-// serves `/landscape*` queries — the copy-under-mutex contract the exporter's
-// handler rules require. Attaching a history never changes pipeline results:
-// it only observes rows the pipelines already computed.
+// The documents are the read path: `to_json`, `latest_json`, `window_json`
+// and `summary_json` are what `/landscape*` serves and `--history-out`
+// writes, and `parse_landscape_series` is their one typed view.
+//
+// Thread-safety: every public method takes the internal mutex once and
+// builds its document under it, so the ingest thread may `record()` while
+// the HTTP exporter thread serves `/landscape*` queries — the
+// copy-under-mutex contract the exporter's handler rules require. Attaching
+// a history never changes pipeline results: it only observes rows the
+// pipelines already computed.
 #pragma once
 
 #include <cstdint>
@@ -89,7 +94,7 @@ struct LandscapeHistoryConfig {
   void validate() const;
 };
 
-/// One fully reconstructed epoch snapshot, as queries return it.
+/// One fully reconstructed epoch snapshot of a parsed series document.
 struct LandscapeSnapshot {
   std::int64_t epoch = 0;
   /// "recent" (full-resolution ring) or "coarse" (survived coarsening).
@@ -97,41 +102,8 @@ struct LandscapeSnapshot {
   std::vector<LandscapeCell> servers;
   std::optional<std::string> health;
 
-  [[nodiscard]] double total_population() const;
-  [[nodiscard]] std::uint64_t total_matched() const;
-
   friend bool operator==(const LandscapeSnapshot&,
                          const LandscapeSnapshot&) = default;
-};
-
-/// One point of a per-server series query.
-struct LandscapeSeriesPoint {
-  std::int64_t epoch = 0;
-  LandscapeCell cell;
-
-  friend bool operator==(const LandscapeSeriesPoint&,
-                         const LandscapeSeriesPoint&) = default;
-};
-
-/// Per-family quality telemetry over the retained window.
-struct LandscapeSummary {
-  std::string family;
-  std::string estimator;
-  std::size_t server_count = 0;
-  std::uint64_t epochs_recorded = 0;   // ever, including evicted-for-good
-  std::size_t epochs_retained = 0;     // recent + coarse
-  std::int64_t first_retained_epoch = 0;
-  std::int64_t last_epoch = 0;
-  double latest_total_population = 0.0;
-  std::uint64_t latest_total_matched = 0;
-  std::optional<std::string> latest_health;
-  /// Fraction of servers whose latest cell carries a confidence interval.
-  double interval_coverage = 0.0;
-  /// Mean (hi - lo) over the latest cells that carry an interval; 0 if none.
-  double mean_ci_width = 0.0;
-  /// Delta-encoding telemetry: cells stored vs. the dense equivalent
-  /// (epochs_retained * server_count) — the retention policy's win.
-  std::uint64_t stored_cells = 0;
 };
 
 /// The parsed form of a botmeter.landscape_series.v1 document: every entry
@@ -156,23 +128,6 @@ class LandscapeHistory {
   /// later record must match them (ConfigError otherwise).
   void record(const LandscapeEpochRecord& row);
 
-  /// Latest snapshot, or nullopt before the first record.
-  [[nodiscard]] std::optional<LandscapeSnapshot> latest() const;
-
-  /// Every retained snapshot with epoch in [from, to], ascending (coarse
-  /// tier first — coarse epochs always precede recent ones).
-  [[nodiscard]] std::vector<LandscapeSnapshot> window(std::int64_t from,
-                                                      std::int64_t to) const;
-
-  /// One server's series over [from, to], ascending. Throws ConfigError when
-  /// `server` is outside the recorded width.
-  [[nodiscard]] std::vector<LandscapeSeriesPoint> series(std::uint32_t server,
-                                                         std::int64_t from,
-                                                         std::int64_t to) const;
-
-  /// Quality telemetry, or nullopt before the first record.
-  [[nodiscard]] std::optional<LandscapeSummary> summary() const;
-
   [[nodiscard]] std::uint64_t epochs_recorded() const;
 
   // --- canonical JSON (schema botmeter.landscape_series.v1) ----------------
@@ -188,17 +143,20 @@ class LandscapeHistory {
   [[nodiscard]] json::Value latest_json() const;
 
   /// A windowed series document: every retained entry in [from, to],
-  /// materialized as full sparse rows; with `server` set, rows are narrowed
-  /// to that one server's cell (the `/landscape/history` route body).
+  /// ascending (coarse tier first — coarse epochs always precede recent
+  /// ones), materialized as full sparse rows; with `server` set, rows are
+  /// narrowed to that one server's cell (the `/landscape/history` route
+  /// body). Throws ConfigError when `server` is outside the recorded width.
   [[nodiscard]] json::Value window_json(std::optional<std::uint32_t> server,
                                         std::int64_t from,
                                         std::int64_t to) const;
 
   /// The summary document (schema botmeter.landscape_summary.v1, the
-  /// `/landscape/summary` route body).
+  /// `/landscape/summary` route body): the retained window's extent and
+  /// delta-encoding cost (`stored_cells` against the dense
+  /// epochs_retained x server_count), plus the latest row's totals, health,
+  /// interval coverage (share of servers with a band) and mean band width.
   [[nodiscard]] json::Value summary_json() const;
-
-  [[nodiscard]] const LandscapeHistoryConfig& config() const { return config_; }
 
  private:
   /// One recent-ring entry: the cells that differ from the previous epoch's
@@ -213,7 +171,6 @@ class LandscapeHistory {
   void evict_locked();
   [[nodiscard]] std::vector<LandscapeSnapshot> window_locked(
       std::int64_t from, std::int64_t to) const;
-  [[nodiscard]] LandscapeSummary summary_locked() const;
   [[nodiscard]] json::Value series_header_locked() const;
 
   LandscapeHistoryConfig config_;

@@ -378,8 +378,8 @@ json::Value StreamEngine::checkpoint() const {
         lo.push_back(number(cell.estimate.interval->first));
         hi.push_back(number(cell.estimate.interval->second));
       } else {
-        lo.push_back(json::Value(nullptr));
-        hi.push_back(json::Value(nullptr));
+        lo.emplace_back(nullptr);
+        hi.emplace_back(nullptr);
       }
       any_approximate = any_approximate || cell.estimate.approximate;
     }

@@ -90,11 +90,14 @@ Reference single_engine_reference(
   return ref;
 }
 
-std::vector<obs::JournalEvent> events_of(const obs::EventJournal& journal,
-                                         obs::EventKind kind) {
-  std::vector<obs::JournalEvent> events;
-  for (const obs::JournalEvent& event : journal.events_since(0)) {
-    if (event.kind == kind) events.push_back(event);
+/// The journal document's event rows of one kind, oldest first.
+json::Array events_of(const obs::EventJournal& journal, obs::EventKind kind) {
+  const json::Value doc = journal.to_json();
+  json::Array events;
+  for (const json::Value& event : doc.at("events").as_array()) {
+    if (event.at("kind").as_string() == obs::event_kind_name(kind)) {
+      events.push_back(event);
+    }
   }
   return events;
 }
@@ -159,8 +162,8 @@ TEST(ClusterObservability, FullInstrumentationNeverChangesBits) {
     EXPECT_EQ(landscape_bytes(runtime.finish()), ref.landscape);
     EXPECT_EQ(json::write(history.to_json()), ref.history);
     // The instrumentation actually observed the run it did not perturb.
-    EXPECT_GT(journal.next_seq(), 0u);
-    EXPECT_TRUE(lag.attribution().slowest_stage.has_value());
+    EXPECT_GT(journal.to_json().at("next_seq").as_int(), 0);
+    EXPECT_NE(lag.attribution_json().find("slowest_stage"), nullptr);
   }
 }
 
@@ -200,7 +203,7 @@ TEST(ClusterObservability, JournalAndLagObserveTheEpochLifecycle) {
     // One explicit advance is one cluster-level event.
     const auto advances = events_of(journal, obs::EventKind::kWatermarkAdvance);
     ASSERT_EQ(advances.size(), 1u);
-    EXPECT_EQ(advances[0].shard, -1);
+    EXPECT_EQ(advances[0].at("shard").as_int(), -1);
 
     // Every shard closed every epoch, each close journaled once; every
     // merged epoch published once.
@@ -210,33 +213,37 @@ TEST(ClusterObservability, JournalAndLagObserveTheEpochLifecycle) {
               static_cast<std::size_t>(kEpochs));
 
     // The straggler table has one row per merged epoch, in merge order.
-    const auto stragglers = lag.stragglers();
+    const json::Value lag_doc = lag.to_json();
+    const json::Array& stragglers = lag_doc.at("stragglers").as_array();
     ASSERT_EQ(stragglers.size(), static_cast<std::size_t>(kEpochs));
     for (std::int64_t e = 0; e < kEpochs; ++e) {
-      EXPECT_EQ(stragglers[static_cast<std::size_t>(e)].epoch, e);
-      EXPECT_LT(stragglers[static_cast<std::size_t>(e)].straggler_shard,
-                shards);
+      const json::Value& row = stragglers[static_cast<std::size_t>(e)];
+      EXPECT_EQ(row.at("epoch").as_int(), e);
+      EXPECT_LT(row.at("straggler_shard").as_int(),
+                static_cast<std::int64_t>(shards));
     }
 
     // Per-shard stage histograms saw the batches, each close once, and the
     // merges. An inline shard forms no producer batch and has no queue.
     for (std::size_t shard = 0; shard < shards; ++shard) {
-      const auto count = [&lag, shard](obs::LagStage stage) {
-        return lag.stage_sample(shard, stage).count;
+      const json::Value& stages =
+          lag_doc.at("shards").as_array()[shard].at("stages");
+      const auto count = [&stages](obs::LagStage stage) {
+        return stages.at(std::string(obs::lag_stage_name(stage)))
+            .at("count")
+            .as_int();
       };
-      EXPECT_GT(count(obs::LagStage::kShardIngest), 0u) << "shard " << shard;
-      EXPECT_EQ(count(obs::LagStage::kEpochClose),
-                static_cast<std::uint64_t>(kEpochs))
+      EXPECT_GT(count(obs::LagStage::kShardIngest), 0) << "shard " << shard;
+      EXPECT_EQ(count(obs::LagStage::kEpochClose), kEpochs)
           << "shard " << shard;
-      EXPECT_EQ(count(obs::LagStage::kMergePublish),
-                static_cast<std::uint64_t>(kEpochs))
+      EXPECT_EQ(count(obs::LagStage::kMergePublish), kEpochs)
           << "shard " << shard;
       if (inline_shard) {
-        EXPECT_EQ(count(obs::LagStage::kProducerBatch), 0u);
-        EXPECT_EQ(count(obs::LagStage::kQueueWait), 0u);
+        EXPECT_EQ(count(obs::LagStage::kProducerBatch), 0);
+        EXPECT_EQ(count(obs::LagStage::kQueueWait), 0);
       } else {
-        EXPECT_GT(count(obs::LagStage::kProducerBatch), 0u) << "shard " << shard;
-        EXPECT_GT(count(obs::LagStage::kQueueWait), 0u) << "shard " << shard;
+        EXPECT_GT(count(obs::LagStage::kProducerBatch), 0) << "shard " << shard;
+        EXPECT_GT(count(obs::LagStage::kQueueWait), 0) << "shard " << shard;
       }
     }
 
@@ -278,8 +285,8 @@ TEST(ClusterObservability, JournalStampsEndTheirSpans) {
     };
     const auto stamps = [&journal](obs::EventKind kind) {
       std::vector<double> t;
-      for (const obs::JournalEvent& event : journal.events_since(0)) {
-        if (event.kind == kind) t.push_back(event.t_ms);
+      for (const json::Value& event : events_of(journal, kind)) {
+        t.push_back(event.at("t_ms").as_double());
       }
       std::sort(t.begin(), t.end());
       return t;
@@ -328,19 +335,24 @@ TEST(ClusterObservability, StragglerTableNamesTheLastCloser) {
   (void)runtime.finish();
   ASSERT_EQ(runtime.merge_frontier(), kEpochs);
 
-  const auto stragglers = lag.stragglers();
+  const json::Value lag_doc = lag.to_json();
+  const json::Array& stragglers = lag_doc.at("stragglers").as_array();
   ASSERT_EQ(stragglers.size(), static_cast<std::size_t>(kEpochs));
-  for (const obs::StragglerRow& row : stragglers) {
-    EXPECT_EQ(row.straggler_shard, kShards - 1) << "epoch " << row.epoch;
-    EXPECT_GT(row.straggle_ms, 0.0) << "epoch " << row.epoch;
-    EXPECT_GE(row.merge_ms, row.last_close_ms);
+  for (const json::Value& row : stragglers) {
+    const std::int64_t epoch = row.at("epoch").as_int();
+    EXPECT_EQ(row.at("straggler_shard").as_int(),
+              static_cast<std::int64_t>(kShards - 1))
+        << "epoch " << epoch;
+    EXPECT_GT(row.at("straggle_ms").as_double(), 0.0) << "epoch " << epoch;
+    EXPECT_GE(row.at("merge_ms").as_double(),
+              row.at("last_close_ms").as_double());
   }
 
   // The explicit advance is one fact: journaled once, at cluster level.
   const auto advances = events_of(journal, obs::EventKind::kWatermarkAdvance);
   ASSERT_EQ(advances.size(), 1u);
-  EXPECT_EQ(advances[0].shard, -1);
-  EXPECT_DOUBLE_EQ(advances[0].value,
+  EXPECT_EQ(advances[0].at("shard").as_int(), -1);
+  EXPECT_DOUBLE_EQ(advances[0].at("value").as_double(),
                    static_cast<double>(stream.back().timestamp.millis()));
 }
 
@@ -369,12 +381,10 @@ TEST(ClusterObservability, ConcurrentProducerAndObservabilityQueries) {
     std::uint64_t cursor = 0;
     while (!done.load(std::memory_order_relaxed)) {
       (void)json::write(lag.to_json());
-      (void)json::write(journal.to_json(cursor));
-      for (const obs::JournalEvent& event : journal.events_since(cursor)) {
-        cursor = event.seq + 1;
-      }
+      const json::Value events = journal.to_json(cursor);
+      (void)json::write(events);
+      cursor = static_cast<std::uint64_t>(events.at("next_seq").as_int());
       (void)json::write(runtime.health_json());
-      (void)lag.stragglers();
       std::this_thread::yield();
     }
   });

@@ -362,7 +362,7 @@ TEST(ClusterRuntimeTest, ClusterLevelBlocksAndQueriesStayByteIdentical) {
       (void)runtime.merge_frontier();
       (void)json::write(runtime.health_json());
       for (std::size_t i = 0; i < kShards; ++i) (void)runtime.shard_stats(i);
-      (void)history.latest();
+      (void)history.latest_json();
       std::this_thread::yield();
     }
   });

@@ -109,7 +109,7 @@ TEST(EstimationContextTest, ConcurrentMemoizationIsConsistent) {
       for (int i = 0; i < kCallsPerThread; ++i) {
         last = context.memoized("race", 7.0, [] { return 99.0; });
       }
-      results[t] = last;
+      results[static_cast<std::size_t>(t)] = last;
     });
   }
   for (std::thread& t : threads) t.join();

@@ -1,6 +1,6 @@
 // The scrape endpoint: ephemeral-port binding, routing, error statuses,
-// bounded request parsing, live-registry scrapes from a second thread, and
-// clean shutdown.
+// bounded request parsing, whole-value integer query parameters,
+// live-registry scrapes from a second thread, and clean shutdown.
 #include "obs/http_exporter.hpp"
 
 #include <gtest/gtest.h>
@@ -13,12 +13,15 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "obs/expose.hpp"
 #include "obs/metrics.hpp"
 
@@ -156,6 +159,49 @@ TEST(HttpExporter, HandlersReceiveDecodedQueryParameters) {
             "family=newGoZ x\n"  // %47 -> 'G', %20 -> ' '
             "bare=<set>\n"       // bare key: present with empty value
             "nope=<absent>\n");
+}
+
+TEST(HttpExporter, IntegerParametersParseWholeAndInRange) {
+  const auto request = [](std::string query) {
+    return HttpRequest{"/q", std::move(query)};
+  };
+  // Absent or empty: no value. Whole values in range: parsed exactly.
+  EXPECT_EQ(request("").int_param<std::uint32_t>("server"), std::nullopt);
+  EXPECT_EQ(request("server=").int_param<std::uint32_t>("server"),
+            std::nullopt);
+  EXPECT_EQ(request("server=1").int_param<std::uint32_t>("server"), 1u);
+  EXPECT_EQ(request("server=4294967295").int_param<std::uint32_t>("server"),
+            4294967295u);
+  EXPECT_EQ(request("shard=-1").int_param<std::int32_t>("shard"), -1);
+  EXPECT_EQ(request("from=-9223372036854775808").int_param<std::int64_t>("from"),
+            std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(
+      request("from=18446744073709551615").int_param<std::uint64_t>("from"),
+      std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(request("shard=%31").int_param<std::int32_t>("shard"), 1);
+
+  // A prefix, a wrapped value or a foreign sign is refused, naming the key.
+  const auto refused = [&request](std::string query, auto type_tag) {
+    using Int = decltype(type_tag);
+    const std::string key = query.substr(0, query.find('='));
+    try {
+      (void)request(query).int_param<Int>(key);
+    } catch (const DataError& e) {
+      return std::string(e.what()).find("'" + key + "'") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(refused("server=4294967296", std::uint32_t{}));
+  EXPECT_TRUE(refused("server=1e3", std::uint32_t{}));
+  EXPECT_TRUE(refused("server=-1", std::uint32_t{}));
+  EXPECT_TRUE(refused("server=+1", std::uint32_t{}));
+  EXPECT_TRUE(refused("server=%201", std::uint32_t{}));
+  EXPECT_TRUE(refused("shard=4294967295", std::int32_t{}));
+  EXPECT_TRUE(refused("shard=4294967297", std::int32_t{}));
+  EXPECT_TRUE(refused("shard=x", std::int32_t{}));
+  EXPECT_TRUE(refused("to=9223372036854775808", std::int64_t{}));
+  EXPECT_TRUE(refused("from=-1", std::uint64_t{}));
+  EXPECT_TRUE(refused("from=18446744073709551616", std::uint64_t{}));
 }
 
 TEST(HttpExporter, MalformedAndOversizedRequestsAre400) {

@@ -1,6 +1,7 @@
-// LandscapeHistory: delta-encoded recording, two-tier retention, the
-// window/series/summary queries, the canonical landscape_series.v1 documents,
-// and the parse round trip.
+// LandscapeHistory: delta-encoded recording, two-tier retention, and the
+// canonical documents it is read through — latest, window (whole or one
+// server), summary and the full landscape_series.v1 record — plus the parse
+// round trip.
 #include "obs/landscape_history.hpp"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,9 @@
 
 namespace botmeter::obs {
 namespace {
+
+constexpr std::int64_t kMinEpoch = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kMaxEpoch = std::numeric_limits<std::int64_t>::max();
 
 LandscapeCell cell(double population, std::uint64_t matched,
                    bool with_interval = true) {
@@ -36,24 +40,40 @@ LandscapeEpochRecord row_of(std::int64_t epoch,
   return row;
 }
 
+/// The retained snapshots in [from, to], read through the window document.
+std::vector<LandscapeSnapshot> window_of(const LandscapeHistory& history,
+                                         std::int64_t from, std::int64_t to) {
+  return parse_landscape_series(history.window_json(std::nullopt, from, to))
+      .snapshots;
+}
+
 TEST(LandscapeHistory, RecordsAndExposesLatest) {
   LandscapeHistory history;
-  EXPECT_FALSE(history.latest().has_value());
-  EXPECT_FALSE(history.summary().has_value());
+  // Before the first record: an entry-less latest document, an empty summary.
+  EXPECT_TRUE(history.latest_json().at("entries").as_array().empty());
+  const json::Value empty = history.summary_json();
+  EXPECT_EQ(empty.at("epochs_recorded").as_int(), 0);
+  EXPECT_EQ(empty.at("epochs_retained").as_int(), 0);
+  EXPECT_EQ(empty.find("health"), nullptr);
 
   history.record(row_of(3, {cell(10.0, 100), cell(20.0, 200)}, "ok"));
   history.record(row_of(4, {cell(11.0, 110), cell(20.0, 200)}, "degraded"));
 
   EXPECT_EQ(history.epochs_recorded(), 2u);
-  const auto latest = history.latest();
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->epoch, 4);
-  EXPECT_EQ(latest->tier, "recent");
-  ASSERT_EQ(latest->servers.size(), 2u);
-  EXPECT_DOUBLE_EQ(latest->servers[0].population, 11.0);
-  EXPECT_DOUBLE_EQ(latest->total_population(), 31.0);
-  EXPECT_EQ(latest->total_matched(), 310u);
-  EXPECT_EQ(latest->health, std::optional<std::string>("degraded"));
+  const LandscapeSeries latest = parse_landscape_series(history.latest_json());
+  ASSERT_EQ(latest.snapshots.size(), 1u);
+  const LandscapeSnapshot& snap = latest.snapshots[0];
+  EXPECT_EQ(snap.epoch, 4);
+  EXPECT_EQ(snap.tier, "recent");
+  ASSERT_EQ(snap.servers.size(), 2u);
+  EXPECT_DOUBLE_EQ(snap.servers[0].population, 11.0);
+  EXPECT_EQ(snap.health, std::optional<std::string>("degraded"));
+
+  const json::Value summary = history.summary_json();
+  EXPECT_DOUBLE_EQ(summary.at("total_population").as_double(), 31.0);
+  EXPECT_EQ(summary.at("total_matched").as_int(), 310);
+  EXPECT_EQ(summary.at("health").as_string(), "degraded");
+  EXPECT_EQ(summary.at("last_epoch").as_int(), 4);
 }
 
 TEST(LandscapeHistory, DeltaEncodingStoresOnlyChangedCells) {
@@ -63,14 +83,22 @@ TEST(LandscapeHistory, DeltaEncodingStoresOnlyChangedCells) {
   auto next = row_of(1, {cell(10.0, 1), cell(21.0, 2), cell(30.0, 3)});
   history.record(next);
 
-  const auto summary = history.summary();
-  ASSERT_TRUE(summary.has_value());
+  const json::Value summary = history.summary_json();
   // 3 cells for the first (all-change vs default) row + 1 changed cell.
-  EXPECT_EQ(summary->stored_cells, 4u);
-  EXPECT_EQ(summary->epochs_retained, 2u);
-  EXPECT_DOUBLE_EQ(summary->latest_total_population, 61.0);
-  EXPECT_DOUBLE_EQ(summary->interval_coverage, 1.0);
-  EXPECT_DOUBLE_EQ(summary->mean_ci_width, 2.0);
+  EXPECT_EQ(summary.at("stored_cells").as_int(), 4);
+  EXPECT_EQ(summary.at("dense_cells").as_int(), 6);
+  EXPECT_EQ(summary.at("epochs_retained").as_int(), 2);
+  EXPECT_DOUBLE_EQ(summary.at("total_population").as_double(), 61.0);
+  EXPECT_DOUBLE_EQ(summary.at("interval_coverage").as_double(), 1.0);
+  EXPECT_DOUBLE_EQ(summary.at("mean_ci_width").as_double(), 2.0);
+
+  // The delta entry of the full document carries that one cell.
+  const json::Value doc = history.to_json();
+  const json::Array& entries = doc.at("entries").as_array();
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_EQ(entries[1].at("encoding").as_string(), "delta");
+  ASSERT_EQ(entries[1].at("cells").as_array().size(), 1u);
+  EXPECT_EQ(entries[1].at("cells").as_array()[0].at("server").as_int(), 1);
 }
 
 TEST(LandscapeHistory, WindowAndSeriesFilterByEpoch) {
@@ -80,7 +108,7 @@ TEST(LandscapeHistory, WindowAndSeriesFilterByEpoch) {
         row_of(e, {cell(10.0 + static_cast<double>(e), 100), cell(5.0, 50)}));
   }
 
-  const auto window = history.window(2, 4);
+  const std::vector<LandscapeSnapshot> window = window_of(history, 2, 4);
   ASSERT_EQ(window.size(), 3u);
   EXPECT_EQ(window.front().epoch, 2);
   EXPECT_EQ(window.back().epoch, 4);
@@ -88,10 +116,13 @@ TEST(LandscapeHistory, WindowAndSeriesFilterByEpoch) {
   // Unchanged cells reconstruct through the deltas.
   EXPECT_DOUBLE_EQ(window[1].servers[1].population, 5.0);
 
-  const auto series = history.series(0, 0, 99);
-  ASSERT_EQ(series.size(), 6u);
-  EXPECT_DOUBLE_EQ(series.back().cell.population, 15.0);
-  EXPECT_THROW((void)history.series(2, 0, 99), ConfigError);
+  // One server's series: the window narrowed to its cell.
+  const LandscapeSeries series =
+      parse_landscape_series(history.window_json(0, 0, 99));
+  ASSERT_EQ(series.snapshots.size(), 6u);
+  EXPECT_DOUBLE_EQ(series.snapshots.back().servers[0].population, 15.0);
+  EXPECT_DOUBLE_EQ(series.snapshots.back().servers[1].population, 0.0);
+  EXPECT_THROW((void)history.window_json(2, 0, 99), ConfigError);
 }
 
 TEST(LandscapeHistory, EvictionCoarsensByStride) {
@@ -109,7 +140,8 @@ TEST(LandscapeHistory, EvictionCoarsensByStride) {
   // Epochs before the last 3 were evicted; only stride multiples survive,
   // bounded to the last kRetainCoarse of them (0 and kCoarseStride fell
   // off).
-  const auto window = history.window(0, kRecorded);
+  const std::vector<LandscapeSnapshot> window =
+      window_of(history, 0, kRecorded);
   ASSERT_EQ(window.size(), kRetainCoarse + 3);
   for (std::size_t i = 0; i < kRetainCoarse; ++i) {
     EXPECT_EQ(window[i].tier, "coarse");
@@ -125,12 +157,12 @@ TEST(LandscapeHistory, EvictionCoarsensByStride) {
   EXPECT_DOUBLE_EQ(window[0].servers[0].population,
                    10.0 + static_cast<double>(2 * kCoarseStride));
 
-  const auto summary = history.summary();
-  ASSERT_TRUE(summary.has_value());
-  EXPECT_EQ(summary->epochs_recorded, static_cast<std::uint64_t>(kRecorded));
-  EXPECT_EQ(summary->epochs_retained, kRetainCoarse + 3);
-  EXPECT_EQ(summary->first_retained_epoch, 2 * kCoarseStride);
-  EXPECT_EQ(summary->last_epoch, kRecorded - 1);
+  const json::Value summary = history.summary_json();
+  EXPECT_EQ(summary.at("epochs_recorded").as_int(), kRecorded);
+  EXPECT_EQ(summary.at("epochs_retained").as_int(),
+            static_cast<std::int64_t>(kRetainCoarse + 3));
+  EXPECT_EQ(summary.at("first_retained_epoch").as_int(), 2 * kCoarseStride);
+  EXPECT_EQ(summary.at("last_epoch").as_int(), kRecorded - 1);
 }
 
 TEST(LandscapeHistory, ToJsonParsesBackToTheRetainedWindow) {
@@ -168,10 +200,10 @@ TEST(LandscapeHistory, ToJsonParsesBackToTheRetainedWindow) {
   EXPECT_EQ(series.estimator, "bernoulli");
   EXPECT_EQ(series.server_count, 2u);
   EXPECT_EQ(series.epochs_recorded, 9u);
-  // The parse reconstructs exactly the retained window.
-  const auto window = history.window(
-      std::numeric_limits<std::int64_t>::min(),
-      std::numeric_limits<std::int64_t>::max());
+  // The delta-encoded document parses to exactly the retained window, which
+  // the window document reconstructs independently (every row in full).
+  const std::vector<LandscapeSnapshot> window =
+      window_of(history, kMinEpoch, kMaxEpoch);
   ASSERT_EQ(series.snapshots.size(), window.size());
   for (std::size_t i = 0; i < window.size(); ++i) {
     EXPECT_EQ(series.snapshots[i], window[i]) << "snapshot " << i;
@@ -197,7 +229,8 @@ TEST(LandscapeHistory, LatestAndWindowDocuments) {
   const LandscapeSeries latest_series = parse_landscape_series(latest);
   ASSERT_EQ(latest_series.snapshots.size(), 1u);
   EXPECT_EQ(latest_series.snapshots[0].epoch, 1);
-  EXPECT_DOUBLE_EQ(latest_series.snapshots[0].total_population(), 15.0);
+  EXPECT_DOUBLE_EQ(latest_series.snapshots[0].servers[0].population, 12.0);
+  EXPECT_DOUBLE_EQ(latest_series.snapshots[0].servers[1].population, 3.0);
 
   // Narrowed to one server: every entry carries at most that server's cell.
   const json::Value narrowed = history.window_json(1, 0, 99);

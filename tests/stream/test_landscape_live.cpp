@@ -106,9 +106,10 @@ TEST(LandscapeLive, AttachingHistoryNeverPerturbsTheLandscape) {
     EXPECT_EQ(json::write(core::landscape_to_json(with)),
               json::write(core::landscape_to_json(without)));
     // The recorded rows are exactly the report's per-epoch cells.
-    const auto latest = history.latest();
-    ASSERT_TRUE(latest.has_value());
-    ASSERT_EQ(latest->servers.size(), kServers);
+    const obs::LandscapeSeries latest =
+        obs::parse_landscape_series(history.latest_json());
+    ASSERT_EQ(latest.snapshots.size(), 1u);
+    ASSERT_EQ(latest.snapshots[0].servers.size(), kServers);
   }
 }
 
@@ -160,7 +161,7 @@ TEST(LandscapeLive, ConcurrentQueriesDuringRecordingStayConsistent) {
     EXPECT_LE(full.snapshots.size(),
               config.retain_recent + obs::kRetainCoarse);
     EXPECT_GE(window.snapshots.size(), full.snapshots.size());
-    (void)history.summary();
+    (void)json::write(history.summary_json());
     observed = full.epochs_recorded;
   }
   recorder.join();
@@ -170,7 +171,9 @@ TEST(LandscapeLive, ConcurrentQueriesDuringRecordingStayConsistent) {
   const obs::LandscapeSeries final_series =
       obs::parse_landscape_series(history.to_json());
   EXPECT_EQ(final_series.epochs_recorded, static_cast<std::uint64_t>(kRows));
-  const auto quiescent = history.window(0, kRows);
+  const std::vector<obs::LandscapeSnapshot> quiescent =
+      obs::parse_landscape_series(history.window_json(std::nullopt, 0, kRows))
+          .snapshots;
   ASSERT_EQ(final_series.snapshots.size(), quiescent.size());
   for (std::size_t i = 0; i < quiescent.size(); ++i) {
     EXPECT_EQ(final_series.snapshots[i], quiescent[i]) << "snapshot " << i;

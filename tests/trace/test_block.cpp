@@ -313,7 +313,9 @@ TEST(TraceBlockTest, TruncationAnywhereIsALocatedError) {
     } catch (const DataError&) {
       threw = true;
     }
-    if (!threw) EXPECT_EQ(tuples % 32, 0u) << "cut at " << cut;
+    if (!threw) {
+      EXPECT_EQ(tuples % 32, 0u) << "cut at " << cut;
+    }
   }
 }
 

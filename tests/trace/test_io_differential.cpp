@@ -545,7 +545,7 @@ TEST(TraceIoDifferentialTest, StreamWithoutAGetAreaGivesTheReferenceRecords) {
 }
 
 TEST(TraceIoDifferentialTest, CleanEndLeavesTheStreamAsGetlineDoes) {
-  for (const std::string text :
+  for (const std::string& text :
        {std::string(""), std::string("1\t1\ta.example\n"),
         std::string("1\t1\ta.example"), std::string("\n\n"),
         filler(kChunk + 9)}) {

@@ -281,20 +281,12 @@ int main(int argc, char** argv) {
                             family_name + "\n";
             return response;
           }
-          std::optional<std::uint32_t> server;
-          if (const auto s = request.param("server"); s && !s->empty()) {
-            server = static_cast<std::uint32_t>(std::stoul(*s));
-          }
-          std::int64_t from = std::numeric_limits<std::int64_t>::min();
-          std::int64_t to = std::numeric_limits<std::int64_t>::max();
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoll(*f);
-          }
-          if (const auto t = request.param("to"); t && !t->empty()) {
-            to = std::stoll(*t);
-          }
-          return json_response(
-              json::write(sinks.history->window_json(server, from, to)));
+          const auto server = request.int_param<std::uint32_t>("server");
+          const auto from = request.int_param<std::int64_t>("from");
+          const auto to = request.int_param<std::int64_t>("to");
+          return json_response(json::write(sinks.history->window_json(
+              server, from.value_or(std::numeric_limits<std::int64_t>::min()),
+              to.value_or(std::numeric_limits<std::int64_t>::max()))));
         } catch (const std::exception& e) {
           obs::HttpResponse response;
           response.status = 400;
@@ -312,16 +304,10 @@ int main(int argc, char** argv) {
       routes["/events"] = [&sinks,
                            json_response](const obs::HttpRequest& request) {
         try {
-          std::uint64_t from = 0;
-          if (const auto f = request.param("from"); f && !f->empty()) {
-            from = std::stoull(*f);
-          }
-          std::optional<std::int32_t> shard;
-          if (const auto s = request.param("shard"); s && !s->empty()) {
-            shard = static_cast<std::int32_t>(std::stol(*s));
-          }
+          const auto from = request.int_param<std::uint64_t>("from");
+          const auto shard = request.int_param<std::int32_t>("shard");
           return json_response(
-              json::write(sinks.journal->to_json(from, shard)));
+              json::write(sinks.journal->to_json(from.value_or(0), shard)));
         } catch (const std::exception& e) {
           obs::HttpResponse response;
           response.status = 400;
