@@ -1,14 +1,17 @@
 // Microbenchmarks (google-benchmark): throughput of the components on
 // BotMeter's hot path — domain generation, the DNS cache, the matcher, the
-// analytical inversions, and the full per-epoch simulation.
+// close-time bucket sort, the analytical inversions, and the full per-epoch
+// simulation.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "botnet/simulator.hpp"
+#include "common/rng.hpp"
 #include "detect/matcher.hpp"
 #include "dga/domain_gen.hpp"
 #include "dga/families.hpp"
@@ -98,6 +101,48 @@ void BM_MatcherThroughput(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_MatcherThroughput);
+
+// The close-time canonical sort over one epoch row: 16 buckets of 1024
+// lookups, in order (arg 0), with 1% of lookups held back by up to 64
+// places as late arrivals leave them (arg 1), or reversed (arg 2).
+void BM_SortMatched(benchmark::State& state) {
+  constexpr std::size_t kBuckets = 16;
+  constexpr std::size_t kLookups = 1024;
+  Rng rng{17};
+  std::vector<std::vector<detect::MatchedLookup>> row(kBuckets);
+  for (auto& bucket : row) {
+    for (std::size_t i = 0; i < kLookups; ++i) {
+      const auto pos = static_cast<std::uint32_t>(rng.uniform(64));
+      bucket.push_back(detect::MatchedLookup{
+          TimePoint{static_cast<std::int64_t>(i) * 250}, pos, pos == 0});
+    }
+    if (state.range(0) == 1) {
+      for (std::size_t moved = 0; moved < kLookups / 100; ++moved) {
+        const std::size_t from = rng.uniform(kLookups - 64);
+        std::rotate(bucket.begin() + static_cast<std::ptrdiff_t>(from),
+                    bucket.begin() + static_cast<std::ptrdiff_t>(from) + 1,
+                    bucket.begin() + static_cast<std::ptrdiff_t>(
+                                         from + 1 + rng.uniform(64)));
+      }
+    } else if (state.range(0) == 2) {
+      std::reverse(bucket.begin(), bucket.end());
+    }
+  }
+  std::vector<std::vector<detect::MatchedLookup>> work;
+  for (auto _ : state) {
+    state.PauseTiming();
+    work = row;
+    state.ResumeTiming();
+    for (auto& bucket : work) {
+      detect::sort_matched(bucket);
+      benchmark::DoNotOptimize(bucket.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBuckets * kLookups));
+}
+BENCHMARK(BM_SortMatched)->ArgName("shape")->Arg(0)->Arg(1)->Arg(2);
 
 void BM_BernoulliCoverageInversion(benchmark::State& state) {
   const dga::DgaConfig config = dga::newgoz_config();

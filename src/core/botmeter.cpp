@@ -237,7 +237,7 @@ std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
       return;
     }
     std::vector<detect::MatchedLookup>& bucket = buckets[s];
-    std::sort(bucket.begin(), bucket.end(), detect::matched_lookup_less);
+    detect::sort_matched(bucket);
     const std::uint64_t count = bucket.size();
     estimators::EpochObservation obs = make_observation(epoch, std::move(bucket));
     obs.context = shared;

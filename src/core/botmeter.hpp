@@ -174,7 +174,9 @@ class BotMeter {
       const estimators::CompactObservationConfig& compact) const;
 
   /// Estimate one epoch's row of the landscape: cell s from buckets[s], the
-  /// matched lookups of server s (any order; sorted canonically here). The
+  /// matched lookups of server s in any order, put in canonical order here by
+  /// detect::sort_matched (a linear check when already sorted, a sort of only
+  /// the out-of-order lookups otherwise). The
   /// per-server estimations run over `workers` (caller participates; null or
   /// single-threaded pool = plain loop) and share one EstimationContext when
   /// config().share_estimation_context is set. Each cell is an independent

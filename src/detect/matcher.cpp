@@ -213,10 +213,42 @@ MatchedStreams DomainMatcher::match(
     match_range(stream, out, tally);
   }
   if (stats != nullptr) *stats = tally;
-  for (auto& [key, lookups] : out) {
-    std::sort(lookups.begin(), lookups.end(), matched_lookup_less);
-  }
+  for (auto& [key, lookups] : out) sort_matched(lookups);
   return out;
+}
+
+void sort_matched(std::vector<MatchedLookup>& lookups) {
+  auto kept = std::is_sorted_until(lookups.begin(), lookups.end(),
+                                   matched_lookup_less);
+  if (kept == lookups.end()) return;
+  // Compact the lookups that extend the ordered run to the front and set
+  // the others aside. `last` is the last kept lookup's arrival slot, which
+  // is overwritten only after the next keep has read it. Comparing there
+  // instead of at its new slot keeps each compare off the store just made:
+  // GCC copies a lookup as two overlapping 8-byte stores (its 13 bytes of
+  // data), a load cannot be forwarded from those, and every keep stalled.
+  std::vector<MatchedLookup> displaced;
+  auto last = kept - 1;
+  for (auto it = kept; it != lookups.end(); ++it) {
+    if (matched_lookup_less(*it, *last)) {
+      displaced.push_back(*it);
+    } else {
+      last = it;
+      *kept++ = *it;
+    }
+  }
+  std::sort(displaced.begin(), displaced.end(), matched_lookup_less);
+  // Merge from the back, into the slots the displaced lookups left free.
+  auto out = lookups.end();
+  auto side = displaced.end();
+  while (side != displaced.begin()) {
+    if (kept != lookups.begin() &&
+        matched_lookup_less(*(side - 1), *(kept - 1))) {
+      *--out = *--kept;
+    } else {
+      *--out = *--side;
+    }
+  }
 }
 
 AlgorithmicPattern::AlgorithmicPattern(std::size_t min_label_len,

@@ -50,6 +50,15 @@ inline bool matched_lookup_less(const MatchedLookup& a,
   return a.pool_position < b.pool_position;
 }
 
+/// Sort `lookups` into the canonical order, in O(n + k log k) for k lookups
+/// out of place. Buckets arrive almost in order (a border feed is
+/// near-sorted), so: return at once when already sorted; otherwise keep the
+/// lookups that continue a non-decreasing run, move the other k aside, sort
+/// only those and merge them back. The result equals
+/// std::sort(…, matched_lookup_less) element for element: ties are
+/// byte-identical elements, so the canonical order is unique.
+void sort_matched(std::vector<MatchedLookup>& lookups);
+
 /// Grouping key for matched streams.
 struct StreamKey {
   dns::ServerId server;

@@ -69,6 +69,16 @@ void apply_cells(
   }
 }
 
+/// Server `id`'s cell in an ascending sparse list, or null when absent.
+const LandscapeCell* cell_of(
+    const std::vector<std::pair<std::uint32_t, LandscapeCell>>& cells,
+    std::uint32_t id) {
+  const auto it = std::lower_bound(
+      cells.begin(), cells.end(), id,
+      [](const auto& entry, std::uint32_t key) { return entry.first < key; });
+  return it != cells.end() && it->first == id ? &it->second : nullptr;
+}
+
 }  // namespace
 
 void LandscapeHistoryConfig::validate() const {
@@ -142,33 +152,6 @@ void LandscapeHistory::evict_locked() {
     }
     recent_.pop_front();
   }
-}
-
-std::vector<LandscapeSnapshot> LandscapeHistory::window_locked(
-    std::int64_t from, std::int64_t to) const {
-  std::vector<LandscapeSnapshot> out;
-  for (const Entry& entry : coarse_) {
-    if (entry.epoch < from || entry.epoch > to) continue;
-    LandscapeSnapshot snap;
-    snap.epoch = entry.epoch;
-    snap.tier = "coarse";
-    snap.servers.assign(server_count_, kDefaultCell);
-    apply_cells(entry.cells, snap.servers);
-    snap.health = entry.health;
-    out.push_back(std::move(snap));
-  }
-  std::vector<LandscapeCell> rolling = base_;
-  for (const Entry& entry : recent_) {
-    apply_cells(entry.cells, rolling);
-    if (entry.epoch < from || entry.epoch > to) continue;
-    LandscapeSnapshot snap;
-    snap.epoch = entry.epoch;
-    snap.tier = "recent";
-    snap.servers = rolling;
-    snap.health = entry.health;
-    out.push_back(std::move(snap));
-  }
-  return out;
 }
 
 std::uint64_t LandscapeHistory::epochs_recorded() const {
@@ -250,18 +233,47 @@ json::Value LandscapeHistory::window_json(std::optional<std::uint32_t> server,
   if (server.has_value()) {
     doc.emplace("server", json::Value(static_cast<double>(*server)));
   }
+  // One pass over the retained entries, coarse tier first (coarse epochs
+  // always precede recent ones). A coarse entry is already a sparse full
+  // row; a recent entry's row is rolled forward from base_ delta by delta.
+  // A one-server query rolls that server's cell alone.
+  const auto in_window = [&](const Entry& entry) {
+    return entry.epoch >= from && entry.epoch <= to;
+  };
   json::Array entries;
-  for (const LandscapeSnapshot& snap : window_locked(from, to)) {
-    std::vector<std::pair<std::uint32_t, LandscapeCell>> cells;
-    if (server.has_value()) {
-      if (!(snap.servers[*server] == kDefaultCell)) {
-        cells.emplace_back(*server, snap.servers[*server]);
-      }
-    } else {
-      cells = sparse_of(snap.servers);
+  if (server.has_value()) {
+    const auto emit = [&](const Entry& entry, std::string_view tier,
+                          const LandscapeCell& cell) {
+      std::vector<std::pair<std::uint32_t, LandscapeCell>> cells;
+      if (!(cell == kDefaultCell)) cells.emplace_back(*server, cell);
+      entries.push_back(
+          entry_to_json(entry.epoch, tier, "full", cells, entry.health));
+    };
+    for (const Entry& entry : coarse_) {
+      if (!in_window(entry)) continue;
+      const LandscapeCell* cell = cell_of(entry.cells, *server);
+      emit(entry, "coarse", cell != nullptr ? *cell : kDefaultCell);
     }
-    entries.push_back(
-        entry_to_json(snap.epoch, snap.tier, "full", cells, snap.health));
+    LandscapeCell rolling = recent_.empty() ? kDefaultCell : base_[*server];
+    for (const Entry& entry : recent_) {
+      if (const LandscapeCell* cell = cell_of(entry.cells, *server)) {
+        rolling = *cell;
+      }
+      if (in_window(entry)) emit(entry, "recent", rolling);
+    }
+  } else {
+    for (const Entry& entry : coarse_) {
+      if (!in_window(entry)) continue;
+      entries.push_back(entry_to_json(entry.epoch, "coarse", "full",
+                                      entry.cells, entry.health));
+    }
+    std::vector<LandscapeCell> rolling = base_;
+    for (const Entry& entry : recent_) {
+      apply_cells(entry.cells, rolling);
+      if (!in_window(entry)) continue;
+      entries.push_back(entry_to_json(entry.epoch, "recent", "full",
+                                      sparse_of(rolling), entry.health));
+    }
   }
   doc.emplace("entries", json::Value(std::move(entries)));
   return json::Value(std::move(doc));

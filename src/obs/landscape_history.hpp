@@ -169,8 +169,6 @@ class LandscapeHistory {
   };
 
   void evict_locked();
-  [[nodiscard]] std::vector<LandscapeSnapshot> window_locked(
-      std::int64_t from, std::int64_t to) const;
   [[nodiscard]] json::Value series_header_locked() const;
 
   LandscapeHistoryConfig config_;

@@ -485,6 +485,114 @@ TEST(MatcherIndexTest, EmptyMatcherMatchesTheEmptyReference) {
   EXPECT_EQ(index.matcher.matchable_domain_count(), 0u);
 }
 
+/// A lookup as a bucket holds it: within one epoch the pool position fixes
+/// the domain, so it also fixes `is_valid_domain`.
+MatchedLookup lookup_at(std::int64_t t_ms, std::uint32_t pos) {
+  return MatchedLookup{TimePoint{t_ms}, pos, pos % 7 == 0};
+}
+
+/// sort_matched must leave exactly what std::sort leaves.
+void expect_sorts_like_std_sort(std::vector<MatchedLookup> lookups) {
+  std::vector<MatchedLookup> expected = lookups;
+  std::sort(expected.begin(), expected.end(), matched_lookup_less);
+  sort_matched(lookups);
+  ASSERT_EQ(lookups.size(), expected.size());
+  for (std::size_t i = 0; i < lookups.size(); ++i) {
+    ASSERT_EQ(lookups[i], expected[i]) << "at " << i;
+  }
+}
+
+/// An ordered bucket of n lookups: timestamps climb by 0–2 s (so some
+/// repeat), positions drawn from a 64-domain pool.
+std::vector<MatchedLookup> ordered_bucket(std::size_t n, Rng& rng) {
+  std::vector<MatchedLookup> lookups;
+  std::int64_t t = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    t += static_cast<std::int64_t>(rng.uniform(3)) * 1000;
+    lookups.push_back(lookup_at(t, static_cast<std::uint32_t>(rng.uniform(64))));
+  }
+  std::sort(lookups.begin(), lookups.end(), matched_lookup_less);
+  return lookups;
+}
+
+TEST(SortMatchedTest, EmptyAndSingleLookupAreUnchanged) {
+  expect_sorts_like_std_sort({});
+  expect_sorts_like_std_sort({lookup_at(5, 3)});
+}
+
+TEST(SortMatchedTest, OrderedReversedAndEqualBuckets) {
+  Rng rng{3};
+  const std::vector<MatchedLookup> ordered = ordered_bucket(1000, rng);
+  expect_sorts_like_std_sort(ordered);
+  expect_sorts_like_std_sort({ordered.rbegin(), ordered.rend()});
+  expect_sorts_like_std_sort(
+      std::vector<MatchedLookup>(257, lookup_at(1000, 9)));
+  expect_sorts_like_std_sort({lookup_at(2, 1), lookup_at(1, 1)});
+}
+
+TEST(SortMatchedTest, OneTimestampManyPoolPositions) {
+  // Order then rests on the pool position alone.
+  std::vector<MatchedLookup> lookups;
+  for (std::uint32_t pos = 0; pos < 500; ++pos) {
+    lookups.push_back(lookup_at(7000, pos % 200));
+  }
+  Rng rng{5};
+  rng.shuffle(std::span<MatchedLookup>(lookups));
+  expect_sorts_like_std_sort(lookups);
+}
+
+TEST(SortMatchedTest, OneLookupSmallerThanAllOthers) {
+  Rng rng{7};
+  const std::vector<MatchedLookup> ordered = ordered_bucket(1000, rng);
+  for (const std::size_t at : {std::size_t{1}, std::size_t{500},
+                               ordered.size()}) {
+    SCOPED_TRACE("at " + std::to_string(at));
+    std::vector<MatchedLookup> lookups = ordered;
+    lookups.insert(lookups.begin() + static_cast<std::ptrdiff_t>(at),
+                   lookup_at(-1, 0));
+    expect_sorts_like_std_sort(lookups);
+  }
+}
+
+TEST(SortMatchedTest, HugeEarlyOutlierDisplacesEverythingAfterIt) {
+  // The kept run is {first, outlier}: every later lookup goes aside.
+  Rng rng{11};
+  std::vector<MatchedLookup> lookups = ordered_bucket(1000, rng);
+  lookups.insert(lookups.begin() + 1,
+                 lookup_at(std::int64_t{1} << 50, 3));
+  expect_sorts_like_std_sort(lookups);
+  lookups.insert(lookups.begin(), lookup_at(std::int64_t{1} << 51, 4));
+  expect_sorts_like_std_sort(lookups);
+}
+
+TEST(SortMatchedTest, DisplacedRunsMatchStdSort) {
+  // Seeded near-ordered buckets: 1% of lookups moved back or forward by up
+  // to 50 places, as a border feed's late arrivals leave them. Plus a few
+  // fully shuffled buckets.
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    for (const std::size_t n : {std::size_t{2}, std::size_t{100},
+                                std::size_t{1000}, std::size_t{15000}}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n));
+      Rng rng{seed};
+      std::vector<MatchedLookup> lookups = ordered_bucket(n, rng);
+      for (std::size_t moved = 0; moved < std::max<std::size_t>(1, n / 100);
+           ++moved) {
+        const std::size_t from = rng.uniform(n);
+        const std::int64_t offset = rng.uniform_range(-50, 50);
+        const std::size_t to = static_cast<std::size_t>(std::clamp<std::int64_t>(
+            static_cast<std::int64_t>(from) + offset, 0,
+            static_cast<std::int64_t>(n) - 1));
+        const MatchedLookup item = lookups[from];
+        lookups.erase(lookups.begin() + static_cast<std::ptrdiff_t>(from));
+        lookups.insert(lookups.begin() + static_cast<std::ptrdiff_t>(to), item);
+      }
+      expect_sorts_like_std_sort(lookups);
+      rng.shuffle(std::span<MatchedLookup>(lookups));
+      expect_sorts_like_std_sort(lookups);
+    }
+  }
+}
+
 TEST(AlgorithmicPatternTest, MatchesGeneratedDomains) {
   const AlgorithmicPattern pattern(8, 19, {".com", ".net", ".org", ".biz",
                                            ".info", ".ru"});

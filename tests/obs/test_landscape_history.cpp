@@ -248,6 +248,87 @@ TEST(LandscapeHistory, LatestAndWindowDocuments) {
   EXPECT_EQ(summary.at("dense_cells").as_int(), 4);
 }
 
+TEST(LandscapeHistory, OneServerWindowIsTheWholeWindowNarrowed) {
+  // Coarse and recent tiers after eviction: retain_recent 5 over epochs that
+  // cross four kCoarseStride multiples. Sparse rows whose cells change,
+  // vanish and come back, so the recent deltas roll a non-default base.
+  LandscapeHistoryConfig config;
+  config.retain_recent = 5;
+  LandscapeHistory history(config);
+  constexpr std::uint32_t kServers = 6;
+  constexpr std::int64_t kEpochs = 4 * kCoarseStride + 9;
+  for (std::int64_t e = 0; e < kEpochs; ++e) {
+    std::vector<LandscapeCell> servers(kServers);
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      const std::int64_t phase = (e / (s + 1) + s) % 4;
+      if (phase == 0) continue;  // default cell
+      servers[s] = cell(static_cast<double>(phase + s), s + 1, phase != 2);
+      if (phase == 3 && s % 2 == 0) {
+        servers[s].approximate = true;
+        servers[s].sketch_rse = 0.25;
+      }
+    }
+    history.record(row_of(e, std::move(servers),
+                          e % 3 == 0 ? std::optional<std::string>("ok")
+                                     : std::nullopt));
+  }
+  // The last coarse epoch is 4 * kCoarseStride; the recent ring starts at
+  // kEpochs - 5.
+  const std::int64_t last_coarse = 4 * kCoarseStride;
+  const std::int64_t first_recent = kEpochs - 5;
+  ASSERT_LT(last_coarse, first_recent);
+  const std::pair<std::int64_t, std::int64_t> windows[] = {
+      {kMinEpoch, kMaxEpoch},                  // everything
+      {0, last_coarse},                        // coarse only
+      {first_recent, kEpochs - 1},             // recent only
+      {last_coarse, first_recent},             // one of each side
+      {2 * kCoarseStride, first_recent + 2},   // straddles the tiers
+      {first_recent + 1, first_recent + 3},    // inside the recent ring
+      {last_coarse + 1, first_recent - 1},     // the evicted gap: empty
+      {5, 4},                                  // empty range
+  };
+  for (const auto& [from, to] : windows) {
+    const json::Value whole = history.window_json(std::nullopt, from, to);
+    const json::Array& whole_entries = whole.at("entries").as_array();
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      SCOPED_TRACE("window [" + std::to_string(from) + ", " +
+                   std::to_string(to) + "] server " + std::to_string(s));
+      const json::Value one = history.window_json(s, from, to);
+      json::Object header = one.as_object();
+      EXPECT_EQ(header.at("server").as_int(), s);
+      header.erase("server");
+      header.erase("entries");
+      json::Object whole_header = whole.as_object();
+      whole_header.erase("entries");
+      EXPECT_EQ(json::write(json::Value(header)),
+                json::write(json::Value(whole_header)));
+      const json::Array& one_entries = one.at("entries").as_array();
+      ASSERT_EQ(one_entries.size(), whole_entries.size());
+      for (std::size_t i = 0; i < whole_entries.size(); ++i) {
+        json::Object narrowed = whole_entries[i].as_object();
+        json::Array cells;
+        for (const json::Value& c : narrowed.at("cells").as_array()) {
+          if (c.at("server").as_int() == s) cells.push_back(c);
+        }
+        narrowed.insert_or_assign("cells", json::Value(std::move(cells)));
+        EXPECT_EQ(json::write(one_entries[i]),
+                  json::write(json::Value(std::move(narrowed))))
+            << "entry " << i;
+      }
+    }
+  }
+  // Straddling windows do hold both tiers.
+  const json::Array straddle =
+      history.window_json(2, last_coarse, first_recent).at("entries").as_array();
+  ASSERT_EQ(straddle.size(), 2u);
+  EXPECT_EQ(straddle[0].at("tier").as_string(), "coarse");
+  EXPECT_EQ(straddle[1].at("tier").as_string(), "recent");
+  // Before the first record any server reads an empty window.
+  const LandscapeHistory empty;
+  EXPECT_TRUE(empty.window_json(3, kMinEpoch, kMaxEpoch)
+                  .at("entries").as_array().empty());
+}
+
 TEST(LandscapeHistory, RejectsIdentityAndOrderViolations) {
   LandscapeHistory history;
   EXPECT_THROW(history.record(row_of(0, {})), ConfigError);

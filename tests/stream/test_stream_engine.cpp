@@ -1,13 +1,14 @@
 // Streaming-vs-batch equivalence and the online semantics of
 // stream::StreamEngine: the end-of-horizon landscape must be bit-identical
 // to core::BotMeter::analyze on the same stream — per family, per estimator,
-// and for 1 or 8 worker threads — while memory stays bounded by the active
-// epoch window.
+// for 1 or 8 worker threads, and when arrivals are displaced inside the
+// allowed lateness — while memory stays bounded by the active epoch window.
 #include "stream/stream_engine.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -15,7 +16,9 @@
 #include <vector>
 
 #include "botnet/simulator.hpp"
+#include "cluster/cluster_runtime.hpp"
 #include "common/json.hpp"
+#include "common/rng.hpp"
 #include "core/botmeter.hpp"
 #include "dga/families.hpp"
 #include "estimators/library.hpp"
@@ -188,6 +191,104 @@ TEST(StreamEquivalenceTest, OutOfOrderWithinGranularityTiesMatches) {
   const core::LandscapeReport streamed = engine.finish();
   EXPECT_EQ(engine.late_dropped(), 0u);
   expect_bit_identical(streamed, batch, "shuffled within timestamp ties");
+}
+
+/// The stream in arrival order when a seeded `share` of its tuples is held
+/// back by 1–5 s: each keeps its timestamp but arrives after the tuples
+/// stamped up to that much later, so its bucket receives it out of order.
+std::vector<dns::ForwardedLookup> displace_arrivals(
+    std::span<const dns::ForwardedLookup> stream, double share,
+    std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<std::pair<std::int64_t, dns::ForwardedLookup>> keyed;
+  for (const dns::ForwardedLookup& lookup : stream) {
+    const std::int64_t delay =
+        rng.bernoulli(share) ? rng.uniform_range(1000, 5000) : 0;
+    keyed.emplace_back(lookup.timestamp.millis() + delay, lookup);
+  }
+  std::stable_sort(keyed.begin(), keyed.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<dns::ForwardedLookup> arrivals;
+  for (auto& [arrival, lookup] : keyed) arrivals.push_back(std::move(lookup));
+  return arrivals;
+}
+
+TEST(StreamEquivalenceTest, DisplacedArrivalsMatchBatch) {
+  // 2% of tuples arrive a few seconds late, inside the allowed lateness, so
+  // closes sort buckets whose lookups came out of order. Every ingest path
+  // must still chart batch analyze's landscape of the time-ordered stream.
+  struct Case {
+    Scenario scenario;
+    std::string estimator;
+  };
+  const Case cases[] = {
+      {{dga::murofet_config(), 24, 2, 0, 2, 31}, "poisson"},
+      {{dga::newgoz_config(), 24, 2, 0, 2, 32}, "bernoulli"},
+      {{dga::murofet_config(), 24, 2, 0, 2, 33}, "timing"},
+  };
+  for (const Case& c : cases) {
+    const Scenario& s = c.scenario;
+    SCOPED_TRACE(s.dga.name + "/" + c.estimator);
+    const auto stream = simulate_stream(s);
+    ASSERT_TRUE(std::is_sorted(stream.begin(), stream.end(),
+                               [](const auto& a, const auto& b) {
+                                 return a.timestamp < b.timestamp;
+                               }));
+    const core::LandscapeReport batch = batch_report(s, c.estimator, stream);
+    const auto arrivals = displace_arrivals(stream, 0.02, s.seed);
+    // Some server's own arrivals do go back in time.
+    bool overtaken = false;
+    for (std::uint32_t server = 0; server < s.servers && !overtaken; ++server) {
+      std::int64_t latest = std::numeric_limits<std::int64_t>::min();
+      for (const dns::ForwardedLookup& lookup : arrivals) {
+        if (lookup.forwarder.value() != server) continue;
+        overtaken = overtaken || lookup.timestamp.millis() < latest;
+        latest = std::max(latest, lookup.timestamp.millis());
+      }
+    }
+    ASSERT_TRUE(overtaken);
+    std::ostringstream binary;
+    trace::write_blocks(binary, arrivals, 1 << 10);  // several blocks
+
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      const std::string at = " threads=" + std::to_string(threads);
+      StreamEngine per_tuple(engine_config(s, c.estimator, threads));
+      per_tuple.ingest(arrivals);
+      expect_bit_identical(per_tuple.finish(), batch, "ingest" + at);
+      EXPECT_EQ(per_tuple.late_dropped(), 0u);
+
+      StreamEngine blocky(engine_config(s, c.estimator, threads));
+      std::istringstream blocks(binary.str());
+      trace::for_each_block(
+          blocks, [&blocky](const dns::LookupColumns& columns,
+                            std::span<const std::string_view> table) {
+            blocky.ingest_block(columns, table);
+          });
+      expect_bit_identical(blocky.finish(), batch, "ingest_block" + at);
+      EXPECT_EQ(blocky.late_dropped(), 0u);
+
+      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+        cluster::ClusterConfig config;
+        config.meter = meter_config(s, c.estimator);
+        config.meter.analyze_threads = threads;
+        config.first_epoch = s.first_epoch;
+        config.epoch_count = s.epochs;
+        config.router = cluster::ShardRouter::by_range(s.servers, shards);
+        cluster::ClusterRuntime runtime(std::move(config));
+        std::istringstream cluster_blocks(binary.str());
+        trace::for_each_block(
+            cluster_blocks, [&runtime](const dns::LookupColumns& columns,
+                                       std::span<const std::string_view> table) {
+              runtime.ingest_block(columns, table);
+            });
+        expect_bit_identical(runtime.finish(), batch,
+                             "cluster shards=" + std::to_string(shards) + at);
+        for (std::size_t i = 0; i < shards; ++i) {
+          EXPECT_EQ(runtime.shard_stats(i).late_dropped, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(StreamEquivalenceTest, DuplicateTuplesHandledLikeBatch) {
