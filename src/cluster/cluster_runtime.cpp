@@ -384,7 +384,14 @@ void ClusterRuntime::ingest_block(const dns::LookupColumns& block,
     Shard& only = *shards_.front();
     const obs::Telemetry& tel = telemetry();
     const double start_ms = tel.timed() ? tel.now_ms() : 0.0;
-    only.engine->ingest_block(block, domains);
+    try {
+      only.engine->ingest_block(block, domains);
+    } catch (...) {
+      // A rejected block keeps the tuples before the rejected one: publish
+      // them, as a shard thread publishes after every batch.
+      mirror_counters(only);
+      throw;
+    }
     // No span: the engine's own stream.block.ingest span is this stage.
     if (tel.timed()) {
       tel.record_stage(0, obs::LagStage::kShardIngest, nullptr, start_ms,

@@ -267,12 +267,27 @@ json::Value LandscapeHistory::window_json(std::optional<std::uint32_t> server,
       entries.push_back(entry_to_json(entry.epoch, "coarse", "full",
                                       entry.cells, entry.health));
     }
-    std::vector<LandscapeCell> rolling = base_;
+    // The rolled row is kept sparse — its non-default cells by ascending
+    // server id — and each entry's ascending delta is merged into it (a cell
+    // back at the default leaves it), so an entry costs its cell count plus
+    // its delta, not the server count.
+    std::vector<std::pair<std::uint32_t, LandscapeCell>> row = sparse_of(base_);
+    std::vector<std::pair<std::uint32_t, LandscapeCell>> merged;
     for (const Entry& entry : recent_) {
-      apply_cells(entry.cells, rolling);
+      merged.clear();
+      auto kept = row.cbegin();
+      for (const auto& change : entry.cells) {
+        while (kept != row.cend() && kept->first < change.first) {
+          merged.push_back(*kept++);
+        }
+        if (kept != row.cend() && kept->first == change.first) ++kept;
+        if (!(change.second == kDefaultCell)) merged.push_back(change);
+      }
+      merged.insert(merged.end(), kept, row.cend());
+      row.swap(merged);
       if (!in_window(entry)) continue;
-      entries.push_back(entry_to_json(entry.epoch, "recent", "full",
-                                      sparse_of(rolling), entry.health));
+      entries.push_back(
+          entry_to_json(entry.epoch, "recent", "full", row, entry.health));
     }
   }
   doc.emplace("entries", json::Value(std::move(entries)));

@@ -25,12 +25,15 @@ std::int64_t MatchFront::next_boundary_ms() const {
 
 void MatchFront::resolve_tail(std::span<const std::string_view> domains) {
   obs::ScopedTimer resolve_span(trace_, "stream.block.resolve_many");
-  const std::size_t old = resolved_.size();
+  const std::size_t old = slot_.size();
   resolve_scratch_.resize(domains.size() - old);
   matcher_->resolve_many(domains.subspan(old), resolve_scratch_);
-  resolved_.resize(domains.size());
+  slot_.resize(domains.size());  // 0: in no detection window
   for (std::size_t i = 0; i < resolve_scratch_.size(); ++i) {
-    resolved_[old + i].resolved = resolve_scratch_[i];
+    if (resolve_scratch_[i]) {
+      memo_.push_back(BlockDomain{resolve_scratch_[i]});
+      slot_[old + i] = static_cast<std::uint32_t>(memo_.size());
+    }
   }
 }
 

@@ -8,8 +8,11 @@
 //
 //   - Matching. Single tuples go through DomainMatcher::match_one. Columnar
 //     blocks resolve each producer-table domain id once (resolve_many over
-//     the table's new tail) and memoise the last (nominal epoch ->
-//     attribution) answer per id, so most tuples cost one indexed load.
+//     the table's new tail) into a 4-byte slot per id: 0 for a domain in no
+//     detection window, else an index into a dense memo that holds only the
+//     matchable ids and the last (nominal epoch -> attribution) answer of
+//     each. A benign tuple costs one 4-byte load, a matched one a second
+//     load into a memo sized by the pools, not by the border's vocabulary.
 //   - The watermark (max timestamp seen) and close-boundary detection: an
 //     epoch closes once the watermark passes its end plus the allowed
 //     lateness, or when the producer closes it explicitly.
@@ -108,18 +111,19 @@ class MatchFront {
   /// for this engine's servers. Closes nothing — closes arrive as markers.
   void absorb(const FrontCounters& delta, std::optional<TimePoint> watermark);
 
-  /// Restart from checkpointed state. The resolve memo is derived state and
-  /// rebuilds as blocks arrive.
+  /// Restart from checkpointed state. The slots and the memo are derived
+  /// state and rebuild as blocks arrive.
   void resume(const FrontCounters& counters, std::optional<TimePoint> watermark,
               std::int64_t next_epoch_to_close);
 
  private:
-  /// Per-interned-domain-id cache entry of the block path: pool membership,
+  /// Memo entry of one matchable producer-table id: its pool membership,
   /// resolved once per id, plus a one-slot memo of the last attribution.
   /// The matcher's (epoch, pool_position, is_valid) answer depends only on
   /// (domain, nominal epoch), and lookup trains repeat a domain many times
-  /// within one epoch, so the memo turns most tuples into a single indexed
-  /// load with no occurrence scan.
+  /// within one epoch, so the memo turns most matched tuples into two
+  /// indexed loads with no occurrence scan. Ids in no detection window get
+  /// no entry (see slot_).
   struct BlockDomain {
     detect::DomainMatcher::Resolved resolved;
     std::int64_t memo_nominal = std::numeric_limits<std::int64_t>::min();
@@ -145,10 +149,14 @@ class MatchFront {
   std::int64_t lateness_ms_;
   obs::TraceSession* trace_;
 
-  /// Indexed by the producer's table ids. Derived state (a pure function of
-  /// the matcher and the table) — never checkpointed, rebuilt as blocks
-  /// arrive.
-  std::vector<BlockDomain> resolved_;
+  /// Indexed by the producer's table ids: 0 when the domain is in no
+  /// detection window (nine tuples in ten at a border), k for memo_[k - 1]
+  /// otherwise — 4 bytes per distinct domain where a BlockDomain is 32.
+  /// Both are derived state (a pure function of the matcher and the table):
+  /// never checkpointed, rebuilt as blocks arrive.
+  std::vector<std::uint32_t> slot_;
+  /// One entry per matchable id, in table order.
+  std::vector<BlockDomain> memo_;
   /// Reused landing strip for resolve_many over the table's new tail.
   std::vector<detect::DomainMatcher::Resolved> resolve_scratch_;
 
@@ -213,12 +221,12 @@ void MatchFront::ingest_block(const dns::LookupColumns& block,
       block.domain.size() != block.size()) {
     throw DataError("ingest_block: ragged columns");
   }
-  if (domains.size() < resolved_.size()) {
+  if (domains.size() < slot_.size()) {
     throw ConfigError(
         "ingest_block: domain table shrank — blocks from a different "
         "interning lineage");
   }
-  if (domains.size() > resolved_.size()) resolve_tail(domains);
+  if (domains.size() > slot_.size()) resolve_tail(domains);
 
   // The per-tuple loop keeps its bookkeeping in locals and commits on exit
   // (including the throw paths), so the compiler needn't reload members
@@ -249,19 +257,22 @@ void MatchFront::ingest_block(const dns::LookupColumns& block,
     for (std::size_t i = 0; i < n; ++i) {
       if (const std::size_t ahead = i + 16; ahead < n) {
         const std::uint32_t pid = block.domain[ahead];
-        if (pid < resolved_.size()) prefetch_ro(resolved_.data() + pid);
+        if (pid < slot_.size()) prefetch_ro(slot_.data() + pid);
       }
       const std::int64_t t_ms = block.t_ms[i];
       const std::uint32_t server = block.server[i];
-      sink.admit(server, t_ms);
-      ++ingested;
       const std::uint32_t id = block.domain[i];
-      if (id >= resolved_.size()) {
+      // Checked before the sink sees the tuple: a rejected tuple is neither
+      // admitted nor counted, so the counters still add up and no shard's
+      // watermark passes the front's.
+      if (id >= slot_.size()) {
         throw DataError("ingest_block: domain id " + std::to_string(id) +
                         " outside the table");
       }
-      BlockDomain& entry = resolved_[id];
-      if (entry.resolved) {
+      sink.admit(server, t_ms);
+      ++ingested;
+      if (const std::uint32_t slot = slot_[id]; slot != 0) {
+        BlockDomain& entry = memo_[slot - 1];
         if (t_ms < nominal_start || t_ms >= nominal_end) {
           nominal = matcher.nominal_epoch(TimePoint{t_ms});
           nominal_start = nominal * epoch_ms_;

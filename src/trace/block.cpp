@@ -275,7 +275,11 @@ std::optional<dns::LookupColumns> BlockReader::next() {
                 std::to_string(domains_.size()) + ")");
   }
 
-  payload_.resize(payload_bytes / 8);
+  // The buffer stays at its high-water size: a short block (one flushed
+  // early, e.g. at an epoch's close boundary) reads into its front, and the
+  // long block after it neither reallocates nor zero-fills a tail the read
+  // overwrites anyway.
+  if (payload_.size() < payload_bytes / 8) payload_.resize(payload_bytes / 8);
   char* bytes = reinterpret_cast<char*>(payload_.data());
   is_->read(bytes, static_cast<std::streamsize>(payload_bytes));
   if (is_->bad()) {
@@ -289,9 +293,10 @@ std::optional<dns::LookupColumns> BlockReader::next() {
 
   // Decode the delta string section into the accumulated table: one bulk
   // arena copy per block (the payload buffer is reused next call), then
-  // views into it — no per-domain heap allocation.
+  // views into it — no per-domain heap allocation. The table grows
+  // geometrically (no exact reserve), so a trace that interns domains in
+  // every block moves it O(log table) times, not once per block.
   std::size_t pos = 0;
-  domains_.reserve(domains_.size() + new_domains);
   const char* arena = nullptr;
   if (new_domains > 0) {
     string_arena_.emplace_back(bytes, string_bytes);

@@ -47,11 +47,14 @@
 // instead of misdecoding.
 //
 // Reading is zero-copy batched: BlockReader reads one whole payload into a
-// reusable 8-byte-aligned buffer and hands out spans over it — no per-tuple
-// work, no per-block allocation after the first. The accumulated domain
-// table is a vector of string_views into per-block arena copies of the
-// string sections (one bulk copy per block, not one heap allocation per
-// distinct domain); views stay valid for the reader's lifetime. Everything
+// reusable 8-byte-aligned buffer kept at its high-water size and hands out
+// spans over it — no per-tuple work, no allocation or zero-fill for a block
+// that fits what an earlier one needed. The accumulated domain table is a
+// vector of string_views into per-block arena copies of the string sections
+// (one bulk copy per block, not one heap allocation per distinct domain);
+// the vector grows geometrically, so a trace interning new domains in every
+// block re-seats it O(log table) times in all. Views stay valid for the
+// reader's lifetime. Everything
 // is validated before a view escapes: header checksum, section arithmetic,
 // string-table continuity, and every domain id < table size, so downstream
 // consumers may index the table unchecked.
@@ -147,7 +150,9 @@ class BlockWriter {
 /// block and byte offset). domains() is the accumulated per-file string
 /// table the `domain` column indexes; it only grows, ids are stable, and the
 /// views stay valid for the reader's lifetime (they point into arena copies
-/// of the blocks' string sections).
+/// of the blocks' string sections). The span itself is re-seated when the
+/// table grows (amortized, O(log table) times per file): re-read domains()
+/// after each next() rather than keeping an earlier span.
 class BlockReader {
  public:
   explicit BlockReader(std::istream& is);
@@ -170,6 +175,7 @@ class BlockReader {
   /// single short domain) and dangle every earlier view.
   std::deque<std::string> string_arena_;
   /// Payload buffer; u64-backed so the decoded i64/u32 columns are aligned.
+  /// Never shrinks: each block reads into its first payload_bytes.
   std::vector<std::uint64_t> payload_;
   std::uint64_t tuples_read_ = 0;
   std::uint64_t blocks_read_ = 0;

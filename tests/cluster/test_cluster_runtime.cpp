@@ -610,6 +610,47 @@ TEST(ClusterRuntimeTest, ServerOutsideTheRoutedWidthIsRejected) {
   }
 }
 
+// A block whose third tuple names a domain id outside the table is
+// rejected before that tuple reaches any shard: the runtime is left exactly
+// as per-tuple ingest of the first two leaves it, so every shard's counters
+// add up and no shard's watermark passes the front's. A shrinking table is
+// a ConfigError at every shard count.
+TEST(ClusterRuntimeTest, BlockIngestRejectsAnOutOfTableIdBeforeCountingIt) {
+  const std::vector<std::string_view> table{"only.example"};
+  // Servers 0 and 4 fall to different shards of a 2-shard router.
+  const std::int64_t t[] = {1000, 2000, 3000};
+  const std::uint32_t server[] = {0, 4, 4};
+  const std::uint32_t domain[] = {0, 0, 5};
+  const dns::LookupColumns block{t, server, domain};
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ClusterRuntime runtime(cluster_config(shards, 1));
+    EXPECT_THROW(runtime.ingest_block(block, table), DataError);
+    const json::Value rejected = runtime.checkpoint();
+
+    ClusterRuntime prefix(cluster_config(shards, 1));
+    prefix.ingest(dns::ForwardedLookup{TimePoint{1000}, dns::ServerId{0},
+                                       "only.example"});
+    prefix.ingest(dns::ForwardedLookup{TimePoint{2000}, dns::ServerId{4},
+                                       "only.example"});
+    EXPECT_EQ(json::write(rejected), json::write(prefix.checkpoint()));
+
+    std::uint64_t ingested = 0;
+    for (std::size_t i = 0; i < runtime.shard_count(); ++i) {
+      const ShardStats stats = runtime.shard_stats(i);
+      EXPECT_EQ(stats.ingested,
+                stats.matched + stats.unmatched + stats.late_dropped);
+      ASSERT_TRUE(stats.watermark.has_value());
+      EXPECT_LE(*stats.watermark, TimePoint{2000});
+      ingested += stats.ingested;
+    }
+    EXPECT_EQ(ingested, 2u);
+
+    const std::vector<std::string_view> smaller;
+    EXPECT_THROW(runtime.ingest_block(block, smaller), ConfigError);
+  }
+}
+
 TEST(ClusterRuntimeTest, ValidatesConfiguration) {
   // Empty router (default-constructed placeholder).
   ClusterConfig config;

@@ -329,6 +329,54 @@ TEST(LandscapeHistory, OneServerWindowIsTheWholeWindowNarrowed) {
                   .at("entries").as_array().empty());
 }
 
+TEST(LandscapeHistory, WholeWindowDropsCellsBackAtDefaultAndTakesThemBack) {
+  // The whole-window document rolls a sparse row through the recent deltas:
+  // a cell that returns to the default leaves it, and comes back when it
+  // changes again. Each recent entry must list exactly its row's
+  // non-default cells, ascending, starting from a non-default base.
+  LandscapeHistoryConfig config;
+  config.retain_recent = 4;
+  LandscapeHistory history(config);
+  constexpr std::uint32_t kServers = 5;
+  constexpr std::int64_t kEpochs = 12;
+  std::vector<std::vector<LandscapeCell>> rows;
+  for (std::int64_t e = 0; e < kEpochs; ++e) {
+    std::vector<LandscapeCell> servers(kServers);  // server 0 stays default
+    if (e % 2 == 0) servers[1] = cell(2.0 + static_cast<double>(e), 3);
+    if ((e / 3) % 2 == 0) servers[3] = cell(7.0, 1, false);
+    servers[4] = cell(1.0 + static_cast<double>(e % 3), 5);
+    rows.push_back(servers);
+    history.record(row_of(e, std::move(servers)));
+  }
+  const json::Value doc =
+      history.window_json(std::nullopt, kMinEpoch, kMaxEpoch);
+  std::size_t recent = 0;
+  for (const json::Value& entry : doc.at("entries").as_array()) {
+    if (entry.at("tier").as_string() != "recent") continue;
+    ++recent;
+    const std::int64_t epoch = entry.at("epoch").as_int();
+    const std::vector<LandscapeCell>& row =
+        rows[static_cast<std::size_t>(epoch)];
+    std::vector<std::int64_t> expected;
+    for (std::uint32_t s = 0; s < kServers; ++s) {
+      if (!(row[s] == LandscapeCell{})) expected.push_back(s);
+    }
+    std::vector<std::int64_t> listed;
+    for (const json::Value& c : entry.at("cells").as_array()) {
+      listed.push_back(c.at("server").as_int());
+    }
+    EXPECT_EQ(listed, expected) << "epoch " << epoch;
+  }
+  EXPECT_EQ(recent, config.retain_recent);
+  const std::vector<LandscapeSnapshot> snapshots =
+      window_of(history, kEpochs - 4, kEpochs - 1);
+  ASSERT_EQ(snapshots.size(), 4u);
+  for (const LandscapeSnapshot& snapshot : snapshots) {
+    EXPECT_EQ(snapshot.servers, rows[static_cast<std::size_t>(snapshot.epoch)])
+        << "epoch " << snapshot.epoch;
+  }
+}
+
 TEST(LandscapeHistory, RejectsIdentityAndOrderViolations) {
   LandscapeHistory history;
   EXPECT_THROW(history.record(row_of(0, {})), ConfigError);

@@ -10,6 +10,7 @@
 // agree too: ingest_block is tuple-for-tuple the same machine as ingest.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -156,15 +157,30 @@ TEST(CodecDeterminismTest, BlockIngestValidatesItsContract) {
     EXPECT_THROW(engine.ingest_block(*block, smaller_table), ConfigError);
   }
 
-  // A domain id outside the provided table is a loud DataError.
+  // A domain id outside the provided table is a loud DataError, raised
+  // before the tuple is admitted or counted: the engine is left exactly as
+  // per-tuple ingest of the block's prefix leaves it.
   {
     StreamEngine engine(engine_config(s, "", 1));
-    const std::int64_t t[] = {0};
-    const std::uint32_t server[] = {0};
-    const std::uint32_t domain[] = {5};
+    const std::int64_t t[] = {1000, 2000, 3000};
+    const std::uint32_t server[] = {0, 1, 1};
+    const std::uint32_t domain[] = {0, 0, 5};
     const dns::LookupColumns block{t, server, domain};
     const std::vector<std::string_view> table{"only.example"};
     EXPECT_THROW(engine.ingest_block(block, table), DataError);
+
+    StreamEngine prefix(engine_config(s, "", 1));
+    prefix.ingest(dns::ForwardedLookup{TimePoint{1000}, dns::ServerId{0},
+                                       "only.example"});
+    prefix.ingest(dns::ForwardedLookup{TimePoint{2000}, dns::ServerId{1},
+                                       "only.example"});
+    const StreamStats stats = engine.stats();
+    EXPECT_EQ(stats.ingested, 2u);
+    EXPECT_EQ(stats.ingested,
+              stats.matched + stats.unmatched + stats.late_dropped);
+    EXPECT_EQ(stats.watermark, TimePoint{2000});
+    EXPECT_EQ(json::write(engine.checkpoint()),
+              json::write(prefix.checkpoint()));
   }
 
   // Ragged columns are a loud DataError.
@@ -188,6 +204,101 @@ TEST(CodecDeterminismTest, BlockIngestValidatesItsContract) {
     ASSERT_TRUE(block.has_value());
     EXPECT_THROW(engine.ingest_block(*block, reader.domains()), ConfigError);
   }
+}
+
+// The block path keeps a memo entry for matchable ids only, reached through
+// a 4-byte slot per table id. A table that grows in every block, with the
+// matchable ids sparse among benign ones (the first id and the last one
+// matchable), must give per-tuple ingest's landscape and counters — also
+// when a checkpoint cut mid-feed is restored into a fresh engine that a
+// fresh reader feeds the rest, so the slots and the memo are rebuilt from
+// the whole table at once.
+TEST(CodecDeterminismTest, SparseMatchableIdsAcrossAGrowingTable) {
+  const Scenario s{dga::newgoz_config(), 16, 3, 0, 3, 9};
+  std::vector<dns::ForwardedLookup> dga_stream = simulate_stream(s);
+  // End at the last tuple that interns a new domain, so the table's last id
+  // is a DGA domain.
+  std::set<std::string> seen;
+  std::size_t last_new = 0;
+  for (std::size_t i = 0; i < dga_stream.size(); ++i) {
+    if (seen.insert(dga_stream[i].domain).second) last_new = i;
+  }
+  dga_stream.resize(last_new + 1);
+  // Nine fresh benign domains ahead of every DGA tuple but the first, so
+  // every block interns new domains and id 0 is a DGA domain.
+  std::vector<dns::ForwardedLookup> feed;
+  std::size_t benign = 0;
+  for (std::size_t i = 0; i < dga_stream.size(); ++i) {
+    for (int k = 0; i > 0 && k < 9; ++k) {
+      feed.push_back(dns::ForwardedLookup{
+          dga_stream[i].timestamp, dga_stream[i].forwarder,
+          "benign" + std::to_string(benign++) + ".example"});
+    }
+    feed.push_back(dga_stream[i]);
+  }
+  {
+    core::BotMeter meter(meter_config(s, ""));
+    meter.prepare_epochs(s.first_epoch, s.epochs);
+    ASSERT_TRUE(static_cast<bool>(meter.matcher().resolve(feed.front().domain)));
+    ASSERT_TRUE(static_cast<bool>(meter.matcher().resolve(feed.back().domain)));
+    ASSERT_FALSE(static_cast<bool>(meter.matcher().resolve("benign0.example")));
+  }
+  constexpr std::size_t kBlockTuples = 97;
+  std::ostringstream binary_os;
+  trace::write_blocks(binary_os, feed, kBlockTuples);
+  const std::size_t blocks = (feed.size() + kBlockTuples - 1) / kBlockTuples;
+  ASSERT_GT(blocks, 4u);
+
+  StreamEngine reference(engine_config(s, "", 1));
+  for (const dns::ForwardedLookup& lookup : feed) reference.ingest(lookup);
+  const std::string reference_bytes = landscape_bytes(reference.finish());
+  ASSERT_GT(reference.matched(), 0u);
+  const auto expect_counters_match = [&reference](const StreamEngine& engine) {
+    EXPECT_EQ(engine.ingested(), reference.ingested());
+    EXPECT_EQ(engine.matched(), reference.matched());
+    EXPECT_EQ(engine.unmatched(), reference.unmatched());
+    EXPECT_EQ(engine.late_dropped(), reference.late_dropped());
+  };
+
+  {
+    SCOPED_TRACE("whole trace");
+    StreamEngine engine(engine_config(s, "", 1));
+    std::istringstream is(binary_os.str());
+    trace::for_each_block(is, [&engine](const dns::LookupColumns& block,
+                                        std::span<const std::string_view> table) {
+      engine.ingest_block(block, table);
+    });
+    EXPECT_EQ(landscape_bytes(engine.finish()), reference_bytes);
+    expect_counters_match(engine);
+  }
+
+  // Cut right after the block that closed the first epoch.
+  SCOPED_TRACE("checkpoint cut mid-feed");
+  std::size_t cut = 0;
+  json::Value checkpoint;
+  {
+    StreamEngine engine(engine_config(s, "", 1));
+    std::istringstream is(binary_os.str());
+    trace::BlockReader reader(is);
+    while (engine.next_epoch_to_close() == s.first_epoch) {
+      const std::optional<dns::LookupColumns> block = reader.next();
+      ASSERT_TRUE(block.has_value());
+      engine.ingest_block(*block, reader.domains());
+      ++cut;
+    }
+    ASSERT_LT(cut, blocks);
+    checkpoint = engine.checkpoint();
+  }
+  StreamEngine resumed(engine_config(s, "", 1));
+  resumed.restore(checkpoint);
+  std::istringstream is(binary_os.str());
+  trace::BlockReader reader(is);
+  std::size_t index = 0;
+  while (const std::optional<dns::LookupColumns> block = reader.next()) {
+    if (index++ >= cut) resumed.ingest_block(*block, reader.domains());
+  }
+  EXPECT_EQ(landscape_bytes(resumed.finish()), reference_bytes);
+  expect_counters_match(resumed);
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 //
 // Properties pinned here:
 //   - lossless round trips (tuples, multi-block framing, the empty trace,
-//     string tables past 64k distinct domains);
+//     string tables past 64k distinct domains, alternating block sizes);
+//   - the domain table grows amortized: one new domain per block re-seats
+//     it O(log n) times, and earlier views stay valid;
 //   - text → binary → text reproduces the canonical text bytes exactly
 //     (the codec pair is injective on write_observable output);
 //   - every corruption — truncation anywhere, and every possible single
@@ -137,6 +139,75 @@ TEST(TraceBlockTest, ShortDomainArenaEntriesStayValidAcrossBlocks) {
 
   std::istringstream is2(encode(lookups, 1));
   EXPECT_EQ(read_blocks(is2), lookups);
+}
+
+TEST(TraceBlockTest, DomainTableGrowsAmortizedAcrossOneDomainBlocks) {
+  // Every one-tuple block interns a new domain. The table must re-seat
+  // O(log n) times in all, not once per block (an exact reserve per block
+  // copies the whole table every time: quadratic in the trace), and a view
+  // taken right after its block must still read its domain at the end.
+  constexpr std::size_t kBlocks = 4096;
+  std::ostringstream os;
+  BlockWriter writer(os, 1);
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    writer.append(TimePoint{static_cast<std::int64_t>(i)}, dns::ServerId{0},
+                  "grow" + std::to_string(i) + ".example");
+  }
+  writer.finish();
+  ASSERT_EQ(writer.blocks_written(), kBlocks);
+
+  std::istringstream is(os.str());
+  BlockReader reader(is);
+  std::vector<std::string_view> views;
+  std::size_t moves = 0;
+  const std::string_view* table = nullptr;
+  while (const auto block = reader.next()) {
+    ASSERT_EQ(block->size(), 1u);
+    if (reader.domains().data() != table) {
+      ++moves;
+      table = reader.domains().data();
+    }
+    views.push_back(reader.domains()[block->domain[0]]);
+  }
+  ASSERT_EQ(views.size(), kBlocks);
+  EXPECT_LE(moves, 2 * 12u);  // 2 log2(4096)
+  for (std::size_t i = 0; i < kBlocks; ++i) {
+    ASSERT_EQ(views[i], "grow" + std::to_string(i) + ".example") << "id " << i;
+    EXPECT_EQ(views[i].data(), reader.domains()[i].data()) << "id " << i;
+  }
+}
+
+TEST(TraceBlockTest, AlternatingBlockSizesDecodeEveryTuple) {
+  // Long, short, long: the payload buffer keeps its high-water size, so a
+  // short block reads into its front and the next long block reuses it
+  // (the longest one grows it). Every block must still decode exactly.
+  const auto lookups = sample_trace(2400, 29, 500);
+  const std::size_t sizes[] = {700, 3, 500, 1, 900, 2, 294};
+  std::ostringstream os;
+  BlockWriter writer(os, kDefaultBlockTuples);
+  std::size_t next = 0;
+  for (const std::size_t size : sizes) {
+    for (std::size_t i = 0; i < size; ++i) writer.append(lookups[next++]);
+    writer.flush_block();
+  }
+  writer.finish();
+  ASSERT_EQ(next, lookups.size());
+
+  std::istringstream is(os.str());
+  BlockReader reader(is);
+  std::vector<dns::ForwardedLookup> decoded;
+  std::size_t index = 0;
+  while (const auto block = reader.next()) {
+    ASSERT_LT(index, std::size(sizes));
+    EXPECT_EQ(block->size(), sizes[index++]);
+    for (std::size_t i = 0; i < block->size(); ++i) {
+      decoded.push_back(dns::ForwardedLookup{
+          TimePoint{block->t_ms[i]}, dns::ServerId{block->server[i]},
+          std::string(reader.domains()[block->domain[i]])});
+    }
+  }
+  EXPECT_EQ(index, std::size(sizes));
+  EXPECT_EQ(decoded, lookups);
 }
 
 TEST(TraceBlockTest, WriterRejectsOversizedBlockTuples) {
