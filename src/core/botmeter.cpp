@@ -160,34 +160,18 @@ const detect::DetectionWindow& BotMeter::window_for_epoch(std::int64_t epoch) co
   return epoch_state(epoch).window;
 }
 
-estimators::EpochObservation BotMeter::make_observation(
-    std::int64_t epoch, std::vector<detect::MatchedLookup> lookups) const {
+estimators::ObservationContext BotMeter::observation_context(
+    std::int64_t epoch) const {
   const EpochState& state = epoch_state(epoch);
-  estimators::EpochObservation obs;
-  obs.lookups = std::move(lookups);
-  obs.config = &config_.dga;
-  obs.pool = state.pool;
-  obs.window = &state.window;
-  obs.ttl = config_.ttl;
-  obs.window_start = TimePoint{epoch * config_.dga.epoch.millis()};
-  obs.window_length = config_.dga.epoch;
-  obs.assumed_miss_rate = config_.assumed_miss_rate;
-  return obs;
-}
-
-estimators::CompactObservation BotMeter::make_compact_observation(
-    std::int64_t epoch, const estimators::CompactCell& cell) const {
-  const EpochState& state = epoch_state(epoch);
-  estimators::CompactObservation obs;
-  obs.cell = &cell;
-  obs.config = &config_.dga;
-  obs.pool = state.pool;
-  obs.window = &state.window;
-  obs.ttl = config_.ttl;
-  obs.window_start = TimePoint{epoch * config_.dga.epoch.millis()};
-  obs.window_length = config_.dga.epoch;
-  obs.assumed_miss_rate = config_.assumed_miss_rate;
-  return obs;
+  estimators::ObservationContext context;
+  context.config = &config_.dga;
+  context.pool = state.pool;
+  context.window = &state.window;
+  context.ttl = config_.ttl;
+  context.window_start = TimePoint{epoch * config_.dga.epoch.millis()};
+  context.window_length = config_.dga.epoch;
+  context.assumed_miss_rate = config_.assumed_miss_rate;
+  return context;
 }
 
 estimators::CompactCellSpec BotMeter::compact_spec_for_epoch(
@@ -219,30 +203,27 @@ std::vector<estimators::EpochCell> BotMeter::estimate_epoch_row(
     throw ConfigError("estimate_epoch_row: compact_cells width mismatch");
   }
   const estimators::Estimator& estimator = active_estimator();
-  estimators::EstimationContext context;
-  estimators::EstimationContext* const shared =
-      config_.share_estimation_context ? &context : nullptr;
+  estimators::EstimationContext shared;
+  estimators::ObservationContext context = observation_context(epoch);
+  if (config_.share_estimation_context) context.context = &shared;
   std::vector<estimators::EpochCell> cells(buckets.size());
   const auto estimate_one = [&](std::size_t s) {
     obs::ScopedTimer server_timer(config_.telemetry.trace, span_name);
     estimators::EpochCell& cell = cells[s];
     cell.epoch = epoch;
     if (!compact_cells.empty() && compact_cells[s] != nullptr) {
-      const estimators::CompactCell& compact = *compact_cells[s];
-      estimators::CompactObservation obs =
-          make_compact_observation(epoch, compact);
-      obs.context = shared;
+      const estimators::CompactObservation obs{context, compact_cells[s].get()};
       cell.estimate = estimator.estimate_with_interval(obs, 0.9);
-      cell.matched = compact.matched();
+      cell.matched = obs.cell->matched();
       return;
     }
+    // The estimators read lookups in (t, pool_position) order, the order
+    // batch match() emits.
     std::vector<detect::MatchedLookup>& bucket = buckets[s];
     detect::sort_matched(bucket);
-    const std::uint64_t count = bucket.size();
-    estimators::EpochObservation obs = make_observation(epoch, std::move(bucket));
-    obs.context = shared;
+    const estimators::EpochObservation obs{context, std::move(bucket)};
     cell.estimate = estimator.estimate_with_interval(obs, 0.9);
-    cell.matched = count;
+    cell.matched = obs.lookups.size();
   };
   if (workers != nullptr) {
     workers->parallel_for(buckets.size(), estimate_one);

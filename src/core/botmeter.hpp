@@ -155,18 +155,6 @@ class BotMeter {
       std::span<const dns::ForwardedLookup> stream,
       std::size_t server_count) const;
 
-  /// Bundle the matched lookups of one (server, epoch) cell into the
-  /// estimator input. `lookups` must already be sorted by (t, pool_position)
-  /// — the order match() emits. Shared by analyze() and the streaming
-  /// engine so both hand the estimator byte-identical observations.
-  [[nodiscard]] estimators::EpochObservation make_observation(
-      std::int64_t epoch, std::vector<detect::MatchedLookup> lookups) const;
-
-  /// Compact counterpart of make_observation: bundle a sketch-backed cell
-  /// with the same per-epoch context. `cell` must outlive the observation.
-  [[nodiscard]] estimators::CompactObservation make_compact_observation(
-      std::int64_t epoch, const estimators::CompactCell& cell) const;
-
   /// The cell shape for one epoch under this meter's configuration and the
   /// active estimator's compact support.
   [[nodiscard]] estimators::CompactCellSpec compact_spec_for_epoch(
@@ -225,6 +213,12 @@ class BotMeter {
   };
 
   [[nodiscard]] const EpochState& epoch_state(std::int64_t epoch) const;
+
+  /// The estimator context of every cell of one epoch, exact or compact:
+  /// family, pool, window, TTL, window geometry and assumed miss rate (no
+  /// shared EstimationContext).
+  [[nodiscard]] estimators::ObservationContext observation_context(
+      std::int64_t epoch) const;
 
   BotMeterConfig config_;
   estimators::ModelLibrary library_;

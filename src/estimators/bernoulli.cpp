@@ -304,29 +304,9 @@ BernoulliStats stats_of(const CompactObservation& obs) {
   return stats;
 }
 
-/// Everything else an evaluation needs, identical across observation forms.
-struct BernoulliProblem {
-  const dga::EpochPool* pool = nullptr;
-  const dga::DgaConfig* config = nullptr;
-  dns::TtlPolicy ttl;
-  Duration window_length;
-  std::optional<double> assumed_miss_rate;
-  EstimationContext* context = nullptr;
-};
-
-BernoulliProblem problem_of(const EpochObservation& obs) {
-  return {obs.pool, obs.config, obs.ttl, obs.window_length,
-          obs.assumed_miss_rate, obs.context};
-}
-
-BernoulliProblem problem_of(const CompactObservation& obs) {
-  return {obs.pool, obs.config, obs.ttl, obs.window_length,
-          obs.assumed_miss_rate, obs.context};
-}
-
 /// The shared point-estimate core of the coverage/adaptive methods. Exact
 /// and compact paths both land here; identical stats give identical bits.
-double estimate_core(const BernoulliProblem& p, const BernoulliStats& stats,
+double estimate_core(const ObservationContext& p, const BernoulliStats& stats,
                      BernoulliMethod method) {
   std::unique_ptr<CoverageTables> local_tables;
   const CoverageTables& tables =
@@ -360,7 +340,7 @@ double estimate_core(const BernoulliProblem& p, const BernoulliStats& stats,
 /// stats the coverage band additionally carries the KMV standard error
 /// (variances add: the bootstrap spread and the sketch error are
 /// independent); the guard keeps the exact path's arithmetic untouched.
-IntervalEstimate interval_core(const BernoulliProblem& p,
+IntervalEstimate interval_core(const ObservationContext& p,
                                const BernoulliStats& stats,
                                BernoulliMethod method, double level) {
   IntervalEstimate result;
@@ -605,42 +585,16 @@ double BernoulliEstimator::estimate(const EpochObservation& obs) const {
   if (method_ == BernoulliMethod::kSegmentExpectation) {
     return estimate_by_segments(obs);
   }
-  return estimate_core(problem_of(obs), stats_of(obs), method_);
+  return estimate_core(obs, stats_of(obs), method_);
 }
 
 IntervalEstimate BernoulliEstimator::estimate_with_interval(
     const EpochObservation& obs, double level) const {
-  if (!(level > 0.0 && level < 1.0)) {
-    throw ConfigError("estimate_with_interval: level must be in (0,1)");
-  }
-
+  check_level(level);
   if (method_ == BernoulliMethod::kSegmentExpectation) {
     return IntervalEstimate{estimate(obs), std::nullopt, level};
   }
-  obs.validate();
-  if (!applicable(*obs.config)) {
-    throw ConfigError("BernoulliEstimator: requires the randomcut barrel (A_R)");
-  }
-
-  const BernoulliStats stats = stats_of(obs);
-  const BernoulliProblem problem = problem_of(obs);
-  const auto compute = [&] {
-    return interval_core(problem, stats, method_, level);
-  };
-
-  // Within one (epoch, configuration) scope the whole result — point
-  // estimate, bootstrap (its seed uses only pool.epoch and the lookup
-  // count), and pushed-back interval — is a pure function of the sufficient
-  // statistic below, so a shared context can memoize the entire call. The
-  // segment method reads actual positions and is excluded.
-  if (obs.context != nullptr) {
-    return obs.context->memoized_interval(
-        std::string("bernoulli.interval.") + std::string(name()),
-        {stats.distinct, stats.nxd_lookups,
-         static_cast<double>(stats.total_lookups), level},
-        compute);
-  }
-  return compute();
+  return coverage_interval(obs, level);
 }
 
 CompactSupport BernoulliEstimator::compact_support() const {
@@ -653,38 +607,44 @@ CompactSupport BernoulliEstimator::compact_support() const {
 
 IntervalEstimate BernoulliEstimator::estimate_with_interval(
     const CompactObservation& obs, double level) const {
-  if (!(level > 0.0 && level < 1.0)) {
-    throw ConfigError("estimate_with_interval: level must be in (0,1)");
-  }
+  check_level(level);
   if (method_ == BernoulliMethod::kSegmentExpectation) {
     return Estimator::estimate_with_interval(obs, level);  // throws
   }
+  return coverage_interval(obs, level);
+}
+
+template <typename Observation>
+IntervalEstimate BernoulliEstimator::coverage_interval(const Observation& obs,
+                                                       double level) const {
   obs.validate();
   if (!applicable(*obs.config)) {
     throw ConfigError("BernoulliEstimator: requires the randomcut barrel (A_R)");
   }
-
   const BernoulliStats stats = stats_of(obs);
-  const BernoulliProblem problem = problem_of(obs);
   const auto compute = [&] {
-    return interval_core(problem, stats, method_, level);
+    return interval_core(obs, stats, method_, level);
   };
-  if (obs.context != nullptr) {
-    // Exact-regime compact stats coincide with the exact path's sufficient
-    // statistic, so sharing its memo key returns the exact path's bits.
-    // Saturated stats use their own key space: the saturated estimate is a
-    // continuous value that must never collide with an exact entry.
-    const std::string key =
-        (stats.approximate ? std::string("bernoulli.compact_interval.")
-                           : std::string("bernoulli.interval.")) +
-        std::string(name());
-    return obs.context->memoized_interval(
-        key,
-        {stats.distinct, stats.nxd_lookups,
-         static_cast<double>(stats.total_lookups), level},
-        compute);
-  }
-  return compute();
+  if (obs.context == nullptr) return compute();
+
+  // Within one (epoch, configuration) scope the whole result — point
+  // estimate, bootstrap (its seed uses only pool.epoch and the lookup
+  // count), and pushed-back interval — is a pure function of the sufficient
+  // statistic below, so a shared context can memoize the entire call. The
+  // segment method reads actual positions and never gets here. Exact stats,
+  // and compact ones below KMV saturation, share one key space, so a compact
+  // cell still exact returns the exact path's bits. Saturated stats use their
+  // own: the saturated estimate is a continuous value that must never
+  // collide with an exact entry.
+  const std::string key =
+      (stats.approximate ? std::string("bernoulli.compact_interval.")
+                         : std::string("bernoulli.interval.")) +
+      std::string(name());
+  return obs.context->memoized_interval(
+      key,
+      {stats.distinct, stats.nxd_lookups,
+       static_cast<double>(stats.total_lookups), level},
+      compute);
 }
 
 double BernoulliEstimator::estimate_by_segments(

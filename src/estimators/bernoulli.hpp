@@ -108,6 +108,14 @@ class BernoulliEstimator final : public Estimator {
  private:
   [[nodiscard]] double estimate_by_segments(const EpochObservation& obs) const;
 
+  /// The one interval path of the coverage and adaptive methods, for either
+  /// observation form: the form only decides the sufficient statistic (an
+  /// exact count, or a KMV sketch that stays integer-exact until it
+  /// saturates).
+  template <typename Observation>
+  [[nodiscard]] IntervalEstimate coverage_interval(const Observation& obs,
+                                                   double level) const;
+
   BernoulliMethod method_;
 };
 

@@ -213,21 +213,7 @@ CompactCell CompactCell::parse(const json::Value& value) {
 
 void CompactObservation::validate() const {
   if (cell == nullptr) throw ConfigError("CompactObservation: cell missing");
-  if (config == nullptr) throw ConfigError("CompactObservation: config missing");
-  if (pool == nullptr) throw ConfigError("CompactObservation: pool missing");
-  if (window == nullptr) {
-    throw ConfigError("CompactObservation: detection window missing");
-  }
-  if (window->detected.size() != pool->domains.size()) {
-    throw ConfigError("CompactObservation: window/pool size mismatch");
-  }
-  if (window_length.millis() <= 0) {
-    throw ConfigError("CompactObservation: window length must be positive");
-  }
-  if (assumed_miss_rate &&
-      (*assumed_miss_rate < 0.0 || *assumed_miss_rate >= 1.0)) {
-    throw ConfigError("CompactObservation: assumed_miss_rate must be in [0,1)");
-  }
+  ObservationContext::validate("CompactObservation");
   if (cell->spec().window_start_ms != window_start.millis() ||
       cell->spec().window_ms != window_length.millis()) {
     throw ConfigError("CompactObservation: cell spec/window geometry mismatch");

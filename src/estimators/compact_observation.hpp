@@ -7,8 +7,8 @@
 // earliest timestamp} (M_P's activations) — everything the compact-capable
 // estimators consume, in O(k + slots) bytes regardless of traffic volume.
 // `CompactObservation` then plays the role of `EpochObservation` for the
-// compact path: the cell plus the same family / pool / window / TTL context,
-// handed to `Estimator::estimate_with_interval`.
+// compact path: the cell plus the same `ObservationContext`, handed to
+// `Estimator::estimate_with_interval`.
 //
 // Cells are insertion-order invariant, so spilling an exact buffer into a
 // cell mid-stream or restoring one from a checkpoint reproduces the cell a
@@ -23,16 +23,12 @@
 
 #include "common/json.hpp"
 #include "common/time.hpp"
-#include "detect/detection_window.hpp"
 #include "detect/matcher.hpp"
-#include "dga/config.hpp"
-#include "dga/pool.hpp"
 #include "dns/record.hpp"
+#include "estimators/observation.hpp"
 #include "estimators/sketch.hpp"
 
 namespace botmeter::estimators {
-
-class EstimationContext;
 
 /// What a given estimator can do with compact state. `supported` false means
 /// the model needs individual lookups (timing, Bernoulli segments) and the
@@ -138,20 +134,12 @@ class CompactCell {
 /// analyst-side context. Estimators whose `compact_support().supported` is
 /// true accept this via `estimate_with_interval(const CompactObservation&)`
 /// and flag which reported statistics became approximate.
-struct CompactObservation {
+struct CompactObservation : ObservationContext {
   const CompactCell* cell = nullptr;
 
-  const dga::DgaConfig* config = nullptr;
-  const dga::EpochPool* pool = nullptr;
-  const detect::DetectionWindow* window = nullptr;
-  dns::TtlPolicy ttl;
-  TimePoint window_start;
-  Duration window_length = days(1);
-  std::optional<double> assumed_miss_rate;
-  EstimationContext* context = nullptr;
-
-  /// Throws ConfigError if a required field is missing/inconsistent or the
-  /// cell's spec disagrees with the stated window geometry.
+  /// Throws ConfigError if the cell is missing, a context field is missing
+  /// or inconsistent, or the cell's spec disagrees with the stated window
+  /// geometry.
   void validate() const;
 };
 

@@ -8,6 +8,12 @@
 
 namespace botmeter::estimators {
 
+void check_level(double level) {
+  if (!(level > 0.0 && level < 1.0)) {
+    throw ConfigError("estimate_with_interval: level must be in (0,1)");
+  }
+}
+
 IntervalEstimate Estimator::estimate_with_interval(const CompactObservation&,
                                                    double) const {
   throw ConfigError(std::string(name()) +
@@ -31,20 +37,27 @@ std::size_t count_distinct_nxds(const EpochObservation& obs) {
   return distinct;
 }
 
-void EpochObservation::validate() const {
-  if (config == nullptr) throw ConfigError("EpochObservation: config missing");
-  if (pool == nullptr) throw ConfigError("EpochObservation: pool missing");
-  if (window == nullptr) throw ConfigError("EpochObservation: detection window missing");
+void ObservationContext::validate(std::string_view what) const {
+  const auto error = [what](const char* problem) {
+    return ConfigError(std::string(what) + ": " + problem);
+  };
+  if (config == nullptr) throw error("config missing");
+  if (pool == nullptr) throw error("pool missing");
+  if (window == nullptr) throw error("detection window missing");
   if (window->detected.size() != pool->domains.size()) {
-    throw ConfigError("EpochObservation: window/pool size mismatch");
+    throw error("window/pool size mismatch");
   }
   if (window_length.millis() <= 0) {
-    throw ConfigError("EpochObservation: window length must be positive");
+    throw error("window length must be positive");
   }
   if (assumed_miss_rate &&
       (*assumed_miss_rate < 0.0 || *assumed_miss_rate >= 1.0)) {
-    throw ConfigError("EpochObservation: assumed_miss_rate must be in [0,1)");
+    throw error("assumed_miss_rate must be in [0,1)");
   }
+}
+
+void EpochObservation::validate() const {
+  ObservationContext::validate("EpochObservation");
   for (std::size_t i = 1; i < lookups.size(); ++i) {
     if (lookups[i].t < lookups[i - 1].t) {
       throw DataError("EpochObservation: lookups must be time-sorted");

@@ -35,6 +35,10 @@ struct IntervalEstimate {
   double sketch_rse = 0.0;
 };
 
+/// Throws ConfigError unless `level` is in (0, 1); NaN is refused too. Every
+/// `estimate_with_interval` checks its level here first.
+void check_level(double level);
+
 /// A bot-population estimation model (one entry of the analytic model
 /// library, step 5 of Fig. 2).
 class Estimator {
@@ -58,11 +62,12 @@ class Estimator {
   /// they are expectations).
   [[nodiscard]] virtual double estimate(const EpochObservation& obs) const = 0;
 
-  /// Estimate with a confidence interval at the given level. The default
-  /// returns the point estimate with no interval; models that can quantify
-  /// uncertainty override it.
+  /// Estimate with a confidence interval at the given level, which must be
+  /// in (0, 1) (`check_level`). The default returns the point estimate with
+  /// no interval; models that can quantify uncertainty override it.
   [[nodiscard]] virtual IntervalEstimate estimate_with_interval(
       const EpochObservation& obs, double level = 0.9) const {
+    check_level(level);
     return IntervalEstimate{estimate(obs), std::nullopt, level};
   }
 

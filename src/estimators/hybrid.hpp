@@ -7,6 +7,11 @@
 // default, which leans on the semantic side — the paper's experiments show
 // semantic statistics are the more robust signal. bench_ablation_estimators
 // sweeps the weight.
+//
+// A hybrid has no compact path (the base class answers "unsupported"). The
+// temporal side of every hybrid in use is Timing, which needs individual
+// lookups; a pair with two compact paths would need Poisson and a coverage
+// model on one barrel, and those models apply to different barrels.
 #pragma once
 
 #include <memory>
@@ -31,20 +36,6 @@ class HybridEstimator final : public Estimator {
   [[nodiscard]] bool applicable(const dga::DgaConfig& config) const override;
 
   [[nodiscard]] double estimate(const EpochObservation& obs) const override;
-
-  /// Compact-capable iff both components are; the cell must carry the union
-  /// of the components' sketch needs. (The library's default hybrid pairs
-  /// Bernoulli with Timing, which has no compact path — such a hybrid
-  /// reports unsupported.)
-  [[nodiscard]] CompactSupport compact_support() const override;
-
-  /// Weighted blend of the components' compact estimates. Approximate when
-  /// either side is, carrying the larger sketch error; the interval is the
-  /// weighted blend when both components produce one.
-  [[nodiscard]] IntervalEstimate estimate_with_interval(
-      const CompactObservation& obs, double level = 0.9) const override;
-
-  [[nodiscard]] double semantic_weight() const { return weight_; }
 
  private:
   std::unique_ptr<Estimator> semantic_;

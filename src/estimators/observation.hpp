@@ -1,15 +1,19 @@
 // Input to the analytical models (architecture steps 4-6 of Fig. 2).
 //
-// One `EpochObservation` bundles everything an estimator may legitimately
-// know about one (local server, epoch) cell: the matched cache-filtered
-// lookups, the family's public parameters (theta_0, theta_E, theta_q,
-// delta_i — reverse-engineering knowledge), the pool structure the analyst
-// has (detection window), and the network's TTL policy. Ground truth (client
-// identities, actual bot count) is deliberately absent.
+// One observation bundles everything an estimator may legitimately know
+// about one (local server, epoch) cell: the cell's evidence, the family's
+// public parameters (theta_0, theta_E, theta_q, delta_i — reverse-engineering
+// knowledge), the pool structure the analyst has (detection window), and the
+// network's TTL policy. Ground truth (client identities, actual bot count) is
+// deliberately absent. The evidence comes in two forms: the matched lookups
+// themselves (`EpochObservation`) or a sketch-backed compact cell
+// (`CompactObservation`, compact_observation.hpp); both carry the same
+// `ObservationContext`.
 #pragma once
 
 #include <cstddef>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/time.hpp"
@@ -23,10 +27,8 @@ namespace botmeter::estimators {
 
 class EstimationContext;
 
-struct EpochObservation {
-  /// Matched lookups for one server and one epoch, sorted by timestamp.
-  std::vector<detect::MatchedLookup> lookups;
-
+/// The analyst-side context of one cell, whatever form its evidence takes.
+struct ObservationContext {
   /// Family parameters (analyst configuration, step 6 of Fig. 2).
   const dga::DgaConfig* config = nullptr;
 
@@ -55,7 +57,16 @@ struct EpochObservation {
   /// means "no sharing" — the exact pre-context computation path.
   EstimationContext* context = nullptr;
 
-  /// Throws ConfigError if a required field is missing/inconsistent.
+  /// Throws ConfigError, naming `what`, if a required field is missing or
+  /// inconsistent.
+  void validate(std::string_view what) const;
+};
+
+struct EpochObservation : ObservationContext {
+  /// Matched lookups for one server and one epoch, sorted by timestamp.
+  std::vector<detect::MatchedLookup> lookups;
+
+  /// The context's checks, then DataError unless `lookups` is time-sorted.
   void validate() const;
 };
 

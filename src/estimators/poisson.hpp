@@ -18,6 +18,7 @@
 // renewal structure of Fig. 4 (see the .cpp for both derivations).
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "estimators/estimator.hpp"
@@ -46,7 +47,7 @@ class PoissonEstimator final : public Estimator {
       const EpochObservation& obs, double level = 0.9) const override;
 
   /// The visible-activation instants extracted by burst clustering —
-  /// exposed for tests and for the hybrid estimator.
+  /// exposed for tests.
   [[nodiscard]] static std::vector<TimePoint> visible_activations(
       const EpochObservation& obs);
 
@@ -65,9 +66,20 @@ class PoissonEstimator final : public Estimator {
   [[nodiscard]] IntervalEstimate estimate_with_interval(
       const CompactObservation& obs, double level = 0.9) const override;
 
-  /// The pseudo-activation instants read off a compact cell's slot grid.
+  /// The pseudo-activation instants read off a compact cell's slot grid,
+  /// by the same clustering.
   [[nodiscard]] static std::vector<TimePoint> visible_activations(
       const CompactObservation& obs);
+
+ private:
+  /// The one core of both forms: Eqn 1 over `activations` and, when `level`
+  /// is set, the chi-square band evaluated at the gap sums
+  /// max(sum - n * w, 1) and sum + n * w, where w = `slot_w_ms` is the
+  /// timestamp error of one activation (0 on an exact cell).
+  [[nodiscard]] static IntervalEstimate fit(
+      const std::vector<TimePoint>& activations,
+      const ObservationContext& context, double slot_w_ms,
+      std::optional<double> level);
 };
 
 }  // namespace botmeter::estimators

@@ -10,7 +10,7 @@ namespace botmeter::estimators {
 
 namespace {
 
-/// The closed-form coverage inversion shared by the exact and compact paths.
+/// The closed form E[C | N] = ceiling * (1 - (1 - q)^N), inverted.
 double invert_sampling_coverage(double observed, double q, double ceiling) {
   if (observed <= 0.0) return 0.0;
   // Saturated coverage: every (detected) NXD was seen; the inversion
@@ -48,60 +48,26 @@ double SamplingCoverageEstimator::per_bot_nxd_probability(
   return expected_nxd_queries / nxds;
 }
 
-double SamplingCoverageEstimator::estimate(const EpochObservation& obs) const {
-  obs.validate();
-  if (!applicable(*obs.config)) {
+IntervalEstimate SamplingCoverageEstimator::fit(
+    const ObservationContext& context, double observed, const KmvSketch* kmv,
+    double level) const {
+  if (!applicable(*context.config)) {
     throw ConfigError("SamplingCoverageEstimator: requires the sampling barrel");
   }
-  const double observed = static_cast<double>(count_distinct_nxds(obs));
-  if (observed <= 0.0) return 0.0;
-
-  const double q = per_bot_nxd_probability(*obs.config);
-  if (!(q > 0.0)) throw ConfigError("SamplingCoverageEstimator: q must be > 0");
-
-  const double keep =
-      obs.assumed_miss_rate ? (1.0 - *obs.assumed_miss_rate) : 1.0;
-  const double ceiling = static_cast<double>(obs.config->nxd_count) * keep;
-  return invert_sampling_coverage(observed, q, ceiling);
-}
-
-CompactSupport SamplingCoverageEstimator::compact_support() const {
-  CompactSupport support;
-  support.supported = true;
-  support.needs_distinct = true;
-  return support;
-}
-
-IntervalEstimate SamplingCoverageEstimator::estimate_with_interval(
-    const CompactObservation& obs, double level) const {
-  if (!(level > 0.0 && level < 1.0)) {
-    throw ConfigError("estimate_with_interval: level must be in (0,1)");
-  }
-  obs.validate();
-  if (!applicable(*obs.config)) {
-    throw ConfigError("SamplingCoverageEstimator: requires the sampling barrel");
-  }
-  const KmvSketch* kmv = obs.cell->distinct_nxd();
-  if (kmv == nullptr) {
-    throw ConfigError(
-        "SamplingCoverageEstimator: compact cell lacks the distinct-NXD sketch");
-  }
-
-  const double q = per_bot_nxd_probability(*obs.config);
-  if (!(q > 0.0)) throw ConfigError("SamplingCoverageEstimator: q must be > 0");
-  const double keep =
-      obs.assumed_miss_rate ? (1.0 - *obs.assumed_miss_rate) : 1.0;
-  const double ceiling = static_cast<double>(obs.config->nxd_count) * keep;
-
   IntervalEstimate result;
   result.level = level;
-  const double observed = kmv->estimate();
+  if (observed <= 0.0) return result;
+
+  const double q = per_bot_nxd_probability(*context.config);
+  if (!(q > 0.0)) throw ConfigError("SamplingCoverageEstimator: q must be > 0");
+  const double keep =
+      context.assumed_miss_rate ? (1.0 - *context.assumed_miss_rate) : 1.0;
+  const double ceiling = static_cast<double>(context.config->nxd_count) * keep;
   result.value = invert_sampling_coverage(observed, q, ceiling);
-  if (!kmv->saturated()) {
-    // Exact regime: the integer distinct count matches the exact path, so
-    // the value is bit-identical and — like the exact path — interval-free.
-    return result;
-  }
+  // An exact count, or a KMV still holding every distinct position (an
+  // integer-exact count), gives the exact bits and no band.
+  if (kmv == nullptr || !kmv->saturated()) return result;
+
   result.approximate = true;
   result.sketch_rse = kmv->relative_error();
   // Propagate the KMV standard error through the monotone inversion: the
@@ -114,6 +80,30 @@ IntervalEstimate SamplingCoverageEstimator::estimate_with_interval(
   result.interval = {invert_sampling_coverage(lo_cov, q, ceiling),
                      invert_sampling_coverage(hi_cov, q, ceiling)};
   return result;
+}
+
+double SamplingCoverageEstimator::estimate(const EpochObservation& obs) const {
+  obs.validate();
+  return fit(obs, static_cast<double>(count_distinct_nxds(obs))).value;
+}
+
+CompactSupport SamplingCoverageEstimator::compact_support() const {
+  CompactSupport support;
+  support.supported = true;
+  support.needs_distinct = true;
+  return support;
+}
+
+IntervalEstimate SamplingCoverageEstimator::estimate_with_interval(
+    const CompactObservation& obs, double level) const {
+  check_level(level);
+  obs.validate();
+  const KmvSketch* kmv = obs.cell->distinct_nxd();
+  if (kmv == nullptr) {
+    throw ConfigError(
+        "SamplingCoverageEstimator: compact cell lacks the distinct-NXD sketch");
+  }
+  return fit(obs, kmv->estimate(), kmv, level);
 }
 
 }  // namespace botmeter::estimators

@@ -56,6 +56,16 @@ class SamplingCoverageEstimator final : public Estimator {
   /// Marginal probability that one bot queries a given NXD. Exposed for
   /// tests.
   [[nodiscard]] static double per_bot_nxd_probability(const dga::DgaConfig& config);
+
+ private:
+  /// The one core of both forms: invert `observed` distinct NXDs. `kmv` is
+  /// the sketch the count came from (null for an exact count); a band at
+  /// `level` is added only when that sketch has saturated. A zero count is
+  /// 0 before q is computed.
+  [[nodiscard]] IntervalEstimate fit(const ObservationContext& context,
+                                     double observed,
+                                     const KmvSketch* kmv = nullptr,
+                                     double level = 0.9) const;
 };
 
 }  // namespace botmeter::estimators

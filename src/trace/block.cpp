@@ -396,17 +396,8 @@ std::size_t for_each_block(
   return static_cast<std::size_t>(reader.tuples_read());
 }
 
-bool sniff_block_file(std::istream& is) {
-  const std::istream::pos_type pos = is.tellg();
-  if (pos == std::istream::pos_type(-1)) return false;
-  char magic[sizeof(kFileMagic)];
-  is.read(magic, sizeof(magic));
-  const bool matched =
-      static_cast<std::size_t>(is.gcount()) == sizeof(magic) &&
-      std::memcmp(magic, kFileMagic, sizeof(magic)) == 0;
-  is.clear();
-  is.seekg(pos);
-  return matched;
+bool is_block_stream(std::istream& is) {
+  return is.peek() == std::istream::traits_type::to_int_type(kFileMagic[0]);
 }
 
 }  // namespace botmeter::trace

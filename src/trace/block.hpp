@@ -196,9 +196,11 @@ std::size_t for_each_block(
     const std::function<void(const dns::LookupColumns&,
                              std::span<const std::string_view>)>& sink);
 
-/// True when `is` starts with the trace_block file magic. Requires a
-/// seekable stream (regular file); the read position is restored. On
-/// non-seekable streams (pipes) returns false — callers must say --binary.
-[[nodiscard]] bool sniff_block_file(std::istream& is);
+/// The codec of the trace `is` holds: true when its next byte is the first
+/// byte of the trace_block file magic, 'B' (a text trace line starts with a
+/// digit or '-', or is blank). Peeks one byte and consumes nothing, so it
+/// answers for pipes as for files; BlockReader still checks the whole magic.
+/// False on an empty stream.
+[[nodiscard]] bool is_block_stream(std::istream& is);
 
 }  // namespace botmeter::trace

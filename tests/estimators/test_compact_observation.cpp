@@ -13,6 +13,7 @@
 #include "estimators/bernoulli.hpp"
 #include "estimators/poisson.hpp"
 #include "estimators/timing.hpp"
+#include "support/compact_twin.hpp"
 #include "support/observation_factory.hpp"
 
 namespace botmeter::estimators {
@@ -24,28 +25,7 @@ CompactObservationConfig small_config(std::uint32_t kmv_k) {
   return config;
 }
 
-/// Build the compact twin of an exact observation: derive the cell spec for
-/// the estimator's needs, fold every matched lookup in, and share the
-/// analyst-side context pointers.
-struct CompactTwin {
-  CompactTwin(const EpochObservation& exact, const CompactSupport& support,
-              const CompactObservationConfig& config)
-      : cell(make_compact_spec(config, support, exact.window_start,
-                               exact.window_length, exact.ttl)) {
-    cell.add_all(exact.lookups);
-    obs.cell = &cell;
-    obs.config = exact.config;
-    obs.pool = exact.pool;
-    obs.window = exact.window;
-    obs.ttl = exact.ttl;
-    obs.window_start = exact.window_start;
-    obs.window_length = exact.window_length;
-    obs.assumed_miss_rate = exact.assumed_miss_rate;
-  }
-
-  CompactCell cell;
-  CompactObservation obs;
-};
+using testing::CompactTwin;
 
 botnet::SimulationConfig newgoz_sim(std::uint32_t bots, std::uint64_t seed) {
   botnet::SimulationConfig config;

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.hpp"
 #include "common/stats.hpp"
 #include "dga/families.hpp"
 #include "estimators/bernoulli.hpp"
+#include "estimators/library.hpp"
 #include "estimators/timing.hpp"
+#include "support/compact_twin.hpp"
 #include "support/observation_factory.hpp"
 
 namespace botmeter::estimators {
@@ -80,6 +84,35 @@ TEST(HybridTest, InapplicableFamilyThrows) {
   testing::ObservationFactory factory(config);
   EXPECT_THROW((void)make_hybrid(0.5)->estimate(factory.observations()[0]),
                ConfigError);
+}
+
+TEST(HybridTest, LibraryHybridHasNoCompactPath) {
+  // The library's hybrid pairs Bernoulli with Timing, and Timing needs
+  // individual lookups: the hybrid reports no compact support, and a compact
+  // cell is refused with the base class's error.
+  const ModelLibrary library;
+  const Estimator& hybrid = library.get("hybrid(bernoulli+timing)");
+  const CompactSupport support = hybrid.compact_support();
+  EXPECT_FALSE(support.supported);
+  EXPECT_FALSE(support.needs_distinct);
+  EXPECT_FALSE(support.needs_time_slots);
+
+  botnet::SimulationConfig config;
+  config.dga = dga::newgoz_config();
+  config.bot_count = 8;
+  config.seed = 5;
+  testing::ObservationFactory factory(config);
+  const testing::CompactTwin twin(factory.observations()[0],
+                                  BernoulliEstimator().compact_support(),
+                                  CompactObservationConfig{});
+  try {
+    (void)hybrid.estimate_with_interval(twin.obs, 0.9);
+    ADD_FAILURE() << "a compact cell must be refused";
+  } catch (const ConfigError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "hybrid(bernoulli+timing): no compact observation path "
+              "(compact_support() is false for this model)");
+  }
 }
 
 }  // namespace

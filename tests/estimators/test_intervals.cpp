@@ -4,15 +4,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <initializer_list>
+#include <limits>
+#include <set>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "dga/families.hpp"
 #include "estimators/bernoulli.hpp"
 #include "estimators/context.hpp"
+#include "estimators/library.hpp"
 #include "estimators/poisson.hpp"
 #include "estimators/sampling_coverage.hpp"
 #include "estimators/timing.hpp"
+#include "support/compact_twin.hpp"
 #include "support/observation_factory.hpp"
 
 namespace botmeter::estimators {
@@ -244,6 +250,119 @@ TEST(BernoulliIntervalTest, BitsPinnedAtParent) {
   EXPECT_EQ(hex(point), hex(0x1.41df92e6a35eep+4));
 }
 
+/// One estimate as text, every double a hex float:
+/// "value [lo, hi] exact|approx sketch_rse", with "-" for no band.
+std::string pinned(const IntervalEstimate& estimate) {
+  std::string out = hex(estimate.value) + " ";
+  out += estimate.interval ? "[" + hex(estimate.interval->first) + ", " +
+                                 hex(estimate.interval->second) + "]"
+                           : std::string("-");
+  out += estimate.approximate ? " approx " : " exact ";
+  return out + hex(estimate.sketch_rse);
+}
+
+CompactObservationConfig kmv_config(std::uint32_t kmv_k) {
+  CompactObservationConfig config;
+  config.kmv_k = kmv_k;
+  return config;
+}
+
+TEST(PoissonIntervalTest, BitsPinnedAtParent) {
+  // Murofet at N=64, and synthetic cells in its context: bursts of ten NXD
+  // lookups at the family's query interval, starting at the given offsets
+  // into the window. The negative TTL is 2 h, so bursts at 0, 2 h and 4 h
+  // leave every waiting gap zero (the one-millisecond clamp). Each cell runs
+  // exact and as its compact twin (slot error), with and without a shared
+  // EstimationContext.
+  testing::ObservationFactory factory(sim_config(dga::murofet_config(), 64, 5));
+  const EpochObservation& simulated = factory.observations()[0];
+  const auto bursts = [&](std::initializer_list<Duration> offsets) {
+    EpochObservation obs = simulated;
+    obs.lookups.clear();
+    for (const Duration offset : offsets) {
+      std::uint32_t pos = 0;
+      for (std::int64_t k = 0; k < 10; ++k, ++pos) {
+        while (obs.pool->is_valid_position(pos)) ++pos;
+        obs.lookups.push_back(
+            {obs.window_start + offset + obs.config->query_interval * k, pos,
+             false});
+      }
+    }
+    return obs;
+  };
+  struct Cell {
+    const char* name;
+    EpochObservation obs;
+    const char* exact;
+    const char* compact;
+  };
+  const Cell cells[] = {
+      {"none", bursts({}), "0x0p+0 - exact 0x0p+0", "0x0p+0 - approx 0x0p+0"},
+      {"one", bursts({seconds(10)}), "0x1p+0 - exact 0x0p+0",
+       "0x1p+0 - approx 0x0p+0"},
+      {"zero gaps", bursts({Duration{0}, hours(2), hours(4)}),
+       "0x1.499701p+25 [0x1.0b113d0369d83p+24, 0x1.02e7d58663b8cp+27] exact "
+       "0x0p+0",
+       "0x1.499701p+25 [0x1.8p+1, 0x1.02e7d58663b8cp+27] approx "
+       "0x1.3c68p+23"},
+      {"simulated", simulated,
+       "0x1.6e196b3c91289p+5 [0x1.b93ba7426895p+4, 0x1.3f564b3dba644p+6] "
+       "exact 0x0p+0",
+       "0x1.6e196b3c91289p+5 [0x1.9cff391f26f2ap+3, 0x1.0d85d8b322aeep+30] "
+       "approx 0x1.f5edf10b352d7p+0"},
+  };
+  const PoissonEstimator poisson;
+  for (const Cell& cell : cells) {
+    for (const bool shared : {false, true}) {
+      EstimationContext context;
+      EpochObservation exact = cell.obs;
+      if (shared) exact.context = &context;
+      const testing::CompactTwin twin(exact, poisson.compact_support(),
+                                      kmv_config(1024));
+      const std::string got_exact =
+          pinned(poisson.estimate_with_interval(exact, 0.9));
+      const std::string got_compact =
+          pinned(poisson.estimate_with_interval(twin.obs, 0.9));
+      SCOPED_TRACE(::testing::Message()
+                   << cell.name << " context=" << shared << " got exact {"
+                   << got_exact << "} compact {" << got_compact << "}");
+      EXPECT_EQ(got_exact, cell.exact);
+      EXPECT_EQ(got_compact, cell.compact);
+    }
+  }
+}
+
+TEST(SamplingCoverageTest, BitsPinnedAtParent) {
+  // Conficker.C at N=20: exact, as a compact cell whose KMV holds every
+  // distinct NXD (the exact bits, no band), and as one whose 32-entry KMV
+  // saturates (flagged, with a band). An empty cell is 0 on both forms.
+  testing::ObservationFactory conficker(
+      sim_config(dga::conficker_c_config(), 20, 5));
+  const EpochObservation& exact = conficker.observations()[0];
+  EpochObservation empty = exact;
+  empty.lookups.clear();
+  const SamplingCoverageEstimator estimator;
+  const Estimator& sampling = estimator;  // both overloads
+  const CompactSupport support = sampling.compact_support();
+  const testing::CompactTwin unsaturated(exact, support, kmv_config(65536));
+  const testing::CompactTwin saturated(exact, support, kmv_config(32));
+  const testing::CompactTwin empty_cell(empty, support, kmv_config(32));
+  ASSERT_FALSE(unsaturated.cell.distinct_nxd()->saturated());
+  ASSERT_TRUE(saturated.cell.distinct_nxd()->saturated());
+
+  const char* const kExact = "0x1.41df92e6a35eep+4 - exact 0x0p+0";
+  const char* const kEmpty = "0x0p+0 - exact 0x0p+0";
+  EXPECT_EQ(pinned(sampling.estimate_with_interval(exact, 0.9)), kExact);
+  EXPECT_EQ(pinned(sampling.estimate_with_interval(unsaturated.obs, 0.9)),
+            kExact);
+  EXPECT_EQ(pinned(sampling.estimate_with_interval(saturated.obs, 0.9)),
+            "0x1.e8daa144c692fp+3 [0x1.4e3524e36cce5p+3, "
+            "0x1.459888190a418p+4] approx 0x1.75e9746a0b098p-3");
+  EXPECT_EQ(pinned(sampling.estimate_with_interval(empty, 0.9)), kEmpty);
+  EXPECT_EQ(pinned(sampling.estimate_with_interval(empty_cell.obs, 0.9)),
+            kEmpty);
+}
+
 TEST(BernoulliIntervalTest, SaturatedCellPublishesPointWithoutBand) {
   // An analyst TTL longer than the network's: every NXD forwarded 30 times
   // in the epoch, while a 60-minute negative TTL allows at most 24. The
@@ -280,6 +399,38 @@ TEST(BernoulliIntervalTest, SegmentMethodPointOnly) {
   const IntervalEstimate estimate =
       segment.estimate_with_interval(factory.observations()[0]);
   EXPECT_FALSE(estimate.interval.has_value());
+}
+
+TEST(IntervalLevelTest, EveryModelRejectsLevelsOutsideTheUnitInterval) {
+  // Every library model, on a family it applies to, refuses a level outside
+  // (0, 1) on an exact cell and, where it has a compact path, on a compact
+  // cell.
+  const ModelLibrary library;
+  std::set<std::string_view> checked;
+  for (const dga::DgaConfig& family :
+       {dga::newgoz_config(), dga::murofet_config(),
+        dga::conficker_c_config()}) {
+    testing::ObservationFactory factory(sim_config(family, 8, 5));
+    const EpochObservation& exact = factory.observations()[0];
+    for (const Estimator* model : library.applicable(family)) {
+      checked.insert(model->name());
+      const CompactSupport support = model->compact_support();
+      for (const double level :
+           {0.0, 1.0, 1.5, std::numeric_limits<double>::quiet_NaN()}) {
+        SCOPED_TRACE(::testing::Message()
+                     << model->name() << " on " << family.name
+                     << " level=" << level);
+        EXPECT_THROW((void)model->estimate_with_interval(exact, level),
+                     ConfigError);
+        if (support.supported) {
+          const testing::CompactTwin twin(exact, support, kmv_config(1024));
+          EXPECT_THROW((void)model->estimate_with_interval(twin.obs, level),
+                       ConfigError);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked.size(), library.names().size());
 }
 
 }  // namespace

@@ -357,9 +357,12 @@ TEST(CompactStateTest, CompactCheckpointRejectedByExactEngine) {
 }
 
 TEST(CompactStateTest, ConstructorRejectsEstimatorsWithoutCompactPath) {
-  StreamEngineConfig config = compact_config(2, 2);
-  config.meter.estimator = "timing";
-  EXPECT_THROW(StreamEngine{config}, ConfigError);
+  for (const char* estimator :
+       {"timing", "bernoulli-segment", "hybrid(bernoulli+timing)"}) {
+    StreamEngineConfig config = compact_config(2, 2);
+    config.meter.estimator = estimator;
+    EXPECT_THROW(StreamEngine{config}, ConfigError) << estimator;
+  }
 }
 
 TEST(CompactStateTest, OpenByteAccountingTracksSpills) {

@@ -334,14 +334,22 @@ TEST(TraceBlockTest, WriterReportsFullDisk) {
   EXPECT_THROW(writer.finish(), DataError);
 }
 
-TEST(TraceBlockTest, SniffRecognisesBlockFilesAndRestoresPosition) {
+TEST(TraceBlockTest, IsBlockStreamPeeksWithoutConsuming) {
   std::istringstream binary(encode(sample_trace(10)));
-  EXPECT_TRUE(sniff_block_file(binary));
-  EXPECT_EQ(read_blocks(binary).size(), 10u);  // position was restored
+  EXPECT_TRUE(is_block_stream(binary));
+  EXPECT_EQ(binary.tellg(), 0);
+  EXPECT_EQ(read_blocks(binary).size(), 10u);  // the whole magic is still there
 
-  std::istringstream text("1000\t0\ta.com\n");
-  EXPECT_FALSE(sniff_block_file(text));
-  EXPECT_EQ(read_observable(text).size(), 1u);
+  for (const char* line : {"1000\t0\ta.com\n", "-5\t0\ta.com\n", "\n"}) {
+    std::istringstream text(line);
+    EXPECT_FALSE(is_block_stream(text)) << line;
+    EXPECT_EQ(text.tellg(), 0) << line;
+    EXPECT_EQ(read_observable(text).size(), line[0] == '\n' ? 0u : 1u) << line;
+  }
+
+  std::istringstream empty("");
+  EXPECT_FALSE(is_block_stream(empty));
+  EXPECT_TRUE(read_observable(empty).empty());
 }
 
 // --- corruption and truncation --------------------------------------------

@@ -29,13 +29,12 @@ constexpr const char* kUsage =
     "usage: botmeter_analyze (--family <name> | --config <file.json>)\n"
     "         [--estimator timing|poisson|bernoulli|...] [--servers n]\n"
     "         [--epochs n] [--first-epoch e] [--neg-ttl-min m]\n"
-    "         [--miss-rate x] [--assume-miss x] [--trace file] [--binary]\n"
+    "         [--miss-rate x] [--assume-miss x] [--trace file]\n"
     "         [--viz] [--metrics-out file] [--trace-timing] [--trace-out file]\n"
     "         [--threads n] [--history-out file] [--history-retain n]\n"
-    "reads the observable (border) trace from --trace or stdin. Binary\n"
-    "columnar traces (botmeter.trace_block.v1, see botmeter_trace_convert)\n"
-    "are detected automatically for --trace files; --binary forces the\n"
-    "binary codec for stdin.\n"
+    "reads the observable (border) trace from --trace or stdin, in either\n"
+    "codec: the binary columnar one (botmeter.trace_block.v1, see\n"
+    "botmeter_trace_convert) is told from text by its first byte.\n"
     "--metrics-out writes a botmeter.run_report.v1 JSON document (matcher\n"
     "tallies, per-server matched lookups and populations, stage wall times);\n"
     "--trace-timing prints the phase timing table to stderr.\n"
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
                          "--miss-rate", "--assume-miss", "--trace",
                          "--metrics-out", "--threads", "--history-out",
                          "--history-retain"},
-                        {"--help", "--viz", "--trace-timing", "--binary"});
+                        {"--help", "--viz", "--trace-timing"});
     if (args.flag("--help")) {
       std::fputs(kUsage, stdout);
       return 0;
@@ -98,17 +97,15 @@ int main(int argc, char** argv) {
     }
     config.analyze_threads = args.threads_or("--threads", 1);
 
-    std::vector<dns::ForwardedLookup> stream;
+    std::ifstream file;
     if (auto path = args.value("--trace")) {
-      std::ifstream file(*path, std::ios::binary);
+      file.open(*path, std::ios::binary);
       if (!file) throw DataError("cannot open " + *path);
-      stream = args.flag("--binary") || trace::sniff_block_file(file)
-                   ? trace::read_blocks(file)
-                   : trace::read_observable(file);
-    } else {
-      stream = args.flag("--binary") ? trace::read_blocks(std::cin)
-                                     : trace::read_observable(std::cin);
     }
+    std::istream& in = file.is_open() ? file : std::cin;
+    const std::vector<dns::ForwardedLookup> stream =
+        trace::is_block_stream(in) ? trace::read_blocks(in)
+                                   : trace::read_observable(in);
     if (stream.empty()) throw DataError("empty observable trace");
 
     const std::int64_t first_epoch = args.int_or(

@@ -48,7 +48,7 @@ constexpr const char* kUsage =
     "         [--assume-miss x] [--lateness-ms l]\n"
     "         [--compact-state] [--compact-spill n] [--compact-kmv-k k]\n"
     "         [--flush-tuples n] [--queue-capacity n]\n"
-    "         [--trace file] [--binary]\n"
+    "         [--trace file]\n"
     "         [--simulate --bots N [--seed s] [--granularity-ms g]]\n"
     "         [--checkpoint-in file] [--checkpoint-out file] [--no-final]\n"
     "         [--metrics-out file] [--trace-timing] [--trace-out file] [--viz]\n"
@@ -68,10 +68,10 @@ constexpr const char* kUsage =
     "--flush-tuples routed tuples, --queue-capacity batches per queue).\n"
     "--shard-threads sets the estimation workers per shard (and the\n"
     "simulator's workers).\n"
-    "--trace files in the binary columnar codec (botmeter.trace_block.v1,\n"
-    "see botmeter_trace_convert) are detected automatically and ingested\n"
-    "block-at-a-time through the zero-copy path; --binary forces the binary\n"
-    "codec for stdin (pipes cannot be sniffed).\n"
+    "A trace in the binary columnar codec (botmeter.trace_block.v1, see\n"
+    "botmeter_trace_convert), from --trace or stdin alike, is told from text\n"
+    "by its first byte and ingested block-at-a-time through the zero-copy\n"
+    "path.\n"
     "--compact-state bounds per-shard memory: open (server, epoch) buckets\n"
     "past --compact-spill matched lookups (default 8192) fold into\n"
     "sketch-backed compact cells (KMV size --compact-kmv-k, default 1024)\n"
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
          "--health-unhealthy-lag-ms", "--health-degraded-late-rate",
          "--health-unhealthy-late-rate", "--health-recovery-hold-ms"},
         {"--help", "--simulate", "--no-final", "--viz", "--trace-timing",
-         "--binary", "--compact-state"});
+         "--compact-state"});
     if (args.flag("--help")) {
       std::fputs(kUsage, stdout);
       return 0;
@@ -401,18 +401,18 @@ int main(int argc, char** argv) {
       sim.telemetry = cfg.meter.telemetry;
       sim.observable_sink = ingest_one;
       (void)botnet::simulate(sim);
-    } else if (auto path = args.value("--trace")) {
-      std::ifstream file(*path, std::ios::binary);
-      if (!file) throw DataError("cannot open " + *path);
-      if (args.flag("--binary") || trace::sniff_block_file(file)) {
-        (void)trace::for_each_block(file, ingest_block);
-      } else {
-        (void)trace::for_each_observable(file, ingest_one);
-      }
-    } else if (args.flag("--binary")) {
-      (void)trace::for_each_block(std::cin, ingest_block);
     } else {
-      (void)trace::for_each_observable(std::cin, ingest_one);
+      std::ifstream file;
+      if (auto path = args.value("--trace")) {
+        file.open(*path, std::ios::binary);
+        if (!file) throw DataError("cannot open " + *path);
+      }
+      std::istream& in = file.is_open() ? file : std::cin;
+      if (trace::is_block_stream(in)) {
+        (void)trace::for_each_block(in, ingest_block);
+      } else {
+        (void)trace::for_each_observable(in, ingest_one);
+      }
     }
     runtime.flush();
     const double ingest_ms =

@@ -4,17 +4,18 @@
 // greppable, diffable, collector-friendly. The binary columnar format
 // (trace/block.hpp, schema botmeter.trace_block.v1) is the hot-path codec
 // botmeter_cluster and botmeter_analyze ingest at block speed. This tool
-// converts either direction, streaming block-by-block / chunk-by-chunk, so
-// memory stays bounded no matter how long the trace is. Converting
-// text → binary → text reproduces the input byte for byte (for traces in
-// the canonical form write_observable emits). The text output goes through
+// converts a trace to the other codec (the input's first byte tells which
+// it holds), streaming block-by-block / chunk-by-chunk, so memory stays
+// bounded no matter how long the trace is. Converting text → binary → text
+// reproduces the input byte for byte (for traces in the canonical form
+// write_observable emits). The text output goes through
 // trace::write_observable, which rejects a domain holding a tab or newline
 // or ending in a CR (a binary trace can carry one; as text it would forge
 // records), and text input through the chunked reader of trace/io.hpp.
 //
 // Usage:
-//   botmeter_trace_convert --to binary < trace.tsv > trace.btb
-//   botmeter_trace_convert --to text --in trace.btb --out trace.tsv
+//   botmeter_trace_convert < trace.tsv > trace.btb
+//   botmeter_trace_convert --in trace.btb --out trace.tsv
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -28,13 +29,14 @@
 namespace {
 
 constexpr const char* kUsage =
-    "usage: botmeter_trace_convert --to binary|text [--in file] [--out file]\n"
+    "usage: botmeter_trace_convert [--in file] [--out file]\n"
     "         [--block-tuples n]\n"
-    "converts an observable border trace between the tab-separated text\n"
-    "codec (trace/io.hpp) and the binary columnar codec\n"
-    "(botmeter.trace_block.v1). Reads --in or stdin, writes --out or\n"
-    "stdout; both directions stream with bounded memory.\n"
-    "--block-tuples sets the binary block capacity (default 65536).\n";
+    "converts an observable border trace to the other codec: tab-separated\n"
+    "text (trace/io.hpp) to binary columnar (botmeter.trace_block.v1) and\n"
+    "back, telling the input's codec by its first byte. Reads --in or stdin,\n"
+    "writes --out or stdout, streaming with bounded memory.\n"
+    "--block-tuples sets the binary block capacity (text input only;\n"
+    "default 65536).\n";
 
 }  // namespace
 
@@ -46,15 +48,11 @@ int main(int argc, char** argv) {
   std::ios::sync_with_stdio(false);
   using namespace botmeter;
   try {
-    tools::CliArgs args(argc, argv, {"--to", "--in", "--out", "--block-tuples"},
+    tools::CliArgs args(argc, argv, {"--in", "--out", "--block-tuples"},
                         {"--help"});
     if (args.flag("--help")) {
       std::fputs(kUsage, stdout);
       return 0;
-    }
-    const std::string to = args.value_or("--to", "");
-    if (to != "binary" && to != "text") {
-      throw tools::UsageError("--to must be 'binary' or 'text'");
     }
 
     std::ifstream in_file;
@@ -63,6 +61,10 @@ int main(int argc, char** argv) {
       if (!in_file) throw DataError("cannot open " + *in_path);
     }
     std::istream& in = in_file.is_open() ? in_file : std::cin;
+    const bool to_binary = !trace::is_block_stream(in);
+    if (!to_binary && args.value("--block-tuples")) {
+      throw tools::UsageError("--block-tuples applies to text input only");
+    }
 
     std::ofstream out_file;
     if (auto out_path = args.value("--out")) {
@@ -74,7 +76,7 @@ int main(int argc, char** argv) {
     std::size_t tuples = 0;
     std::size_t blocks = 0;
     std::size_t domains = 0;
-    if (to == "binary") {
+    if (to_binary) {
       const std::int64_t block_tuples = args.int_or(
           "--block-tuples", static_cast<std::int64_t>(trace::kDefaultBlockTuples));
       if (block_tuples <= 0) {
@@ -97,8 +99,9 @@ int main(int argc, char** argv) {
           });
     }
 
-    std::fprintf(stderr, "converted %zu tuples to %s", tuples, to.c_str());
-    if (to == "binary") {
+    std::fprintf(stderr, "converted %zu tuples to %s", tuples,
+                 to_binary ? "binary" : "text");
+    if (to_binary) {
       std::fprintf(stderr, " (%zu blocks, %zu distinct domains)", blocks,
                    domains);
     } else {
